@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import DEFAULT_SEED, DEFAULT_TOLERANCES, Config
+from .config import DEFAULT_TOLERANCES, Config
 from .core import (
     DegreeSequence,
     Supertree,
@@ -258,16 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="parallel workers for sweeps"
     )
     parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="seed recorded for generated-data reproduction",
-    )
-    parser.add_argument(
         "--epsilon", type=float, default=None,
         help="override the relative comparison tolerance",
-    )
-    parser.add_argument(
-        "--eig-threshold", type=float, default=None,
-        help="override the eigensolver off-diagonal threshold",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -371,11 +363,7 @@ def main(argv=None) -> int:
     tol = DEFAULT_TOLERANCES
     if args.epsilon is not None:
         tol = replace(tol, rel_eps=args.epsilon)
-    if args.eig_threshold is not None:
-        tol = replace(tol, eig_rel_threshold=args.eig_threshold)
-    cfg = Config(
-        tolerances=tol, jobs=args.jobs, output=args.format, seed=args.seed
-    )
+    cfg = Config(tolerances=tol, jobs=args.jobs, output=args.format)
     try:
         return args.run(args, cfg)
     except SupertreeError as exc:

@@ -1,8 +1,8 @@
 """Numeric tolerances and run configuration.
 
-Every threshold used by the solver and by comparison helpers lives in one
-frozen record so the CLI can override them in a single place and tests can
-state them explicitly.
+Every threshold used by the eigenpair report and by comparison helpers lives
+in one frozen record so the CLI can override them in a single place and tests
+can state them explicitly.
 """
 
 from dataclasses import dataclass, field
@@ -11,22 +11,15 @@ __all__ = [
     "Tolerances",
     "Config",
     "DEFAULT_TOLERANCES",
-    "DEFAULT_SEED",
     "approx_eq",
     "at_least",
     "at_most",
     "strictly_less",
 ]
 
-# seed shared by the randomized property suites
-DEFAULT_SEED = 170451
-
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Jacobi sweep stop: off-diagonal Frobenius norm <= eig_rel_threshold * ||M||_F
-    eig_rel_threshold: float = 1e-13
-    eig_max_sweeps: int = 100
     # |x - y| <= rel_eps * max(1, |x|, |y|) counts as equal for computed reals
     rel_eps: float = 1e-10
     # relative spectral-gap floor below which an eigenpair is flagged degenerate
@@ -45,7 +38,6 @@ class Config:
     tolerances: Tolerances = field(default_factory=Tolerances)
     jobs: int = 1
     output: str = "csv"  # "csv" or "plain"
-    seed: int = DEFAULT_SEED
 
 
 def _scale(x: float, y: float) -> float:

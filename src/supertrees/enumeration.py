@@ -72,7 +72,8 @@ class FkCertificate:
     """Outcome of one extremality check over a fully enumerated family.
 
     ``all_lambdas`` lists (canonical code, eigenvalue) for every isomorphism
-    class, eigenvalues ascending. ``unique`` asserts the winner's eigenvalue
+    class, eigenvalues ascending; classes tied within ``lambda_tie`` are
+    listed by canonical code. ``unique`` asserts the winner's eigenvalue
     sits strictly below the runner-up beyond the tie tolerance; ``slo_match``
     asserts the winner is the predicted SLO-supertree.
     """
@@ -203,13 +204,24 @@ def _score_family(
     tol: Tolerances,
 ) -> FkCertificate:
     slo_code = canonical_code(slo_tree)
-    scored = sorted(
+    rows = sorted(
         (
             (canonical_code(G), first_dirichlet_eigenpair(G, tol).lam, G)
             for G in members
         ),
-        key=lambda item: (item[1], item[0]),
+        key=lambda item: item[1],
     )
+    # eigenvalues chained within lambda_tie form one tie group, listed by
+    # canonical code so rounding noise cannot reorder cospectral classes
+    groups: list[list] = []
+    for row in rows:
+        if groups and row[1] - groups[-1][-1][1] <= tol.lambda_tie:
+            groups[-1].append(row)
+        else:
+            groups.append([row])
+    scored = [
+        row for group in groups for row in sorted(group, key=lambda r: r[0])
+    ]
     winner_code, winner_lambda, winner = scored[0]
     unique = len(scored) == 1 or scored[1][1] - winner_lambda > tol.lambda_tie
     return FkCertificate(

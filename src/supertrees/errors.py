@@ -11,7 +11,6 @@ __all__ = [
     "ShtFormatError",
     "InfeasibleDegreeSequence",
     "NoInteriorVertices",
-    "ConvergenceFailure",
     "ZeroFunction",
     "NotAPermutation",
     "NotAnEigenfunction",
@@ -67,10 +66,6 @@ class InfeasibleDegreeSequence(SupertreeError):
 
 class NoInteriorVertices(SupertreeError):
     """The Dirichlet problem is empty: every vertex lies on the boundary."""
-
-
-class ConvergenceFailure(SupertreeError):
-    """The eigensolver did not reach its threshold within the sweep budget."""
 
 
 class ZeroFunction(SupertreeError):

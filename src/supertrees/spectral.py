@@ -4,8 +4,8 @@ The Laplacian of a k-uniform supertree has degree on the diagonal and
 -1/(k-1) between adjacent vertices. Restricting rows and columns to the
 interior vertices gives the Dirichlet matrix; its smallest eigenvalue is
 positive and simple, with an eigenvector that is strictly positive on the
-interior. The eigensolver is a deterministic cyclic Jacobi iteration so that
-results are reproducible bit-for-bit across platforms.
+interior. Eigenpairs come from LAPACK's symmetric solver (numpy.linalg.eigh)
+on that dense block.
 """
 
 import math
@@ -15,14 +15,13 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import Supertree
-from .errors import ConvergenceFailure, NoInteriorVertices, ZeroFunction
+from .errors import NoInteriorVertices, ZeroFunction
 
 __all__ = [
     "DirichletLaplacian",
     "DirichletEigenpair",
     "assemble_laplacian",
     "dirichlet_laplacian",
-    "jacobi_eigh",
     "first_dirichlet_eigenpair",
     "rayleigh_quotient",
 ]
@@ -81,82 +80,6 @@ def dirichlet_laplacian(G: Supertree) -> DirichletLaplacian:
     return DirichletLaplacian(matrix=lap[np.ix_(idx, idx)], interior=interior)
 
 
-def jacobi_eigh(
-    matrix, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every upper-triangle pair in a fixed order until the
-    off-diagonal Frobenius norm drops below eig_rel_threshold * ||M||_F.
-
-    Returns:
-        (eigenvalues ascending, eigenvectors as columns in matching order).
-
-    Raises:
-        ConvergenceFailure: threshold not reached within eig_max_sweeps.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    size = a.shape[0]
-    vecs = np.eye(size)
-    if size == 1:
-        return a[0, :1].copy(), vecs
-
-    def off_norm() -> float:
-        # summing the actual entries avoids the cancellation that a
-        # ||A||_F^2 - ||diag||^2 difference suffers near convergence
-        strict = a[~np.eye(size, dtype=bool)]
-        return float(np.linalg.norm(strict))
-
-    threshold = tol.eig_rel_threshold * np.linalg.norm(a)
-    converged = False
-    for _ in range(tol.eig_max_sweeps):
-        if off_norm() <= threshold:
-            converged = True
-            break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p, q]
-                diff = a[q, q] - a[p, p]
-                if abs(apq) <= 1e-17 * abs(diff):
-                    # rotation angle below representable effect; the
-                    # discarded mass sits under the convergence floor
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                new_p = c * col_p - s * col_q
-                new_q = s * col_p + c * col_q
-                a[:, p] = new_p
-                a[p, :] = new_p
-                a[:, q] = new_q
-                a[q, :] = new_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vcol_p = vecs[:, p].copy()
-                vecs[:, p] = c * vcol_p - s * vecs[:, q]
-                vecs[:, q] = s * vcol_p + c * vecs[:, q]
-    else:
-        converged = off_norm() <= threshold
-    if not converged:
-        raise ConvergenceFailure(
-            f"off-diagonal norm above threshold after {tol.eig_max_sweeps} sweeps"
-        )
-    order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order].copy(), vecs[:, order]
-
-
 def first_dirichlet_eigenpair(
     G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DirichletEigenpair:
@@ -166,7 +89,7 @@ def first_dirichlet_eigenpair(
     positive, which makes it positive throughout the interior.
     """
     dl = dirichlet_laplacian(G)
-    values, vectors = jacobi_eigh(dl.matrix, tol)
+    values, vectors = np.linalg.eigh(dl.matrix)
     lam = float(values[0])
     x = vectors[:, 0].copy()
     if x[np.argmax(np.abs(x))] < 0.0:

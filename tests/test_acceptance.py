@@ -155,6 +155,26 @@ def test_flattest_slo_minimizes_at_fixed_counts(fk1_certs, fk2_certs):
     )
 
 
+def test_tied_classes_listed_in_code_order(fk1_certs, fk2_certs):
+    # cospectral classes (lambda = 1, 2 - sqrt(2), ...) must not be ordered
+    # by the solver's rounding noise
+    certs = fk1_certs[3] + fk1_certs[2] + fk2_certs
+    out_of_order = []
+    ties = 0
+    for cert in certs:
+        for (c1, l1), (c2, l2) in zip(cert.all_lambdas, cert.all_lambdas[1:]):
+            if l2 - l1 <= TOL.lambda_tie:
+                ties += 1
+                if not c1 < c2:
+                    out_of_order.append(cert.family.describe())
+    _report(
+        "tied classes listed in canonical-code order",
+        not out_of_order,
+        f"{len(certs)} families, {ties} tied neighbours, "
+        f"out of order={sorted(set(out_of_order))}",
+    )
+
+
 def test_switching_never_increases_eigenvalue():
     rng = random.Random(170451)
     weak = strict = attempts = 0

@@ -84,10 +84,7 @@ def test_eigen_plain_format(capsys, star):
 
 
 def test_eigen_tolerance_overrides(capsys, star):
-    code, out, _ = _run(
-        capsys,
-        "--epsilon", "1e-8", "--eig-threshold", "1e-12", "eigen", star,
-    )
+    code, out, _ = _run(capsys, "--epsilon", "1e-8", "eigen", star)
     assert code == 0
     assert out.startswith("lambda=2.000000000000\n")
 

@@ -1,4 +1,4 @@
-"""Spectral layer: Laplacian assembly, Jacobi solver, first Dirichlet pair."""
+"""Spectral layer: Laplacian assembly and the first Dirichlet pair."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from supertrees import (
     build_supertree,
     dirichlet_laplacian,
     first_dirichlet_eigenpair,
-    jacobi_eigh,
     rayleigh_quotient,
 )
 from support import random_boundary_zero, random_supertree
@@ -66,21 +65,6 @@ def test_laplacian_reduces_to_graph_laplacian_for_pairs():
     assert np.array_equal(lap, expected)
 
 
-def test_jacobi_matches_reference_solver():
-    rng = np.random.default_rng(20240817)
-    for size in (1, 2, 3, 5, 8, 12):
-        for _ in range(12):
-            a = rng.standard_normal((size, size))
-            m = (a + a.T) / 2.0
-            values, vectors = jacobi_eigh(m)
-            ref = np.linalg.eigvalsh(m)
-            scale = max(1.0, float(np.abs(ref).max()))
-            assert np.all(np.diff(values) >= -1e-12)
-            assert np.max(np.abs(values - ref)) <= 1e-10 * scale
-            assert np.allclose(vectors.T @ vectors, np.eye(size), atol=1e-10)
-            assert np.max(np.abs(m @ vectors - vectors * values)) <= 1e-9 * scale
-
-
 def test_star_eigenvalue_is_center_degree():
     for k in (2, 3, 4):
         for d in range(2, 6):
@@ -111,8 +95,15 @@ def test_chain_and_bouquet_eigenvalues():
 
 
 def test_path_eigenvalue_for_pairs():
-    G = build_supertree(2, 4, [(0, 1), (1, 2), (2, 3)])
-    assert first_dirichlet_eigenpair(G).lam == pytest.approx(1.0, abs=1e-12)
+    # the interior of a k=2 path with m edges is a path on m-1 vertices, so
+    # lambda = 2 - 2cos(pi/m); the bound is absolute, and at m=400 (lambda
+    # about 6e-5) it is loose in relative terms: certifying small lambda
+    # relatively is a separate problem (ROADMAP item 5)
+    for m in (3, 50, 400):
+        G = build_supertree(2, m + 1, [(i, i + 1) for i in range(m)])
+        pair = first_dirichlet_eigenpair(G)
+        assert abs(pair.lam - (2.0 - 2.0 * math.cos(math.pi / m))) <= 1e-14
+        assert np.all(pair.f[1:m] > 0.0)
 
 
 def test_eigenpair_consistency_random():
