@@ -22,11 +22,11 @@ from .core import (
 )
 from .enumeration import (
     FkCertificate,
+    _majorization_lambdas,
     enumerate_supertrees,
     fk1_sweep,
     verify_fk_theorem1,
     verify_fk_theorem2,
-    verify_majorization_monotonicity,
 )
 from .errors import InvalidSpec, SupertreeError
 from .slo import check_slo, construct_slo_supertree, find_slo_ordering, relabel
@@ -231,13 +231,9 @@ def _cmd_majorize(args, cfg: Config) -> int:
     print(f"majorized={_tf(majorized)}")
     if not majorized:
         return 2
-    decreased = verify_majorization_monotonicity(pi, pi_prime, cfg.tolerances)
-    lam = first_dirichlet_eigenpair(
-        construct_slo_supertree(pi)[0], cfg.tolerances
-    ).lam
-    lam_prime = first_dirichlet_eigenpair(
-        construct_slo_supertree(pi_prime)[0], cfg.tolerances
-    ).lam
+    lam, lam_prime, decreased = _majorization_lambdas(
+        pi, pi_prime, cfg.tolerances
+    )
     print(f"lambda_pi={_fmt(lam)}")
     print(f"lambda_pi_prime={_fmt(lam_prime)}")
     print(f"strict_decrease={_tf(decreased)}")

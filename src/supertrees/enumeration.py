@@ -7,6 +7,11 @@ single edge, deduplicating isomorphism classes by canonical code at every
 stage; every supertree with at least two edges loses a leaf edge to a
 smaller supertree, so the growth reaches all classes.
 
+A single family is grown alone, pruned at every stage by a monotone
+predicate its members satisfy. A sweep grows every class up to its size
+bound once, unpruned, buckets the classes by degree sequence or by (n, n0)
+at the minimum degree, and scores each family from its bucket.
+
 On top of the enumerators sit the extremality checks: within each family the
 SLO-supertree attains the smallest first Dirichlet eigenvalue, strictly
 below every other class, and the eigenvalue of the SLO-supertree decreases
@@ -125,48 +130,70 @@ def feasible_degree_sequences(
     ]
 
 
-def _grow_classes(k: int, m_target: int, keep) -> list[Supertree]:
-    """Isomorphism classes of supertrees with m_target edges whose every
-    growth stage satisfies the monotone predicate keep."""
+def _grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
+    """Isomorphism classes of supertrees with 1..m_target edges whose every
+    growth stage satisfies the monotone predicate keep: layer i lists the
+    classes with i + 1 edges as (canonical code, supertree), in code order."""
     if m_target < 1:
         return []
     start = build_supertree(k, k, [tuple(range(k))])
-    layer = {canonical_code(start): start} if keep(start) else {}
+    layers = [[(canonical_code(start), start)] if keep(start) else []]
     for _ in range(m_target - 1):
         grown: dict[CanonicalCode, Supertree] = {}
-        for code in sorted(layer):
-            G = layer[code]
+        for _, G in layers[-1]:
             for v in range(G.n):
                 edge = (v,) + tuple(range(G.n, G.n + k - 1))
                 H = build_supertree(k, G.n + k - 1, list(G.edges) + [edge])
-                if not keep(H):
-                    continue
-                hc = canonical_code(H)
-                if hc not in grown:
-                    grown[hc] = H
-        layer = grown
-    return [layer[c] for c in sorted(layer)]
+                if keep(H):
+                    grown.setdefault(canonical_code(H), H)
+        layers.append(sorted(grown.items()))
+    return layers
 
 
-def enumerate_supertrees(pi: DegreeSequence) -> list[Supertree]:
-    """Every isomorphism class with degree sequence pi, sorted by canonical
-    code."""
+def _pi_classes(pi: DegreeSequence) -> list[tuple[CanonicalCode, Supertree]]:
     target_desc = sorted(pi.interior, reverse=True)
 
     def keep(G: Supertree) -> bool:
         # degrees only grow, so current interiors sorted descending must fit
         # pointwise under the target interior slots
         cur = sorted((d for d in G.degrees if d >= 2), reverse=True)
-        if len(cur) > pi.n0:
-            return False
-        return all(c <= t for c, t in zip(cur, target_desc))
+        return len(cur) <= pi.n0 and all(
+            c <= t for c, t in zip(cur, target_desc)
+        )
 
     want = tuple(sorted(pi.entries))
     return [
-        G
-        for G in _grow_classes(pi.k, pi.m, keep)
+        (code, G)
+        for code, G in _grow_classes(pi.k, pi.m, keep)[-1]
         if tuple(sorted(G.degrees)) == want
     ]
+
+
+def enumerate_supertrees(pi: DegreeSequence) -> list[Supertree]:
+    """Every isomorphism class with degree sequence pi, sorted by canonical
+    code."""
+    return [G for _, G in _pi_classes(pi)]
+
+
+def _family_classes(
+    n: int, n0: int, k: int, d_min: int
+) -> list[tuple[CanonicalCode, Supertree]]:
+    if not feasible_degree_sequences(n, n0, k, d_min):
+        return []
+    m = (n - 1) // (k - 1)
+    dm = max(2, d_min)
+    cap = k * m - (n - n0) - dm * (n0 - 1)
+
+    def keep(G: Supertree) -> bool:
+        cur = [d for d in G.degrees if d >= 2]
+        return len(cur) <= n0 and all(d <= cap for d in cur)
+
+    out = []
+    for code, G in _grow_classes(k, m, keep)[-1]:
+        interior = [d for d in G.degrees if d >= 2]
+        if len(interior) == n0 and all(d >= dm for d in interior):
+            out.append((code, G))
+    return out
 
 
 def enumerate_family(
@@ -174,40 +201,30 @@ def enumerate_family(
 ) -> list[Supertree]:
     """Every isomorphism class with n vertices, n0 interior vertices, and
     all interior degrees at least d_min, sorted by canonical code."""
-    if n < 1 or k < 2 or (n - 1) % (k - 1) != 0 or not 0 <= n0 <= n:
-        return []
+    return [G for _, G in _family_classes(n, n0, k, d_min)]
+
+
+def _flattest_sequence(n: int, n0: int, k: int, d: int) -> DegreeSequence:
+    """(d, ..., d, d') with n0 interior entries, d' taking the remainder."""
     m = (n - 1) // (k - 1)
-    if n0 == 0:
-        return [build_supertree(k, k, [tuple(range(k))])] if m == 1 else []
-    interior_sum = k * m - (n - n0)
-    dm = max(2, d_min)
-    if interior_sum < dm * n0:
-        return []
-    cap = interior_sum - dm * (n0 - 1)
-
-    def keep(G: Supertree) -> bool:
-        cur = [d for d in G.degrees if d >= 2]
-        return len(cur) <= n0 and all(d <= cap for d in cur)
-
-    out = []
-    for G in _grow_classes(k, m, keep):
-        interior = [d for d in G.degrees if d >= 2]
-        if len(interior) == n0 and all(d >= dm for d in interior):
-            out.append(G)
-    return out
+    dm = max(2, d)
+    dprime = (k * m - (n - n0)) - (n0 - 1) * dm
+    return DegreeSequence(
+        k, (dm,) * (n0 - 1) + (dprime,) + (1,) * (n - n0), n0
+    )
 
 
 def _score_family(
     family: FamilySpec,
-    members: list[Supertree],
+    members: list[tuple[CanonicalCode, Supertree]],
     slo_tree: Supertree,
     tol: Tolerances,
 ) -> FkCertificate:
     slo_code = canonical_code(slo_tree)
     rows = sorted(
         (
-            (canonical_code(G), first_dirichlet_eigenpair(G, tol).lam, G)
-            for G in members
+            (code, first_dirichlet_eigenpair(G, tol).lam, G)
+            for code, G in members
         ),
         key=lambda item: item[1],
     )
@@ -244,7 +261,7 @@ def verify_fk_theorem1(
     The family is enumerated exhaustively; sequences without interior
     vertices have no Dirichlet spectrum and raise NoInteriorVertices.
     """
-    members = enumerate_supertrees(pi)
+    members = _pi_classes(pi)
     assert members, "validated degree sequences are realizable"
     slo_tree, _ = construct_slo_supertree(pi)
     family = FamilySpec(kind="pi", k=pi.k, pi=pi)
@@ -270,17 +287,25 @@ def verify_fk_theorem2(
             f"{family.describe()} has no interior vertex to apply the "
             "eigenvalue problem to"
         )
-    members = enumerate_family(n, n0, k, d)
+    members = _family_classes(n, n0, k, d)
     if not members:
         raise EmptyFamily(f"{family.describe()} is empty")
-    m = (n - 1) // (k - 1)
-    dm = max(2, d)
-    dprime = (k * m - (n - n0)) - (n0 - 1) * dm
-    pi_star = DegreeSequence(
-        k, (dm,) * (n0 - 1) + (dprime,) + (1,) * (n - n0), n0
-    )
-    slo_tree, _ = construct_slo_supertree(pi_star)
+    slo_tree, _ = construct_slo_supertree(_flattest_sequence(n, n0, k, d))
     return _score_family(family, members, slo_tree, tol)
+
+
+def _majorization_lambdas(
+    pi: DegreeSequence, pi_prime: DegreeSequence, tol: Tolerances
+) -> tuple[float, float, bool]:
+    """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
+    if pi.entries == pi_prime.entries:
+        raise NotMajorized("the sequences are equal; no strict comparison")
+    unit_transform_chain(pi, pi_prime)
+    lam = first_dirichlet_eigenpair(construct_slo_supertree(pi)[0], tol).lam
+    lam_prime = first_dirichlet_eigenpair(
+        construct_slo_supertree(pi_prime)[0], tol
+    ).lam
+    return lam, lam_prime, strictly_less(lam_prime, lam, tol)
 
 
 def verify_majorization_monotonicity(
@@ -299,31 +324,15 @@ def verify_majorization_monotonicity(
             interior counts.
         LengthMismatch: the sequences differ in length or uniformity.
     """
-    if pi.entries == pi_prime.entries:
-        raise NotMajorized("the sequences are equal; no strict comparison")
-    unit_transform_chain(pi, pi_prime)
-    lam = first_dirichlet_eigenpair(construct_slo_supertree(pi)[0], tol).lam
-    lam_prime = first_dirichlet_eigenpair(
-        construct_slo_supertree(pi_prime)[0], tol
-    ).lam
-    return strictly_less(lam_prime, lam, tol)
+    return _majorization_lambdas(pi, pi_prime, tol)[2]
 
 
-def _fk1_job(args) -> FkCertificate:
-    pi, tol = args
-    return verify_fk_theorem1(pi, tol)
-
-
-def _fk2_job(args) -> FkCertificate:
-    n, n0, k, d, tol = args
-    return verify_fk_theorem2(n, n0, k, d, tol)
-
-
-def _run_jobs(worker, args_list, jobs: int):
-    if jobs > 1 and len(args_list) > 1:
+def _run_jobs(scoring_jobs: list[tuple], jobs: int) -> list[FkCertificate]:
+    """Score (family, members, slo_tree, tol) jobs, in worker processes."""
+    if jobs > 1 and len(scoring_jobs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, args_list))
-    return [worker(a) for a in args_list]
+            return list(pool.map(_score_family, *zip(*scoring_jobs)))
+    return [_score_family(*job) for job in scoring_jobs]
 
 
 def fk1_sweep(
@@ -334,13 +343,19 @@ def fk1_sweep(
 ) -> list[FkCertificate]:
     """Certificates for every feasible degree sequence with an interior
     vertex, edge size k, and at most n_max vertices."""
-    seqs = []
-    for n in range(k, n_max + 1):
-        if (n - 1) % (k - 1):
-            continue
+    buckets: dict[tuple[int, ...], list] = {}
+    for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
+        for code, G in layer:
+            buckets.setdefault(tuple(sorted(G.degrees)), []).append((code, G))
+    scoring_jobs = []
+    for n in range(k, n_max + 1, k - 1):
         for n0 in range(1, n + 1):
-            seqs.extend(feasible_degree_sequences(n, n0, k))
-    return _run_jobs(_fk1_job, [(pi, tol) for pi in seqs], jobs)
+            for pi in feasible_degree_sequences(n, n0, k):
+                family = FamilySpec(kind="pi", k=k, pi=pi)
+                members = buckets[tuple(sorted(pi.entries))]
+                slo_tree, _ = construct_slo_supertree(pi)
+                scoring_jobs.append((family, members, slo_tree, tol))
+    return _run_jobs(scoring_jobs, jobs)
 
 
 def fk2_sweep(
@@ -352,11 +367,15 @@ def fk2_sweep(
 ) -> list[FkCertificate]:
     """Certificates for every nonempty minimum-degree family with edge size
     k and at most n_max vertices."""
-    combos = []
-    for n in range(k, n_max + 1):
-        if (n - 1) % (k - 1):
-            continue
-        for n0 in range(1, n + 1):
-            if feasible_degree_sequences(n, n0, k, d):
-                combos.append((n, n0, k, d, tol))
-    return _run_jobs(_fk2_job, combos, jobs)
+    buckets: dict[tuple[int, int], list] = {}
+    for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
+        for code, G in layer:
+            interior = [x for x in G.degrees if x >= 2]
+            if interior and min(interior) >= max(2, d):
+                buckets.setdefault((G.n, len(interior)), []).append((code, G))
+    scoring_jobs = []
+    for (n, n0), members in sorted(buckets.items()):
+        family = FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d)
+        slo_tree, _ = construct_slo_supertree(_flattest_sequence(n, n0, k, d))
+        scoring_jobs.append((family, members, slo_tree, tol))
+    return _run_jobs(scoring_jobs, jobs)

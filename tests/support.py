@@ -21,10 +21,10 @@ from supertrees import (
     boundary_partition,
     build_supertree,
     canonical_code,
-    enumerate_supertrees,
     feasible_degree_sequences,
 )
 from supertrees.config import strictly_less
+from supertrees.enumeration import _grow_classes
 
 
 def _connected(edges, n: int) -> bool:
@@ -133,11 +133,14 @@ def all_feasible(k: int, n_max: int) -> list[DegreeSequence]:
 
 
 def all_members(k: int, n_max: int) -> list[Supertree]:
-    """Every isomorphism class with an interior vertex, up to n_max."""
-    out: list[Supertree] = []
-    for pi in all_feasible(k, n_max):
-        out.extend(enumerate_supertrees(pi))
-    return out
+    """Every isomorphism class with an interior vertex, up to n_max, read
+    from one unpruned growth."""
+    return [
+        G
+        for layer in _grow_classes(k, (n_max - 1) // (k - 1))
+        for _, G in layer
+        if max(G.degrees) >= 2
+    ]
 
 
 def switch_strict_witness(G, f, spec, tol=None) -> bool:

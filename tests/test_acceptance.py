@@ -80,8 +80,13 @@ def members_k3():
 
 
 @pytest.fixture(scope="session")
-def members_all(members_k3):
-    return members_k3 + all_members(2, 13)
+def members_k2():
+    return all_members(2, 13)
+
+
+@pytest.fixture(scope="session")
+def members_all(members_k3, members_k2):
+    return members_k3 + members_k2
 
 
 def test_analytic_eigenvalue_anchors():
@@ -363,6 +368,23 @@ def test_enumeration_matches_labeled_oracle():
         "enumeration matches the labeled brute-force oracle",
         True,
         f"k=3 class counts at n=3,5,7,9: {totals}",
+    )
+
+
+def test_graph_classes_match_networkx_free_trees(members_k2):
+    import networkx
+
+    totals: dict[int, int] = {}
+    for G in members_k2:
+        totals[G.n] = totals.get(G.n, 0) + 1
+    free = {
+        n: sum(1 for _ in networkx.nonisomorphic_trees(n))
+        for n in range(3, 14)
+    }
+    _report(
+        "k=2 class totals match networkx free trees",
+        totals == free,
+        f"n=3..13: {[totals.get(n, 0) for n in range(3, 14)]}",
     )
 
 

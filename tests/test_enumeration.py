@@ -227,6 +227,39 @@ def test_fk2_sweep_small():
     assert all(c.passed for c in certs)
 
 
+def _comparable(cert):
+    return (
+        cert.family,
+        cert.all_lambdas[0][0],
+        cert.unique,
+        cert.slo_match,
+        [(code, f"{lam:.12f}") for code, lam in cert.all_lambdas],
+    )
+
+
+def test_sweeps_match_per_family_verifiers():
+    # the sweeps score buckets of one unpruned growth; the verifiers grow
+    # each family alone with pruning
+    for k, n_max in ((3, 9), (2, 8)):
+        certs = fk1_sweep(k, n_max)
+        assert [c.family.pi for c in certs] == all_feasible(k, n_max)
+        for cert in certs:
+            ref = verify_fk_theorem1(cert.family.pi)
+            assert _comparable(cert) == _comparable(ref)
+    for k, n_max, d, jobs in ((2, 10, 2, 1), (2, 10, 3, 1), (3, 9, 2, 2)):
+        certs = fk2_sweep(k, n_max, d, jobs=jobs)
+        assert [(c.family.n, c.family.n0) for c in certs] == [
+            (n, n0)
+            for n in range(k, n_max + 1, k - 1)
+            for n0 in range(1, n + 1)
+            if feasible_degree_sequences(n, n0, k, d)
+        ]
+        for cert in certs:
+            fam = cert.family
+            ref = verify_fk_theorem2(fam.n, fam.n0, fam.k, fam.d)
+            assert _comparable(cert) == _comparable(ref)
+
+
 def test_majorization_monotonicity_examples():
     steep = _seq(3, (3, 3) + (1,) * 9, 2)
     flat = _seq(3, (2, 4) + (1,) * 9, 2)
