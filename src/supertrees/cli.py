@@ -13,17 +13,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import DEFAULT_TOLERANCES, Config
-from .core import (
-    DegreeSequence,
-    Supertree,
-    canonical_code,
-    parse_sht,
-    serialize_sht,
-)
+from .core import DegreeSequence, Supertree, parse_sht, serialize_sht
 from .enumeration import (
     FkCertificate,
     _majorization_lambdas,
-    enumerate_supertrees,
+    _pi_classes,
     fk1_sweep,
     verify_fk_theorem1,
     verify_fk_theorem2,
@@ -171,9 +165,9 @@ def _cmd_unit(args, cfg: Config) -> int:
 
 def _cmd_enumerate(args, cfg: Config) -> int:
     pi = _degree_sequence(args.k, args.pi)
-    members = enumerate_supertrees(pi)
+    members = _pi_classes(pi)
     print(f"count={len(members)}")
-    rows = [[canonical_code(G).decode("ascii")] for G in members]
+    rows = [[code.decode("ascii")] for code, _ in members]
     _print_rows(cfg, ["canonical_code"], rows)
     return 0
 

@@ -316,10 +316,15 @@ def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
 
 # --- canonical form -------------------------------------------------------
 #
-# The incidence tree has one node per vertex and one per edge, linked by
-# membership. Supertree isomorphism is exactly label-preserving isomorphism
-# of these bipartite trees, so an AHU-style code rooted at the tree centroid
-# (minimized over both centroids when there are two) is a complete invariant.
+# The incidence tree has one node per vertex (ids 0..n-1) and one per edge
+# (ids n..n+m-1), linked by membership. Supertree isomorphism is exactly
+# label-preserving isomorphism of these bipartite trees. One encoder serves
+# every caller: it walks the incidence tree breadth-first from a root, then
+# bottom-up gives each node the AHU code b"v(" or b"e(", followed by the
+# sorted codes of its children, followed by b")". Rooted at a centroid
+# (minimized over both centroids when there are two) the root's code is a
+# complete invariant; rooted at any vertex, the code of each vertex is the
+# SLO search's symmetry key for the structure hanging below it.
 
 
 def _incidence_adjacency(G: Supertree) -> list[list[int]]:
@@ -333,27 +338,25 @@ def _incidence_adjacency(G: Supertree) -> list[list[int]]:
     return adj
 
 
+def _rooted_order(adj: list[list[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the tree adj from root, and each node's
+    parent (-1 at the root)."""
+    parent = [-1] * len(adj)
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
 def _tree_centroids(adj: list[list[int]]) -> list[int]:
     total = len(adj)
-    if total == 1:
-        return [0]
+    order, parent = _rooted_order(adj, 0)
     size = [1] * total
-    order: list[int] = []
-    parent = [-1] * total
-    stack = [0]
-    seen = [False] * total
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                stack.append(w)
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
     best = total + 1
     centroids: list[int] = []
     for u in range(total):
@@ -369,19 +372,28 @@ def _tree_centroids(adj: list[list[int]]) -> list[int]:
     return centroids
 
 
-def _rooted_code(adj: list[list[int]], root: int, n_vertices: int) -> bytes:
-    def code(u: int, parent: int) -> bytes:
-        label = b"v" if u < n_vertices else b"e"
-        children = sorted(code(w, u) for w in adj[u] if w != parent)
-        return label + b"(" + b"".join(children) + b")"
-
-    return code(root, -1)
+def _rooted_codes(
+    adj: list[list[int]], root: int, n_vertices: int
+) -> tuple[list[bytes], list[int]]:
+    """The code of the subtree below every node of the incidence tree rooted
+    at root, and each node's parent (-1 at the root); the parent of an edge
+    node is the edge's vertex nearest the root."""
+    order, parent = _rooted_order(adj, root)
+    below: list[list[bytes]] = [[] for _ in adj]
+    codes = [b""] * len(adj)
+    for u in reversed(order):
+        children = below[u]
+        children.sort()
+        codes[u] = (b"v(" if u < n_vertices else b"e(") + b"".join(children) + b")"
+        if u != root:
+            below[parent[u]].append(codes[u])
+    return codes, parent
 
 
 def canonical_code(G: Supertree) -> CanonicalCode:
     """Byte string equal for two supertrees iff they are isomorphic."""
     adj = _incidence_adjacency(G)
-    return min(_rooted_code(adj, c, G.n) for c in _tree_centroids(adj))
+    return min(_rooted_codes(adj, c, G.n)[0][c] for c in _tree_centroids(adj))
 
 
 def is_isomorphic(G1: Supertree, G2: Supertree) -> bool:

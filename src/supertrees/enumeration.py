@@ -29,7 +29,7 @@ from .core import (
     build_supertree,
     canonical_code,
 )
-from .errors import EmptyFamily, NotMajorized
+from .errors import EmptyFamily, NotKUniform, NotMajorized
 from .slo import construct_slo_supertree
 from .spectral import first_dirichlet_eigenpair
 from .transforms import unit_transform_chain
@@ -342,7 +342,13 @@ def fk1_sweep(
     jobs: int = 1,
 ) -> list[FkCertificate]:
     """Certificates for every feasible degree sequence with an interior
-    vertex, edge size k, and at most n_max vertices."""
+    vertex, edge size k, and at most n_max vertices.
+
+    Raises:
+        NotKUniform: k is below 2.
+    """
+    if k < 2:
+        raise NotKUniform(f"edge size must be at least 2, got k={k}")
     buckets: dict[tuple[int, ...], list] = {}
     for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
         for code, G in layer:
@@ -366,7 +372,13 @@ def fk2_sweep(
     jobs: int = 1,
 ) -> list[FkCertificate]:
     """Certificates for every nonempty minimum-degree family with edge size
-    k and at most n_max vertices."""
+    k and at most n_max vertices.
+
+    Raises:
+        NotKUniform: k is below 2.
+    """
+    if k < 2:
+        raise NotKUniform(f"edge size must be at least 2, got k={k}")
     buckets: dict[tuple[int, int], list] = {}
     for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
         for code, G in layer:

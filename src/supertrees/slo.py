@@ -25,6 +25,8 @@ from .core import (
     LevelStructure,
     Supertree,
     VertexId,
+    _incidence_adjacency,
+    _rooted_codes,
     boundary_partition,
     build_supertree,
     level_structure,
@@ -61,29 +63,25 @@ class SloViolation:
         return f"{self.rule} witness={self.witness}"
 
 
-def _edge_tops(G: Supertree, depth) -> list[VertexId]:
-    """The unique shallowest vertex of each edge (edge order follows G.edges).
+def _hanging(
+    G: Supertree, root: VertexId
+) -> tuple[LevelStructure, list[bytes], list[list[tuple]]]:
+    """Levels seen from root, the code of the structure hanging below each
+    vertex, and the edges reaching down into each level.
 
-    Acyclicity forces exactly one vertex per edge on the shallow side, with
-    the other k-1 one level deeper.
+    ``blocks[s]`` lists (top, members) for every edge whose k-1 members sit
+    at level s, in G.edges order; acyclicity leaves exactly one vertex, the
+    top, one level up. Codes are the canonical-form encoder's, rooted at
+    root: equal codes mean an automorphism of G fixing everything above can
+    swap the two subtrees.
     """
-    tops = []
-    for e in G.edges:
-        dmin = min(depth[v] for v in e)
-        shallow = [v for v in e if depth[v] == dmin]
-        assert len(shallow) == 1, "an edge spans two consecutive levels"
-        tops.append(shallow[0])
-    return tops
-
-
-def _parents(G: Supertree, depth) -> dict[VertexId, VertexId]:
-    tops = _edge_tops(G, depth)
-    parent: dict[VertexId, VertexId] = {}
-    for e, top in zip(G.edges, tops):
-        for v in e:
-            if v != top:
-                parent[v] = top
-    return parent
+    ls = level_structure(G, root)
+    codes, parent = _rooted_codes(_incidence_adjacency(G), root, G.n)
+    blocks: list[list[tuple]] = [[] for _ in range(ls.height + 1)]
+    for ei, e in enumerate(G.edges):
+        top = parent[G.n + ei]
+        blocks[ls.depth[top] + 1].append((top, tuple(v for v in e if v != top)))
+    return ls, codes, blocks
 
 
 def check_slo(G: Supertree, order) -> list[SloViolation]:
@@ -96,8 +94,7 @@ def check_slo(G: Supertree, order) -> list[SloViolation]:
     if sorted(ord_tuple) != list(range(G.n)):
         raise NotAPermutation("ordering is not a permutation of 0..n-1")
     pos = {v: i for i, v in enumerate(ord_tuple)}
-    root = ord_tuple[0]
-    ls = level_structure(G, root)
+    ls, _, blocks = _hanging(G, ord_tuple[0])
     depth = ls.depth
     interior = frozenset(v for v in range(G.n) if G.degrees[v] >= 2)
     violations: list[SloViolation] = []
@@ -108,7 +105,7 @@ def check_slo(G: Supertree, order) -> list[SloViolation]:
             if depth[u] > depth[v]:
                 violations.append(SloViolation("S1", (u, v)))
 
-    parent = _parents(G, depth)
+    parent = {v: top for level in blocks for top, members in level for v in members}
     children = sorted(parent, key=pos.get)
     for i, c1 in enumerate(children):
         for c2 in children[i + 1 :]:
@@ -145,26 +142,6 @@ def check_slo(G: Supertree, order) -> list[SloViolation]:
 # --- search ----------------------------------------------------------------
 
 
-def _subtree_keys(G: Supertree, depth) -> dict[VertexId, bytes]:
-    """Code of the structure hanging below each vertex.
-
-    Equal keys mean an automorphism of G fixing everything above can swap the
-    two subtrees, so the search only needs one representative order.
-    """
-    tops = _edge_tops(G, depth)
-    child_edges: dict[VertexId, list[int]] = {v: [] for v in range(G.n)}
-    for ei, top in enumerate(tops):
-        child_edges[top].append(ei)
-    key: dict[VertexId, bytes] = {}
-    for v in sorted(range(G.n), key=lambda w: depth[w], reverse=True):
-        codes = []
-        for ei in child_edges[v]:
-            members = sorted(key[w] for w in G.edges[ei] if w != v)
-            codes.append(b"e(" + b"".join(members) + b")")
-        key[v] = b"v(" + b"".join(sorted(codes)) + b")"
-    return key
-
-
 def _distinct_orders(items: tuple, key):
     """Permutations of items, collapsing swaps of equal-key items."""
     if not items:
@@ -181,7 +158,7 @@ def _distinct_orders(items: tuple, key):
 
 
 def _spiral_search(G: Supertree, root: VertexId, interior) -> tuple | None:
-    ls = level_structure(G, root)
+    ls, subkey, blocks_at = _hanging(G, root)
     depth = ls.depth
     boundary_depths = [depth[v] for v in range(G.n) if v not in interior]
     interior_depths = [depth[v] for v in interior]
@@ -191,14 +168,6 @@ def _spiral_search(G: Supertree, root: VertexId, interior) -> tuple | None:
         if max(interior_depths) > min(boundary_depths):
             return None
 
-    tops = _edge_tops(G, depth)
-    blocks_at: dict[int, list[tuple[VertexId, tuple[VertexId, ...]]]] = {}
-    for e, top in zip(G.edges, tops):
-        lvl = depth[top] + 1
-        members = tuple(v for v in e if v != top)
-        blocks_at.setdefault(lvl, []).append((top, members))
-
-    subkey = _subtree_keys(G, depth)
     order: list[VertexId] = [root]
     pos: dict[VertexId, int] = {root: 0}
     state = {"last_deg": G.degrees[root], "boundary_seen": False}
@@ -246,7 +215,7 @@ def _spiral_search(G: Supertree, root: VertexId, interior) -> tuple | None:
                 continue
             tried.add(gkey)
             rest = remaining[:idx] + remaining[idx + 1 :]
-            for arrangement in _distinct_orders(members, subkey.get):
+            for arrangement in _distinct_orders(members, subkey.__getitem__):
                 snap = snapshot()
                 if all(push(v) for v in arrangement):
                     if arrange(lvl, bi, rest, buckets):
@@ -362,15 +331,8 @@ def relabel(
         for v in range(G.n)
         if abs(fs[v] - top_value) <= tol.rel_eps * max(1.0, abs(top_value))
     )
-    ls = level_structure(G, root)
-    depth = ls.depth
-    tops = _edge_tops(G, depth)
+    ls, _, blocks_at = _hanging(G, root)
     labels: dict[VertexId, VertexLabel] = {root: (0, 1, 1)}
-
-    blocks_at: dict[int, list[tuple[VertexId, tuple[VertexId, ...]]]] = {}
-    for e, top in zip(G.edges, tops):
-        members = tuple(v for v in e if v != top)
-        blocks_at.setdefault(depth[top] + 1, []).append((top, members))
 
     for lvl in range(1, ls.height + 1):
         blocks = blocks_at[lvl]

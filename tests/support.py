@@ -24,6 +24,7 @@ from supertrees import (
     feasible_degree_sequences,
 )
 from supertrees.config import strictly_less
+from supertrees.core import _incidence_adjacency, _tree_centroids
 from supertrees.enumeration import _grow_classes
 
 
@@ -94,6 +95,22 @@ def oracle_classes(k: int, n: int) -> dict[bytes, Supertree]:
         G = build_supertree(k, n, edges)
         out.setdefault(canonical_code(G), G)
     return out
+
+
+def _rooted_code(adj: list[list[int]], root: int, n_vertices: int) -> bytes:
+    def code(u: int, parent: int) -> bytes:
+        label = b"v" if u < n_vertices else b"e"
+        children = sorted(code(w, u) for w in adj[u] if w != parent)
+        return label + b"(" + b"".join(children) + b")"
+
+    return code(root, -1)
+
+
+def reference_code(G: Supertree) -> bytes:
+    """Canonical code from the recursive AHU encoder that fixed the byte
+    format certificates print; recursion bounds it to small supertrees."""
+    adj = _incidence_adjacency(G)
+    return min(_rooted_code(adj, c, G.n) for c in _tree_centroids(adj))
 
 
 def random_supertree(rng: random.Random, k: int, m: int) -> Supertree:

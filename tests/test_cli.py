@@ -274,6 +274,15 @@ def test_majorize_rejects_non_majorized(capsys):
 def test_usage_errors_exit_2(capsys, star):
     assert _run(capsys, "nonsense")[0] == 2
     assert _run(capsys, "eigen", star, "--bogus")[0] == 2
+    for argv in (
+        ["verify-fk1", "--k", "1", "--all", "--n-max", "5"],
+        ["verify-fk1", "--k", "0", "--all"],
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("NotKUniform:")
+        assert "Traceback" not in err
 
 
 def test_console_script_installed(star):

@@ -27,11 +27,23 @@ from supertrees import (
     parse_sht,
     serialize_sht,
 )
-from support import random_supertree
+from supertrees.enumeration import _grow_classes
+from support import random_supertree, reference_code
 
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 CHAIN9 = ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
 BOUQUET9 = ((0, 1, 2), (0, 3, 4), (1, 5, 6), (2, 7, 8))
+
+
+def broom(k: int, handle: int, bristles: int):
+    """A path of handle edges with bristles more edges at its far end."""
+    edges, tip, n = [], 0, 1
+    for i in range(handle + bristles):
+        edges.append((tip,) + tuple(range(n, n + k - 1)))
+        n += k - 1
+        if i < handle:
+            tip = n - 1
+    return build_supertree(k, n, edges)
 
 
 def two_interior():
@@ -186,6 +198,21 @@ def test_canonical_code_invariant_under_relabeling():
         H = apply_vertex_permutation(G, perm)
         assert canonical_code(H) == code
         assert is_isomorphic(G, H)
+    path2, path3, broom3 = broom(2, 3000, 0), broom(3, 1500, 0), broom(3, 750, 750)
+    for G in (path2, path3, broom3):
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        H = apply_vertex_permutation(G, perm)
+        assert canonical_code(H) == canonical_code(G)
+    assert path3.m == broom3.m
+    assert canonical_code(path3) != canonical_code(broom3)
+
+
+def test_canonical_code_matches_recursive_reference():
+    for k, m in ((2, 10), (3, 5)):
+        for layer in _grow_classes(k, m):
+            for code, G in layer:
+                assert code == canonical_code(G) == reference_code(G)
 
 
 def test_canonical_code_separates_classes():

@@ -8,6 +8,7 @@ from supertrees import (
     DegreeSequence,
     EmptyFamily,
     LengthMismatch,
+    NotKUniform,
     NotMajorized,
     canonical_code,
     construct_slo_supertree,
@@ -225,6 +226,9 @@ def test_fk2_sweep_small():
         (9, 3),
     ]
     assert all(c.passed for c in certs)
+    for k in (1, 0):
+        with pytest.raises(NotKUniform):
+            fk2_sweep(k, 5, 2)
 
 
 def _comparable(cert):
