@@ -203,7 +203,7 @@ def _sweep_exit(certs: list[FkCertificate]) -> int:
 
 def _cmd_verify_fk1(args, cfg: Config) -> int:
     if args.all:
-        certs = fk1_sweep(args.k, args.n_max, cfg.tolerances, cfg.jobs)
+        certs = fk1_sweep(args.k, args.n_max, cfg.tolerances)
         return _sweep_exit(certs)
     if args.pi is None:
         raise InvalidSpec("pass --pi, or --all with --n-max")
@@ -243,9 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("csv", "plain"), default="csv",
         help="table output style (default csv)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for sweeps"
     )
     parser.add_argument(
         "--epsilon", type=float, default=None,
@@ -353,7 +350,7 @@ def main(argv=None) -> int:
     tol = DEFAULT_TOLERANCES
     if args.epsilon is not None:
         tol = replace(tol, rel_eps=args.epsilon)
-    cfg = Config(tolerances=tol, jobs=args.jobs, output=args.format)
+    cfg = Config(tolerances=tol, output=args.format)
     try:
         return args.run(args, cfg)
     except SupertreeError as exc:

@@ -36,7 +36,6 @@ class Config:
     """Run configuration assembled by the CLI from its global flags."""
 
     tolerances: Tolerances = field(default_factory=Tolerances)
-    jobs: int = 1
     output: str = "csv"  # "csv" or "plain"
 
 

@@ -8,6 +8,7 @@ degree/level data, provides an exact canonical form for isomorphism tests,
 and reads/writes the .sht text format.
 """
 
+import bisect
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -49,11 +50,13 @@ CanonicalCode = bytes
 
 @dataclass(frozen=True)
 class Supertree:
-    """A validated k-uniform supertree.
+    """A k-uniform supertree with consistent fields.
 
-    Construct through :func:`build_supertree`, which performs the full
-    validation pass; fields are assumed consistent everywhere else.
-    Edges are stored as sorted k-tuples, sorted lexicographically.
+    Input from outside the library goes through :func:`build_supertree`,
+    which performs the full validation pass; class growth extends an
+    existing supertree by a pendant edge, which needs no validation.
+    Fields are assumed consistent everywhere else. Edges are stored as
+    sorted k-tuples, sorted lexicographically.
     """
 
     k: int
@@ -260,6 +263,18 @@ def build_supertree(k: int, n: int, edges) -> Supertree:
     return Supertree(k=k, n=n, edges=tuple(normalized), degrees=tuple(degrees))
 
 
+def _attach_leaf(G: Supertree, v: VertexId) -> Supertree:
+    """G with the pendant edge (v, n, ..., n+k-2) on k-1 new vertices; a
+    supertree by construction, so nothing is re-validated."""
+    n, k = G.n, G.k
+    edges = list(G.edges)
+    bisect.insort(edges, (v,) + tuple(range(n, n + k - 1)))
+    degrees = list(G.degrees)
+    degrees[v] += 1
+    degrees.extend([1] * (k - 1))
+    return Supertree(k=k, n=n + k - 1, edges=tuple(edges), degrees=tuple(degrees))
+
+
 def boundary_partition(G: Supertree) -> BoundaryPartition:
     """Split vertices into interior (degree >= 2) and boundary (degree 1),
     and edges into fully-interior edges and edges meeting the boundary."""
@@ -394,6 +409,27 @@ def canonical_code(G: Supertree) -> CanonicalCode:
     """Byte string equal for two supertrees iff they are isomorphic."""
     adj = _incidence_adjacency(G)
     return min(_rooted_codes(adj, c, G.n)[0][c] for c in _tree_centroids(adj))
+
+
+def _orbit_representatives(G: Supertree) -> list[VertexId]:
+    """The lowest vertex of every orbit of G's automorphism group, ascending.
+
+    Every automorphism fixes the centroids of the incidence tree (two
+    centroids are adjacent, so one is a vertex and one an edge), so the
+    orbits are those of the tree rooted at a centroid: two nodes share an
+    orbit iff their parents do and their subtree codes are equal.
+    """
+    adj = _incidence_adjacency(G)
+    root = _tree_centroids(adj)[0]
+    codes, parent = _rooted_codes(adj, root, G.n)
+    orbit = [0] * len(adj)
+    ids: dict[tuple[int, bytes], int] = {}
+    for u in _rooted_order(adj, root)[0][1:]:
+        orbit[u] = ids.setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
+    lowest: dict[int, VertexId] = {}
+    for v in range(G.n):
+        lowest.setdefault(orbit[v], v)
+    return list(lowest.values())
 
 
 def is_isomorphic(G1: Supertree, G2: Supertree) -> bool:

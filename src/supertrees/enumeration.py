@@ -3,9 +3,13 @@
 Families come in two flavours: every supertree realizing a fixed degree
 sequence, and every supertree with prescribed size, interior count, and
 minimum interior degree. Enumeration grows trees one edge at a time from a
-single edge, deduplicating isomorphism classes by canonical code at every
-stage; every supertree with at least two edges loses a leaf edge to a
-smaller supertree, so the growth reaches all classes.
+single edge. Each class of one stage gets a pendant edge at the lowest
+vertex of every orbit of its automorphism group, since pendant edges at
+vertices of one orbit give isomorphic children; a child is a supertree by
+construction and is not re-validated. The children are deduplicated by
+canonical code, keeping the first labelled child of each class. Every
+supertree with at least two edges loses a leaf edge to a smaller supertree,
+so the growth reaches all classes.
 
 A single family is grown alone, pruned at every stage by a monotone
 predicate its members satisfy. A sweep grows every class up to its size
@@ -18,7 +22,6 @@ below every other class, and the eigenvalue of the SLO-supertree decreases
 strictly along degree-sequence majorization.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
@@ -26,6 +29,8 @@ from .core import (
     CanonicalCode,
     DegreeSequence,
     Supertree,
+    _attach_leaf,
+    _orbit_representatives,
     build_supertree,
     canonical_code,
 )
@@ -141,9 +146,8 @@ def _grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
     for _ in range(m_target - 1):
         grown: dict[CanonicalCode, Supertree] = {}
         for _, G in layers[-1]:
-            for v in range(G.n):
-                edge = (v,) + tuple(range(G.n, G.n + k - 1))
-                H = build_supertree(k, G.n + k - 1, list(G.edges) + [edge])
+            for v in _orbit_representatives(G):
+                H = _attach_leaf(G, v)
                 if keep(H):
                     grown.setdefault(canonical_code(H), H)
         layers.append(sorted(grown.items()))
@@ -327,19 +331,10 @@ def verify_majorization_monotonicity(
     return _majorization_lambdas(pi, pi_prime, tol)[2]
 
 
-def _run_jobs(scoring_jobs: list[tuple], jobs: int) -> list[FkCertificate]:
-    """Score (family, members, slo_tree, tol) jobs, in worker processes."""
-    if jobs > 1 and len(scoring_jobs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_score_family, *zip(*scoring_jobs)))
-    return [_score_family(*job) for job in scoring_jobs]
-
-
 def fk1_sweep(
     k: int,
     n_max: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    jobs: int = 1,
 ) -> list[FkCertificate]:
     """Certificates for every feasible degree sequence with an interior
     vertex, edge size k, and at most n_max vertices.
@@ -353,15 +348,15 @@ def fk1_sweep(
     for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
         for code, G in layer:
             buckets.setdefault(tuple(sorted(G.degrees)), []).append((code, G))
-    scoring_jobs = []
+    certs = []
     for n in range(k, n_max + 1, k - 1):
         for n0 in range(1, n + 1):
             for pi in feasible_degree_sequences(n, n0, k):
                 family = FamilySpec(kind="pi", k=k, pi=pi)
                 members = buckets[tuple(sorted(pi.entries))]
                 slo_tree, _ = construct_slo_supertree(pi)
-                scoring_jobs.append((family, members, slo_tree, tol))
-    return _run_jobs(scoring_jobs, jobs)
+                certs.append(_score_family(family, members, slo_tree, tol))
+    return certs
 
 
 def fk2_sweep(
@@ -369,7 +364,6 @@ def fk2_sweep(
     n_max: int,
     d: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    jobs: int = 1,
 ) -> list[FkCertificate]:
     """Certificates for every nonempty minimum-degree family with edge size
     k and at most n_max vertices.
@@ -385,9 +379,9 @@ def fk2_sweep(
             interior = [x for x in G.degrees if x >= 2]
             if interior and min(interior) >= max(2, d):
                 buckets.setdefault((G.n, len(interior)), []).append((code, G))
-    scoring_jobs = []
+    certs = []
     for (n, n0), members in sorted(buckets.items()):
         family = FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d)
         slo_tree, _ = construct_slo_supertree(_flattest_sequence(n, n0, k, d))
-        scoring_jobs.append((family, members, slo_tree, tol))
-    return _run_jobs(scoring_jobs, jobs)
+        certs.append(_score_family(family, members, slo_tree, tol))
+    return certs

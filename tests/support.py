@@ -113,6 +113,27 @@ def reference_code(G: Supertree) -> bytes:
     return min(_rooted_code(adj, c, G.n) for c in _tree_centroids(adj))
 
 
+def reference_grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
+    """Class growth that attaches a pendant edge at every vertex and
+    validates each child through build_supertree; the library's growth
+    attaches once per automorphism orbit and must return the same layers,
+    labelled representatives included."""
+    if m_target < 1:
+        return []
+    start = build_supertree(k, k, [tuple(range(k))])
+    layers = [[(canonical_code(start), start)] if keep(start) else []]
+    for _ in range(m_target - 1):
+        grown: dict[bytes, Supertree] = {}
+        for _, G in layers[-1]:
+            for v in range(G.n):
+                edge = (v,) + tuple(range(G.n, G.n + k - 1))
+                H = build_supertree(k, G.n + k - 1, list(G.edges) + [edge])
+                if keep(H):
+                    grown.setdefault(canonical_code(H), H)
+        layers.append(sorted(grown.items()))
+    return layers
+
+
 def random_supertree(rng: random.Random, k: int, m: int) -> Supertree:
     """A uniformly grown supertree with randomly permuted vertex labels."""
     edges = [tuple(range(k))]

@@ -35,6 +35,7 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees.config import strictly_less
+from supertrees.enumeration import _grow_classes
 from support import (
     all_feasible,
     all_members,
@@ -385,6 +386,40 @@ def test_graph_classes_match_networkx_free_trees(members_k2):
         "k=2 class totals match networkx free trees",
         totals == free,
         f"n=3..13: {[totals.get(n, 0) for n in range(3, 14)]}",
+    )
+
+
+def _one_side_all_degree(T, m: int, k: int) -> bool:
+    import networkx
+
+    return any(
+        len(side) == m and all(T.degree[x] == k for x in side)
+        for side in networkx.bipartite.sets(T)
+    )
+
+
+def test_hypertree_classes_match_networkx_bipartite_trees():
+    # a k-uniform supertree with m edges is its incidence tree on
+    # n + m = k*m + 1 nodes, whose edge side holds m nodes of degree k; for
+    # k >= 3 that side is unique, because the vertex side holds the leaves
+    import networkx
+
+    trees: dict[int, list] = {}
+    grown, free = {}, {}
+    for k, m_max in ((3, 4), (4, 3), (5, 2), (6, 2)):
+        grown[k] = [len(layer) for layer in _grow_classes(k, m_max)]
+        free[k] = []
+        for m in range(1, m_max + 1):
+            size = k * m + 1
+            if size not in trees:
+                trees[size] = list(networkx.nonisomorphic_trees(size))
+            free[k].append(
+                sum(1 for T in trees[size] if _one_side_all_degree(T, m, k))
+            )
+    _report(
+        "k>=3 class totals match networkx bipartite free trees",
+        grown == free,
+        f"per k, m = 1..: {grown}",
     )
 
 

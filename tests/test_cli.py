@@ -274,6 +274,7 @@ def test_majorize_rejects_non_majorized(capsys):
 def test_usage_errors_exit_2(capsys, star):
     assert _run(capsys, "nonsense")[0] == 2
     assert _run(capsys, "eigen", star, "--bogus")[0] == 2
+    assert _run(capsys, "--jobs", "2", "verify-fk1", "--k", "3", "--all")[0] == 2
     for argv in (
         ["verify-fk1", "--k", "1", "--all", "--n-max", "5"],
         ["verify-fk1", "--k", "0", "--all"],

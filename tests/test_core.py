@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from supertrees import (
     parse_sht,
     serialize_sht,
 )
+from supertrees.core import _attach_leaf, _orbit_representatives
 from supertrees.enumeration import _grow_classes
 from support import random_supertree, reference_code
 
@@ -213,6 +215,37 @@ def test_canonical_code_matches_recursive_reference():
         for layer in _grow_classes(k, m):
             for code, G in layer:
                 assert code == canonical_code(G) == reference_code(G)
+
+
+def test_attach_leaf_matches_build_supertree():
+    rng = random.Random(4242)
+    for k in (2, 3, 4):
+        grown = [G for layer in _grow_classes(k, 5) for _, G in layer]
+        shuffled = [random_supertree(rng, k, rng.randrange(1, 6)) for _ in range(20)]
+        for G in grown + shuffled:
+            for v in range(G.n):
+                edge = (v,) + tuple(range(G.n, G.n + k - 1))
+                H = build_supertree(k, G.n + k - 1, list(G.edges) + [edge])
+                assert _attach_leaf(G, v) == H
+
+
+def _brute_force_orbit_minima(G) -> list[int]:
+    """Lowest vertex of each orbit, over every vertex permutation that maps
+    the edge set to itself."""
+    edges = set(G.edges)
+    lowest = list(range(G.n))
+    for p in itertools.permutations(range(G.n)):
+        if all(tuple(sorted(p[v] for v in e)) in edges for e in G.edges):
+            for v in range(G.n):
+                lowest[p[v]] = min(lowest[p[v]], v)
+    return sorted(set(lowest))
+
+
+def test_orbit_representatives_match_brute_force():
+    for k, m in ((2, 7), (3, 3)):
+        for layer in _grow_classes(k, m):
+            for _, G in layer:
+                assert _orbit_representatives(G) == _brute_force_orbit_minima(G)
 
 
 def test_canonical_code_separates_classes():
