@@ -187,8 +187,8 @@ class DegreeSequence:
 
 
 class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -241,7 +241,10 @@ def build_supertree(k: int, n: int, edges) -> Supertree:
                     f"vertices {pair[0]} and {pair[1]} share two edges"
                 )
             seen_pairs.add(pair)
-    uf = _UnionFind(n)
+    # only vertices on some edge enter the union-find, so a huge declared n
+    # costs nothing: ids outside every edge are isolated components
+    touched = {v for e in normalized for v in e}
+    uf = _UnionFind(touched)
     for e in normalized:
         roots = {uf.find(v) for v in e}
         if len(roots) < k:
@@ -251,9 +254,9 @@ def build_supertree(k: int, n: int, edges) -> Supertree:
             uf.union(e[0], v)
     if not normalized:
         raise Disconnected("a supertree contains at least one edge")
-    components = {uf.find(v) for v in range(n)}
-    if len(components) > 1:
-        raise Disconnected(f"{len(components)} components, expected 1")
+    components = len({uf.find(v) for v in touched}) + n - len(touched)
+    if components > 1:
+        raise Disconnected(f"{components} components, expected 1")
     degrees = [0] * n
     for e in normalized:
         for v in e:
@@ -336,10 +339,18 @@ def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
 # label-preserving isomorphism of these bipartite trees. One encoder serves
 # every caller: it walks the incidence tree breadth-first from a root, then
 # bottom-up gives each node the AHU code b"v(" or b"e(", followed by the
-# sorted codes of its children, followed by b")". Rooted at a centroid
-# (minimized over both centroids when there are two) the root's code is a
-# complete invariant; rooted at any vertex, the code of each vertex is the
-# SLO search's symmetry key for the structure hanging below it.
+# sorted codes of its children, followed by b")". Rooted at the centroid
+# the root's code is a complete invariant; rooted at any vertex, the code of
+# each vertex is the SLO search's symmetry key for the structure hanging
+# below it.
+#
+# The centroid is unique (canonical_code's minimum runs over one node): the
+# tree has km+1 nodes and every rooted subtree holds jk of them (below an
+# edge node) or jk+1 (below a vertex), so none holds exactly half. Class
+# growth encodes each parent once, rooted at its centroid, and derives the
+# code of every child grown by one pendant edge from that encoding: the
+# child's codes change only on the path from the attachment vertex to the
+# root, and its centroid lies on that path.
 
 
 def _incidence_adjacency(G: Supertree) -> list[list[int]]:
@@ -387,22 +398,27 @@ def _tree_centroids(adj: list[list[int]]) -> list[int]:
     return centroids
 
 
+def _code(u: int, n_vertices: int, children: list[bytes]) -> bytes:
+    return (b"v(" if u < n_vertices else b"e(") + b"".join(children) + b")"
+
+
 def _rooted_codes(
     adj: list[list[int]], root: int, n_vertices: int
-) -> tuple[list[bytes], list[int]]:
+) -> tuple[list[bytes], list[int], list[int], list[list[bytes]]]:
     """The code of the subtree below every node of the incidence tree rooted
-    at root, and each node's parent (-1 at the root); the parent of an edge
-    node is the edge's vertex nearest the root."""
+    at root, each node's parent (-1 at the root; the parent of an edge node
+    is the edge's vertex nearest the root), the breadth-first order, and
+    each node's sorted child codes."""
     order, parent = _rooted_order(adj, root)
     below: list[list[bytes]] = [[] for _ in adj]
     codes = [b""] * len(adj)
     for u in reversed(order):
         children = below[u]
         children.sort()
-        codes[u] = (b"v(" if u < n_vertices else b"e(") + b"".join(children) + b")"
+        codes[u] = _code(u, n_vertices, children)
         if u != root:
             below[parent[u]].append(codes[u])
-    return codes, parent
+    return codes, parent, order, below
 
 
 def canonical_code(G: Supertree) -> CanonicalCode:
@@ -411,25 +427,85 @@ def canonical_code(G: Supertree) -> CanonicalCode:
     return min(_rooted_codes(adj, c, G.n)[0][c] for c in _tree_centroids(adj))
 
 
-def _orbit_representatives(G: Supertree) -> list[VertexId]:
-    """The lowest vertex of every orbit of G's automorphism group, ascending.
+class _CentroidTree:
+    """G's incidence tree rooted at its centroid: codes, parents, sorted
+    child codes and subtree sizes, read by orbit and child-code queries."""
 
-    Every automorphism fixes the centroids of the incidence tree (two
-    centroids are adjacent, so one is a vertex and one an edge), so the
-    orbits are those of the tree rooted at a centroid: two nodes share an
-    orbit iff their parents do and their subtree codes are equal.
-    """
-    adj = _incidence_adjacency(G)
-    root = _tree_centroids(adj)[0]
-    codes, parent = _rooted_codes(adj, root, G.n)
-    orbit = [0] * len(adj)
-    ids: dict[tuple[int, bytes], int] = {}
-    for u in _rooted_order(adj, root)[0][1:]:
-        orbit[u] = ids.setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
-    lowest: dict[int, VertexId] = {}
-    for v in range(G.n):
-        lowest.setdefault(orbit[v], v)
-    return list(lowest.values())
+    def __init__(self, G: Supertree):
+        adj = _incidence_adjacency(G)
+        self.n, self.k, self.total = G.n, G.k, len(adj)
+        self.codes, self.parent, self.order, self.below = _rooted_codes(
+            adj, _tree_centroids(adj)[0], G.n
+        )
+        self.size = [1] * self.total
+        for u in reversed(self.order[1:]):
+            self.size[self.parent[u]] += self.size[u]
+
+    def orbit_representatives(self) -> list[VertexId]:
+        """The lowest vertex of every orbit of G's automorphism group,
+        ascending.
+
+        Every automorphism fixes the centroid, so the orbits are those of the
+        tree rooted there: two nodes share an orbit iff their parents do and
+        their subtree codes are equal.
+        """
+        orbit = [0] * self.total
+        ids: dict[tuple[int, bytes], int] = {}
+        for u in self.order[1:]:
+            key = (orbit[self.parent[u]], self.codes[u])
+            orbit[u] = ids.setdefault(key, len(ids) + 1)
+        lowest: dict[int, VertexId] = {}
+        for v in range(self.n):
+            lowest.setdefault(orbit[v], v)
+        return list(lowest.values())
+
+    def leaf_child_code(self, v: VertexId) -> CanonicalCode:
+        """canonical_code(_attach_leaf(G, v)), from G's encoding.
+
+        The pendant edge adds k nodes below v, so only the codes and sizes
+        on the path from v to the root change. Every subtree off that path
+        holds at most half of G, so the child's centroid is the deepest path
+        node whose grown subtree holds more than half of the child. The code
+        rooted there is the grown code of its subtree plus the code of the
+        rest of the tree, re-rooted down the path from the root.
+        """
+        n, k, codes, below, parent, size = (
+            self.n, self.k, self.codes, self.below, self.parent, self.size
+        )
+        total = self.total + k
+        path = [v]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        top = 0
+        while 2 * (size[path[top]] + k) < total:
+            top += 1
+        # grown codes from v up to the centroid path[top]
+        new, old = b"e(" + b"v()" * (k - 1) + b")", b""
+        for u in path[: top + 1]:
+            kids = below[u].copy()
+            if old:
+                del kids[bisect.bisect_left(kids, old)]
+            bisect.insort(kids, new)
+            old, new = codes[u], _code(u, n, kids)
+        # the rest of the tree, re-rooted from the root down to the
+        # centroid's parent
+        up = b""
+        for i in range(len(path) - 1, top, -1):
+            rest = below[path[i]].copy()
+            del rest[bisect.bisect_left(rest, codes[path[i - 1]])]
+            if up:
+                bisect.insort(rest, up)
+            up = _code(path[i], n, rest)
+        if up:
+            bisect.insort(kids, up)
+        return _code(path[top], n, kids)
+
+
+def _leaf_children(G: Supertree) -> list[tuple[CanonicalCode, VertexId]]:
+    """(canonical code, v) of the child _attach_leaf(G, v) for the lowest
+    vertex v of every automorphism orbit of G, v ascending."""
+    tree = _CentroidTree(G)
+    return [(tree.leaf_child_code(v), v) for v in tree.orbit_representatives()]
 
 
 def is_isomorphic(G1: Supertree, G2: Supertree) -> bool:

@@ -5,11 +5,13 @@ sequence, and every supertree with prescribed size, interior count, and
 minimum interior degree. Enumeration grows trees one edge at a time from a
 single edge. Each class of one stage gets a pendant edge at the lowest
 vertex of every orbit of its automorphism group, since pendant edges at
-vertices of one orbit give isomorphic children; a child is a supertree by
-construction and is not re-validated. The children are deduplicated by
-canonical code, keeping the first labelled child of each class. Every
-supertree with at least two edges loses a leaf edge to a smaller supertree,
-so the growth reaches all classes.
+vertices of one orbit give isomorphic children. The children are
+deduplicated by canonical code, keeping the first labelled child of each
+class; each child's code is derived from its parent's centroid-rooted
+encoding, and only a child with a new code is built, as a supertree by
+construction that is not re-validated. Every supertree with at least two
+edges loses a leaf edge to a smaller supertree, so the growth reaches all
+classes. Each family's eigenvalues come from one stacked LAPACK call.
 
 A single family is grown alone, pruned at every stage by a monotone
 predicate its members satisfy. A sweep grows every class up to its size
@@ -22,6 +24,7 @@ below every other class, and the eigenvalue of the SLO-supertree decreases
 strictly along degree-sequence majorization.
 """
 
+import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
@@ -30,13 +33,13 @@ from .core import (
     DegreeSequence,
     Supertree,
     _attach_leaf,
-    _orbit_representatives,
+    _leaf_children,
     build_supertree,
     canonical_code,
 )
 from .errors import EmptyFamily, NotKUniform, NotMajorized
 from .slo import construct_slo_supertree
-from .spectral import first_dirichlet_eigenpair
+from .spectral import first_dirichlet_eigenpair, first_dirichlet_eigenvalues
 from .transforms import unit_transform_chain
 
 __all__ = [
@@ -83,9 +86,10 @@ class FkCertificate:
 
     ``all_lambdas`` lists (canonical code, eigenvalue) for every isomorphism
     class, eigenvalues ascending; classes tied within ``lambda_tie`` are
-    listed by canonical code. ``unique`` asserts the winner's eigenvalue
-    sits strictly below the runner-up beyond the tie tolerance; ``slo_match``
-    asserts the winner is the predicted SLO-supertree.
+    listed by canonical code. ``margin`` is the runner-up's eigenvalue minus
+    the winner's (infinite for a one-class family), and ``unique`` asserts
+    it exceeds the tie tolerance; ``slo_match`` asserts the winner is the
+    predicted SLO-supertree.
     """
 
     family: FamilySpec
@@ -95,6 +99,7 @@ class FkCertificate:
     all_lambdas: tuple[tuple[CanonicalCode, float], ...]
     unique: bool
     slo_match: bool
+    margin: float
 
     @property
     def passed(self) -> bool:
@@ -144,13 +149,15 @@ def _grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
     start = build_supertree(k, k, [tuple(range(k))])
     layers = [[(canonical_code(start), start)] if keep(start) else []]
     for _ in range(m_target - 1):
-        grown: dict[CanonicalCode, Supertree] = {}
+        # keep reads only the degree multiset, equal across one code, so a
+        # child is built and tested only when its code is new
+        grown: dict[CanonicalCode, Supertree | None] = {}
         for _, G in layers[-1]:
-            for v in _orbit_representatives(G):
-                H = _attach_leaf(G, v)
-                if keep(H):
-                    grown.setdefault(canonical_code(H), H)
-        layers.append(sorted(grown.items()))
+            for code, v in _leaf_children(G):
+                if code not in grown:
+                    H = _attach_leaf(G, v)
+                    grown[code] = H if keep(H) else None
+        layers.append(sorted((code, H) for code, H in grown.items() if H is not None))
     return layers
 
 
@@ -225,11 +232,9 @@ def _score_family(
     tol: Tolerances,
 ) -> FkCertificate:
     slo_code = canonical_code(slo_tree)
+    lams = first_dirichlet_eigenvalues([G for _, G in members])
     rows = sorted(
-        (
-            (code, first_dirichlet_eigenpair(G, tol).lam, G)
-            for code, G in members
-        ),
+        ((code, lam, G) for (code, G), lam in zip(members, lams)),
         key=lambda item: item[1],
     )
     # eigenvalues chained within lambda_tie form one tie group, listed by
@@ -244,15 +249,16 @@ def _score_family(
         row for group in groups for row in sorted(group, key=lambda r: r[0])
     ]
     winner_code, winner_lambda, winner = scored[0]
-    unique = len(scored) == 1 or scored[1][1] - winner_lambda > tol.lambda_tie
+    margin = scored[1][1] - winner_lambda if len(scored) > 1 else math.inf
     return FkCertificate(
         family=family,
         winner=winner,
         winner_lambda=winner_lambda,
         slo_code=slo_code,
         all_lambdas=tuple((code, lam) for code, lam, _ in scored),
-        unique=unique,
+        unique=margin > tol.lambda_tie,
         slo_match=winner_code == slo_code,
+        margin=margin,
     )
 
 

@@ -76,7 +76,7 @@ def _hanging(
     swap the two subtrees.
     """
     ls = level_structure(G, root)
-    codes, parent = _rooted_codes(_incidence_adjacency(G), root, G.n)
+    codes, parent = _rooted_codes(_incidence_adjacency(G), root, G.n)[:2]
     blocks: list[list[tuple]] = [[] for _ in range(ls.height + 1)]
     for ei, e in enumerate(G.edges):
         top = parent[G.n + ei]

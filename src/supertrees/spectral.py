@@ -5,7 +5,8 @@ The Laplacian of a k-uniform supertree has degree on the diagonal and
 interior vertices gives the Dirichlet matrix; its smallest eigenvalue is
 positive and simple, with an eigenvector that is strictly positive on the
 interior. Eigenpairs come from LAPACK's symmetric solver (numpy.linalg.eigh)
-on that dense block.
+on that dense block; the eigenvalues of many supertrees come from one call
+on their stacked blocks.
 """
 
 import math
@@ -23,6 +24,7 @@ __all__ = [
     "assemble_laplacian",
     "dirichlet_laplacian",
     "first_dirichlet_eigenpair",
+    "first_dirichlet_eigenvalues",
     "rayleigh_quotient",
 ]
 
@@ -103,6 +105,28 @@ def first_dirichlet_eigenpair(
     return DirichletEigenpair(
         lam=lam, f=f, gap=gap, degenerate=degenerate, residual=residual
     )
+
+
+def first_dirichlet_eigenvalues(trees) -> list[float]:
+    """Smallest Dirichlet eigenvalue of each supertree, in input order.
+
+    Blocks of equal interior size are stacked into one numpy.linalg.eigh
+    call, which runs the same LAPACK driver on each block as
+    first_dirichlet_eigenpair, so each value equals its ``lam`` exactly.
+
+    Raises:
+        NoInteriorVertices: a supertree has no interior vertex.
+    """
+    blocks = [dirichlet_laplacian(G).matrix for G in trees]
+    by_size: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_size.setdefault(len(block), []).append(i)
+    lams = [0.0] * len(blocks)
+    for idx in by_size.values():
+        values = np.linalg.eigh(np.stack([blocks[i] for i in idx]))[0]
+        for i, lam in zip(idx, values[:, 0].tolist()):
+            lams[i] = lam
+    return lams
 
 
 def rayleigh_quotient(G: Supertree, f) -> float:

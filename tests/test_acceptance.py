@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -178,6 +179,22 @@ def test_tied_classes_listed_in_code_order(fk1_certs, fk2_certs):
         not out_of_order,
         f"{len(certs)} families, {ties} tied neighbours, "
         f"out of order={sorted(set(out_of_order))}",
+    )
+
+
+def test_certificate_margins_decide_uniqueness(fk1_certs, fk2_certs):
+    certs = fk1_certs[3] + fk1_certs[2] + fk2_certs
+    wrong = [
+        cert.family.describe()
+        for cert in certs
+        if cert.unique != (cert.margin > TOL.lambda_tie)
+        or (len(cert.all_lambdas) == 1) != (cert.margin == math.inf)
+    ]
+    smallest = min(cert.margin for cert in certs)
+    _report(
+        "certificate margins decide uniqueness",
+        not wrong,
+        f"{len(certs)} families, smallest margin {smallest:.3g}, wrong={wrong}",
     )
 
 

@@ -271,18 +271,21 @@ def test_majorize_rejects_non_majorized(capsys):
     assert out == "majorized=false\n"
 
 
-def test_usage_errors_exit_2(capsys, star):
+def test_usage_errors_exit_2(capsys, star, tmp_path):
     assert _run(capsys, "nonsense")[0] == 2
     assert _run(capsys, "eigen", star, "--bogus")[0] == 2
     assert _run(capsys, "--jobs", "2", "verify-fk1", "--k", "3", "--all")[0] == 2
-    for argv in (
-        ["verify-fk1", "--k", "1", "--all", "--n-max", "5"],
-        ["verify-fk1", "--k", "0", "--all"],
+    huge = tmp_path / "huge.sht"
+    huge.write_text("k 2\nn 1000000000000000\ne 0 1\n")
+    for argv, error in (
+        (["verify-fk1", "--k", "1", "--all", "--n-max", "5"], "NotKUniform:"),
+        (["verify-fk1", "--k", "0", "--all"], "NotKUniform:"),
+        (["validate", str(huge)], "Disconnected:"),
     ):
         code, out, err = _run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("NotKUniform:")
+        assert err.startswith(error)
         assert "Traceback" not in err
 
 

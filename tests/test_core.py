@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from supertrees import (
     BadVertexId,
@@ -17,6 +19,8 @@ from supertrees import (
     InfeasibleDegreeSequence,
     NotKUniform,
     ShtFormatError,
+    Supertree,
+    SupertreeError,
     apply_vertex_permutation,
     boundary_partition,
     build_supertree,
@@ -28,7 +32,13 @@ from supertrees import (
     parse_sht,
     serialize_sht,
 )
-from supertrees.core import _attach_leaf, _orbit_representatives
+from supertrees.core import (
+    _attach_leaf,
+    _CentroidTree,
+    _incidence_adjacency,
+    _rooted_order,
+    _tree_centroids,
+)
 from supertrees.enumeration import _grow_classes
 from support import random_supertree, reference_code
 
@@ -101,6 +111,9 @@ def test_rejects_large_overlap():
 def test_rejects_cycle():
     with pytest.raises(ContainsCycle):
         build_supertree(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+    # a cycle is reported before the vertices no edge touches
+    with pytest.raises(ContainsCycle):
+        build_supertree(2, 7, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_rejects_disconnected():
@@ -110,6 +123,8 @@ def test_rejects_disconnected():
         build_supertree(3, 6, [(0, 1, 2), (3, 4, 5)])
     with pytest.raises(Disconnected):
         build_supertree(2, 1, [])
+    with pytest.raises(Disconnected, match="999999999999999 components"):
+        build_supertree(2, 10**15, [(0, 1)])
 
 
 def test_boundary_partition_two_interior():
@@ -245,7 +260,47 @@ def test_orbit_representatives_match_brute_force():
     for k, m in ((2, 7), (3, 3)):
         for layer in _grow_classes(k, m):
             for _, G in layer:
-                assert _orbit_representatives(G) == _brute_force_orbit_minima(G)
+                reps = _CentroidTree(G).orbit_representatives()
+                assert reps == _brute_force_orbit_minima(G)
+
+
+def _centroid_shift(G, v) -> int:
+    """Steps from the incidence-tree centroid of G to the centroid of the
+    child with a pendant edge at v, measured in the child."""
+    H = _attach_leaf(G, v)
+    node = {G.n + i: H.n + H.edges.index(e) for i, e in enumerate(G.edges)}
+    adj = _incidence_adjacency(H)
+    (c,) = _tree_centroids(_incidence_adjacency(G))
+    order, parent = _rooted_order(adj, node.get(c, c))
+    depth = [0] * len(adj)
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+    (c_child,) = _tree_centroids(adj)
+    return depth[c_child]
+
+
+def test_leaf_child_codes_match_canonical_code():
+    rng = random.Random(2718)
+    trees = []
+    for k, m in ((2, 10), (3, 6), (4, 5)):
+        trees += [G for layer in _grow_classes(k, m) for _, G in layer]
+        trees += [random_supertree(rng, k, rng.randrange(1, 12)) for _ in range(20)]
+    for G in trees:
+        # km+1 nodes and subtrees of jk or jk+1 nodes: no edge halves the tree
+        assert len(_tree_centroids(_incidence_adjacency(G))) == 1
+        tree = _CentroidTree(G)
+        for v in range(G.n):
+            assert tree.leaf_child_code(v) == canonical_code(_attach_leaf(G, v))
+    # far ends of long paths and brooms: the update walks a long path to the
+    # root, and the child's centroid is a node the parent's is not
+    for k in (3, 4):
+        for handle, bristles in ((30, 0), (31, 0), (26, 5), (30, 3)):
+            G = broom(k, handle, bristles)
+            tree = _CentroidTree(G)
+            far = G.n - 1 if bristles == 0 else G.edges[-1][0]
+            assert _centroid_shift(G, far) == 1
+            for v in (0, far, G.n // 2):
+                assert tree.leaf_child_code(v) == canonical_code(_attach_leaf(G, v))
 
 
 def test_canonical_code_separates_classes():
@@ -297,3 +352,36 @@ def test_sht_parser_rejects_malformed_input():
         parse_sht("k 3 3\nn 5\ne 0 1 2\n")
     with pytest.raises(NotKUniform):
         parse_sht("k 3\nn 3\ne 0 1\ne 1 2\n")
+
+
+# small values make well-formed supertrees likely; the wide ones reach
+# declared sizes no input should be allocated for
+_SHT_INT = hs.one_of(hs.integers(0, 12), hs.integers(-(10**18), 10**18))
+_SHT_LINE = hs.one_of(
+    hs.builds(lambda x: f"k {x}", _SHT_INT),
+    hs.builds(lambda x: f"n {x}", _SHT_INT),
+    hs.builds(lambda xs: "e " + " ".join(map(str, xs)), hs.lists(_SHT_INT, max_size=5)),
+    hs.builds(lambda xs: "order " + " ".join(map(str, xs)), hs.lists(_SHT_INT, max_size=4)),
+    hs.builds(lambda t: "# " + t, hs.text(max_size=12)),
+    hs.text(max_size=16),
+    # a k-uniform path of m edges under any declared n
+    hs.builds(
+        lambda k, m, n: "\n".join(
+            [f"k {k}", f"n {n}"]
+            + ["e " + " ".join(str(i * (k - 1) + j) for j in range(k)) for i in range(m)]
+        ),
+        hs.integers(2, 4),
+        hs.integers(1, 4),
+        _SHT_INT,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(hs.lists(_SHT_LINE, max_size=10))
+def test_sht_parser_returns_a_supertree_or_a_library_error(lines):
+    try:
+        G = parse_sht("\n".join(lines))
+    except SupertreeError:
+        return
+    assert isinstance(G, Supertree)

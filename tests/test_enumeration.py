@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from supertrees import (
+    DEFAULT_TOLERANCES,
     DegreeSequence,
     EmptyFamily,
     LengthMismatch,
@@ -171,6 +174,30 @@ def test_fk1_singleton_family_is_unique():
     assert cert.unique and cert.slo_match and cert.passed
     assert len(cert.all_lambdas) == 1
     assert cert.winner_lambda == pytest.approx(2.0, abs=1e-12)
+    assert cert.margin == math.inf
+
+
+def test_margin_of_a_tied_pair_is_not_unique():
+    tie = DEFAULT_TOLERANCES.lambda_tie
+    pi = _seq(2, (2, 2, 2, 3, 3) + (1,) * 4, 5)
+    cert = verify_fk_theorem1(pi)
+    (l0, l1) = [lam for _, lam in cert.all_lambdas[:2]]
+    assert cert.unique and cert.margin == l1 - l0 > tie
+    # two cospectral classes of the family (2 - sqrt(2)) scored alone
+    tied = next(
+        (a, b)
+        for (a, la), (b, lb) in zip(cert.all_lambdas, cert.all_lambdas[1:])
+        if lb - la <= tie
+    )
+    members = [
+        (canonical_code(G), G)
+        for G in enumerate_supertrees(pi)
+        if canonical_code(G) in tied
+    ]
+    scored = enumeration._score_family(
+        cert.family, members, cert.winner, DEFAULT_TOLERANCES
+    )
+    assert abs(scored.margin) <= tie and not scored.unique
 
 
 def test_fk2_flattest_sequence_wins():

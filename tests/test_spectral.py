@@ -13,8 +13,14 @@ from supertrees import (
     ZeroFunction,
     assemble_laplacian,
     build_supertree,
+    canonical_code,
     dirichlet_laplacian,
+    enumerate_family,
+    enumerate_supertrees,
     first_dirichlet_eigenpair,
+    first_dirichlet_eigenvalues,
+    fk1_sweep,
+    fk2_sweep,
     rayleigh_quotient,
 )
 from support import random_boundary_zero, random_supertree
@@ -147,6 +153,28 @@ def test_no_interior_vertices_raises():
         first_dirichlet_eigenpair(single)
     with pytest.raises(NoInteriorVertices):
         dirichlet_laplacian(single)
+    with pytest.raises(NoInteriorVertices):
+        first_dirichlet_eigenvalues([star(3, 2), single])
+
+
+def test_stacked_eigenvalues_equal_single_solves():
+    everyone = []
+    for cert in fk1_sweep(3, 9) + fk1_sweep(2, 8) + fk2_sweep(2, 10, 2):
+        fam = cert.family
+        if fam.kind == "pi":
+            members = enumerate_supertrees(fam.pi)
+        else:
+            members = enumerate_family(fam.n, fam.n0, fam.k, fam.d)
+        single = [first_dirichlet_eigenpair(G).lam for G in members]
+        assert first_dirichlet_eigenvalues(members) == single
+        rows = {canonical_code(G): lam for G, lam in zip(members, single)}
+        assert dict(cert.all_lambdas) == rows
+        everyone += members
+    # blocks of every interior size in one call, in input order
+    assert first_dirichlet_eigenvalues(everyone) == [
+        first_dirichlet_eigenpair(G).lam for G in everyone
+    ]
+    assert first_dirichlet_eigenvalues([]) == []
 
 
 def test_zero_function_raises():
