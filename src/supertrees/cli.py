@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True, help="comma-separated vertex ids")
     p.set_defaults(run=_cmd_slo_check)
 
-    p = sub.add_parser("slo-find", help="search for a spiral-like ordering")
+    p = sub.add_parser("slo-find", help="find a spiral-like ordering")
     p.add_argument("file")
     p.set_defaults(run=_cmd_slo_find)
 

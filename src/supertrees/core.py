@@ -340,9 +340,7 @@ def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
 # every caller: it walks the incidence tree breadth-first from a root, then
 # bottom-up gives each node the AHU code b"v(" or b"e(", followed by the
 # sorted codes of its children, followed by b")". Rooted at the centroid
-# the root's code is a complete invariant; rooted at any vertex, the code of
-# each vertex is the SLO search's symmetry key for the structure hanging
-# below it.
+# the root's code is a complete invariant.
 #
 # The centroid is unique (canonical_code's minimum runs over one node): the
 # tree has km+1 nodes and every rooted subtree holds jk of them (below an
@@ -441,6 +439,16 @@ class _CentroidTree:
         for u in reversed(self.order[1:]):
             self.size[self.parent[u]] += self.size[u]
 
+    def children(self) -> list[list[int]]:
+        """Each node's children sorted by code, equal codes in breadth-first
+        order."""
+        kids: list[list[int]] = [[] for _ in range(self.total)]
+        for u in self.order[1:]:
+            kids[self.parent[u]].append(u)
+        for row in kids:
+            row.sort(key=self.codes.__getitem__)
+        return kids
+
     def orbit_representatives(self) -> list[VertexId]:
         """The lowest vertex of every orbit of G's automorphism group,
         ascending.
@@ -499,6 +507,26 @@ class _CentroidTree:
         if up:
             bisect.insort(kids, up)
         return _code(path[top], n, kids)
+
+
+def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:
+    """phi with phi[v] the vertex of H that an isomorphism G -> H assigns to
+    vertex v of G, or None when G and H are not isomorphic.
+
+    Every isomorphism matches the two centroids, and below matched nodes it
+    matches children of equal code, so a breadth-first walk pairs the
+    children of matched nodes in sorted-code order.
+    """
+    a, b = _CentroidTree(G), _CentroidTree(H)
+    if a.codes[a.order[0]] != b.codes[b.order[0]]:
+        return None
+    kids_a, kids_b = a.children(), b.children()
+    match = [0] * a.total
+    match[a.order[0]] = b.order[0]
+    for u in a.order:
+        for x, y in zip(kids_a[u], kids_b[match[u]]):
+            match[x] = y
+    return match[: G.n]
 
 
 def _leaf_children(G: Supertree) -> list[tuple[CanonicalCode, VertexId]]:

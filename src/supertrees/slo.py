@@ -9,10 +9,14 @@ A vertex ordering v_0 < v_1 < ... is spiral-like when, rooting at v_0:
       positions of the global ordering;
   S5  interior degrees never decrease along the ordering.
 
-A supertree admitting such an ordering is an SLO-supertree. This module
-checks orderings rule by rule, searches for an ordering, constructs the
-canonical SLO-supertree of a feasible degree sequence, and relabels vertices
-along a first Dirichlet eigenfunction.
+A supertree admitting such an ordering is an SLO-supertree; each degree
+sequence has exactly one up to isomorphism (arXiv 2410.17630, and
+Biyikoglu-Leydold, J. Combin. Theory Ser. B 97 (2007), for trees). This
+module checks orderings rule by rule, constructs the SLO-supertree of a
+feasible degree sequence, finds an ordering of a supertree by isomorphism to
+that construction (it agrees with exhaustive backtracking search on every
+class with k=2 m<=11, k=3 m<=6 and k=4 m<=5), and relabels vertices along a
+first Dirichlet eigenfunction.
 """
 
 from dataclasses import dataclass
@@ -26,9 +30,11 @@ from .core import (
     Supertree,
     VertexId,
     _incidence_adjacency,
-    _rooted_codes,
+    _isomorphism,
+    _rooted_order,
     boundary_partition,
     build_supertree,
+    degree_sequence,
     level_structure,
 )
 from .errors import NotAnEigenfunction, NotAPermutation
@@ -65,23 +71,20 @@ class SloViolation:
 
 def _hanging(
     G: Supertree, root: VertexId
-) -> tuple[LevelStructure, list[bytes], list[list[tuple]]]:
-    """Levels seen from root, the code of the structure hanging below each
-    vertex, and the edges reaching down into each level.
+) -> tuple[LevelStructure, list[list[tuple]]]:
+    """Levels seen from root, and the edges reaching down into each level.
 
     ``blocks[s]`` lists (top, members) for every edge whose k-1 members sit
     at level s, in G.edges order; acyclicity leaves exactly one vertex, the
-    top, one level up. Codes are the canonical-form encoder's, rooted at
-    root: equal codes mean an automorphism of G fixing everything above can
-    swap the two subtrees.
+    top, one level up.
     """
     ls = level_structure(G, root)
-    codes, parent = _rooted_codes(_incidence_adjacency(G), root, G.n)[:2]
+    parent = _rooted_order(_incidence_adjacency(G), root)[1]
     blocks: list[list[tuple]] = [[] for _ in range(ls.height + 1)]
     for ei, e in enumerate(G.edges):
         top = parent[G.n + ei]
         blocks[ls.depth[top] + 1].append((top, tuple(v for v in e if v != top)))
-    return ls, codes, blocks
+    return ls, blocks
 
 
 def check_slo(G: Supertree, order) -> list[SloViolation]:
@@ -94,7 +97,7 @@ def check_slo(G: Supertree, order) -> list[SloViolation]:
     if sorted(ord_tuple) != list(range(G.n)):
         raise NotAPermutation("ordering is not a permutation of 0..n-1")
     pos = {v: i for i, v in enumerate(ord_tuple)}
-    ls, _, blocks = _hanging(G, ord_tuple[0])
+    ls, blocks = _hanging(G, ord_tuple[0])
     depth = ls.depth
     interior = frozenset(v for v in range(G.n) if G.degrees[v] >= 2)
     violations: list[SloViolation] = []
@@ -139,115 +142,23 @@ def check_slo(G: Supertree, order) -> list[SloViolation]:
     return violations
 
 
-# --- search ----------------------------------------------------------------
-
-
-def _distinct_orders(items: tuple, key):
-    """Permutations of items, collapsing swaps of equal-key items."""
-    if not items:
-        yield ()
-        return
-    seen = set()
-    for i, item in enumerate(items):
-        k = key(item)
-        if k in seen:
-            continue
-        seen.add(k)
-        for rest in _distinct_orders(items[:i] + items[i + 1 :], key):
-            yield (item,) + rest
-
-
-def _spiral_search(G: Supertree, root: VertexId, interior) -> tuple | None:
-    ls, subkey, blocks_at = _hanging(G, root)
-    depth = ls.depth
-    boundary_depths = [depth[v] for v in range(G.n) if v not in interior]
-    interior_depths = [depth[v] for v in interior]
-    # S1 forces level-by-level order, so a boundary vertex strictly above the
-    # deepest interior vertex kills S3 outright
-    if boundary_depths and interior_depths:
-        if max(interior_depths) > min(boundary_depths):
-            return None
-
-    order: list[VertexId] = [root]
-    pos: dict[VertexId, int] = {root: 0}
-    state = {"last_deg": G.degrees[root], "boundary_seen": False}
-
-    def push(v: VertexId) -> bool:
-        if v in interior:
-            if state["boundary_seen"] or G.degrees[v] < state["last_deg"]:
-                return False
-            state["last_deg"] = G.degrees[v]
-        else:
-            state["boundary_seen"] = True
-        pos[v] = len(order)
-        order.append(v)
-        return True
-
-    def snapshot():
-        return len(order), state["last_deg"], state["boundary_seen"]
-
-    def restore(snap) -> None:
-        length, last_deg, boundary_seen = snap
-        while len(order) > length:
-            del pos[order.pop()]
-        state["last_deg"] = last_deg
-        state["boundary_seen"] = boundary_seen
-
-    def place_level(lvl: int) -> bool:
-        if lvl > ls.height:
-            return True
-        blocks = blocks_at[lvl]
-        by_top: dict[VertexId, list[tuple]] = {}
-        for top, members in blocks:
-            by_top.setdefault(top, []).append(members)
-        buckets = [tuple(by_top[t]) for t in sorted(by_top, key=pos.get)]
-        return arrange(lvl, 0, buckets[0], buckets)
-
-    def arrange(lvl: int, bi: int, remaining: tuple, buckets: list) -> bool:
-        if not remaining:
-            if bi + 1 == len(buckets):
-                return place_level(lvl + 1)
-            return arrange(lvl, bi + 1, buckets[bi + 1], buckets)
-        tried = set()
-        for idx, members in enumerate(remaining):
-            gkey = tuple(sorted(subkey[v] for v in members))
-            if gkey in tried:
-                continue
-            tried.add(gkey)
-            rest = remaining[:idx] + remaining[idx + 1 :]
-            for arrangement in _distinct_orders(members, subkey.__getitem__):
-                snap = snapshot()
-                if all(push(v) for v in arrangement):
-                    if arrange(lvl, bi, rest, buckets):
-                        return True
-                restore(snap)
-        return False
-
-    if place_level(1):
-        return tuple(order)
-    return None
-
-
 def find_slo_ordering(G: Supertree) -> tuple[VertexId, ...] | None:
     """A spiral-like ordering of G, or None when no ordering exists.
 
-    S5 forces the root to be an interior vertex of minimum interior degree
-    (when any interior vertex exists), so only those roots are searched. Any
-    returned ordering is re-verified through check_slo.
+    G has one iff it is isomorphic to the SLO-supertree of its degree
+    sequence, which is unique (arXiv 2410.17630; Biyikoglu-Leydold 2007 for
+    trees); the construction's order carried through the isomorphism is
+    returned, re-verified through check_slo. This agrees with exhaustive
+    backtracking search on every class with k=2 m<=11, k=3 m<=6, k=4 m<=5.
     """
-    part = boundary_partition(G)
-    if not part.interior:
-        order = tuple(range(G.n))
-        assert not check_slo(G, order)
-        return order
-    dmin = min(G.degrees[v] for v in part.interior)
-    for root in sorted(v for v in part.interior if G.degrees[v] == dmin):
-        order = _spiral_search(G, root, part.interior)
-        if order is not None:
-            violations = check_slo(G, order)
-            assert not violations, violations
-            return order
-    return None
+    H, order = construct_slo_supertree(degree_sequence(G))
+    phi = _isomorphism(H, G)
+    if phi is None:
+        return None
+    found = tuple(phi[v] for v in order)
+    violations = check_slo(G, found)
+    assert not violations, violations
+    return found
 
 
 # --- construction ----------------------------------------------------------
@@ -331,7 +242,7 @@ def relabel(
         for v in range(G.n)
         if abs(fs[v] - top_value) <= tol.rel_eps * max(1.0, abs(top_value))
     )
-    ls, _, blocks_at = _hanging(G, root)
+    ls, blocks_at = _hanging(G, root)
     labels: dict[VertexId, VertexLabel] = {root: (0, 1, 1)}
 
     for lvl in range(1, ls.height + 1):

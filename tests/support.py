@@ -21,10 +21,18 @@ from supertrees import (
     boundary_partition,
     build_supertree,
     canonical_code,
+    check_slo,
     feasible_degree_sequences,
+    level_structure,
 )
 from supertrees.config import strictly_less
-from supertrees.core import _incidence_adjacency, _tree_centroids
+from supertrees.core import (
+    LevelStructure,
+    VertexId,
+    _incidence_adjacency,
+    _rooted_codes,
+    _tree_centroids,
+)
 from supertrees.enumeration import _grow_classes
 
 
@@ -132,6 +140,137 @@ def reference_grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
                     grown.setdefault(canonical_code(H), H)
         layers.append(sorted(grown.items()))
     return layers
+
+
+def _hanging(
+    G: Supertree, root: VertexId
+) -> tuple[LevelStructure, list[bytes], list[list[tuple]]]:
+    """Levels seen from root, the code of the structure hanging below each
+    vertex, and the edges reaching down into each level.
+
+    ``blocks[s]`` lists (top, members) for every edge whose k-1 members sit
+    at level s, in G.edges order; acyclicity leaves exactly one vertex, the
+    top, one level up. Codes are the canonical-form encoder's, rooted at
+    root: equal codes mean an automorphism of G fixing everything above can
+    swap the two subtrees.
+    """
+    ls = level_structure(G, root)
+    codes, parent = _rooted_codes(_incidence_adjacency(G), root, G.n)[:2]
+    blocks: list[list[tuple]] = [[] for _ in range(ls.height + 1)]
+    for ei, e in enumerate(G.edges):
+        top = parent[G.n + ei]
+        blocks[ls.depth[top] + 1].append((top, tuple(v for v in e if v != top)))
+    return ls, codes, blocks
+
+
+def _distinct_orders(items: tuple, key):
+    """Permutations of items, collapsing swaps of equal-key items."""
+    if not items:
+        yield ()
+        return
+    seen = set()
+    for i, item in enumerate(items):
+        k = key(item)
+        if k in seen:
+            continue
+        seen.add(k)
+        for rest in _distinct_orders(items[:i] + items[i + 1 :], key):
+            yield (item,) + rest
+
+
+def _spiral_search(G: Supertree, root: VertexId, interior) -> tuple | None:
+    ls, subkey, blocks_at = _hanging(G, root)
+    depth = ls.depth
+    boundary_depths = [depth[v] for v in range(G.n) if v not in interior]
+    interior_depths = [depth[v] for v in interior]
+    # S1 forces level-by-level order, so a boundary vertex strictly above the
+    # deepest interior vertex kills S3 outright
+    if boundary_depths and interior_depths:
+        if max(interior_depths) > min(boundary_depths):
+            return None
+
+    order: list[VertexId] = [root]
+    pos: dict[VertexId, int] = {root: 0}
+    state = {"last_deg": G.degrees[root], "boundary_seen": False}
+
+    def push(v: VertexId) -> bool:
+        if v in interior:
+            if state["boundary_seen"] or G.degrees[v] < state["last_deg"]:
+                return False
+            state["last_deg"] = G.degrees[v]
+        else:
+            state["boundary_seen"] = True
+        pos[v] = len(order)
+        order.append(v)
+        return True
+
+    def snapshot():
+        return len(order), state["last_deg"], state["boundary_seen"]
+
+    def restore(snap) -> None:
+        length, last_deg, boundary_seen = snap
+        while len(order) > length:
+            del pos[order.pop()]
+        state["last_deg"] = last_deg
+        state["boundary_seen"] = boundary_seen
+
+    def place_level(lvl: int) -> bool:
+        if lvl > ls.height:
+            return True
+        blocks = blocks_at[lvl]
+        by_top: dict[VertexId, list[tuple]] = {}
+        for top, members in blocks:
+            by_top.setdefault(top, []).append(members)
+        buckets = [tuple(by_top[t]) for t in sorted(by_top, key=pos.get)]
+        return arrange(lvl, 0, buckets[0], buckets)
+
+    def arrange(lvl: int, bi: int, remaining: tuple, buckets: list) -> bool:
+        if not remaining:
+            if bi + 1 == len(buckets):
+                return place_level(lvl + 1)
+            return arrange(lvl, bi + 1, buckets[bi + 1], buckets)
+        tried = set()
+        for idx, members in enumerate(remaining):
+            gkey = tuple(sorted(subkey[v] for v in members))
+            if gkey in tried:
+                continue
+            tried.add(gkey)
+            rest = remaining[:idx] + remaining[idx + 1 :]
+            for arrangement in _distinct_orders(members, subkey.__getitem__):
+                snap = snapshot()
+                if all(push(v) for v in arrangement):
+                    if arrange(lvl, bi, rest, buckets):
+                        return True
+                restore(snap)
+        return False
+
+    if place_level(1):
+        return tuple(order)
+    return None
+
+
+def reference_find_slo_ordering(G: Supertree) -> tuple[VertexId, ...] | None:
+    """A spiral-like ordering of G by backtracking search, or None when no
+    ordering exists; the library recognizes orderings by isomorphism to the
+    constructed SLO-supertree instead, and must agree with this search.
+
+    S5 forces the root to be an interior vertex of minimum interior degree
+    (when any interior vertex exists), so only those roots are searched. Any
+    returned ordering is re-verified through check_slo.
+    """
+    part = boundary_partition(G)
+    if not part.interior:
+        order = tuple(range(G.n))
+        assert not check_slo(G, order)
+        return order
+    dmin = min(G.degrees[v] for v in part.interior)
+    for root in sorted(v for v in part.interior if G.degrees[v] == dmin):
+        order = _spiral_search(G, root, part.interior)
+        if order is not None:
+            violations = check_slo(G, order)
+            assert not violations, violations
+            return order
+    return None
 
 
 def random_supertree(rng: random.Random, k: int, m: int) -> Supertree:

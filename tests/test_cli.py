@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import random
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
-from supertrees import parse_sht, serialize_sht
+import supertrees
+from supertrees import (
+    apply_vertex_permutation,
+    build_supertree,
+    check_slo,
+    parse_sht,
+    serialize_sht,
+)
 from supertrees.cli import main
 
 STAR_SHT = "k 3\nn 5\ne 0 1 2\ne 0 3 4\n"
@@ -138,6 +153,28 @@ def test_slo_find_none_for_chain(capsys, tmp_path):
     code, out, _ = _run(capsys, "slo-find", str(path))
     assert code == 1
     assert out == "none\n"
+
+
+def test_slo_find_long_path_cold_process(tmp_path):
+    # a cold process has the default recursion limit, which a 400-edge
+    # path exceeds for anything that recurses once per level
+    perm = list(range(401))
+    random.Random(400).shuffle(perm)
+    G = apply_vertex_permutation(
+        build_supertree(2, 401, [(i, i + 1) for i in range(400)]), perm
+    )
+    path = tmp_path / "path400.sht"
+    path.write_text(serialize_sht(G))
+    env = dict(os.environ, PYTHONPATH=str(Path(supertrees.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "supertrees.cli", "slo-find", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    head, *order = proc.stdout.split()
+    assert head == "order"
+    assert check_slo(G, [int(v) for v in order]) == []
 
 
 def test_slo_construct_roundtrip(capsys):
@@ -287,6 +324,44 @@ def test_usage_errors_exit_2(capsys, star, tmp_path):
         assert out == ""
         assert err.startswith(error)
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def h7_module(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "h7.sht"
+    path.write_text(H7_SHT)
+    return str(path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    hs.sampled_from(("order", "pi2", "pi3", "edges", "u1", "v1")),
+    hs.one_of(
+        hs.text(),
+        hs.lists(
+            hs.one_of(hs.integers(-1, 7), hs.integers(), hs.text(max_size=4)),
+            max_size=12,
+        ).map(lambda parts: ",".join(str(p) for p in parts)),
+    ),
+)
+@example("order", "0,x,2")
+@example("pi3", "-1")
+@example("edges", "1" * 20)
+def test_comma_list_arguments_fail_cleanly(h7_module, slot, text):
+    argv = {
+        "order": ["slo-check", h7_module, f"--order={text}"],
+        "pi2": ["slo-construct", "--k", "2", f"--pi={text}"],
+        "pi3": ["slo-construct", "--k", "3", f"--pi={text}"],
+        "edges": ["shift", h7_module, "--u", "1", f"--edges={text}", "--v", "3"],
+        "u1": ["switch", h7_module, "--e1", "1", "--e2", "0", f"--u1={text}",
+               "--v1", "1"],
+        "v1": ["switch", h7_module, "--e1", "1", "--e2", "0", "--u1", "3",
+               f"--v1={text}"],
+    }[slot]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
 
 
 def test_console_script_installed(star):

@@ -22,7 +22,8 @@ from supertrees import (
     relabel,
     relabel_ordering,
 )
-from support import all_feasible
+from supertrees.enumeration import _grow_classes
+from support import all_feasible, reference_find_slo_ordering
 
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 CHAIN9 = ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
@@ -154,6 +155,48 @@ def test_find_agrees_with_construct_on_its_own_output():
         order = find_slo_ordering(G)
         assert order is not None
         assert check_slo(G, order) == []
+
+
+def _shuffled(rng: random.Random, G):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return apply_vertex_permutation(G, perm)
+
+
+def test_find_agrees_with_backtracking_reference():
+    # the backtracking search decides existence independently of the
+    # construction the library recognizes by isomorphism
+    rng = random.Random(2410)
+    recognized = 0
+    for k, m in ((2, 11), (3, 6), (4, 5)):
+        for layer in _grow_classes(k, m):
+            for _, G in layer:
+                for T in (G, _shuffled(rng, G)):
+                    order = find_slo_ordering(T)
+                    assert (order is None) == (
+                        reference_find_slo_ordering(T) is None
+                    ), T.edges
+                    if order is not None:
+                        assert check_slo(T, order) == []
+                        recognized += 1
+    assert recognized > 0
+
+
+def test_find_on_deep_supertrees():
+    # depth in the hundreds of levels: no recursion may follow the levels
+    rng = random.Random(400)
+    slo3, _ = construct_slo_supertree(
+        DegreeSequence.from_degrees(3, (2,) * 666 + (1,) * 669)
+    )
+    for G in (
+        build_supertree(2, 401, [(i, i + 1) for i in range(400)]),
+        build_supertree(2, 1001, [(i, i + 1) for i in range(1000)]),
+        slo3,
+    ):
+        H = _shuffled(rng, G)
+        order = find_slo_ordering(H)
+        assert order is not None
+        assert check_slo(H, order) == []
 
 
 def test_relabel_two_interior_exact():
