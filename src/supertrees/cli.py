@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import DEFAULT_TOLERANCES, Config
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import DegreeSequence, Supertree, parse_sht, serialize_sht
 from .enumeration import (
     FkCertificate,
@@ -45,8 +45,8 @@ def _tf(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _print_rows(cfg: Config, header: list[str], rows) -> None:
-    if cfg.output == "csv":
+def _print_rows(fmt: str, header: list[str], rows) -> None:
+    if fmt == "csv":
         print(",".join(header))
         for row in rows:
             print(",".join(row))
@@ -73,15 +73,15 @@ def _edge_at(G: Supertree, index: int) -> tuple[int, ...]:
     return G.edges[index]
 
 
-def _cmd_validate(args, cfg: Config) -> int:
+def _cmd_validate(args, tol: Tolerances) -> int:
     G = _load(args.file)
     print(f"ok k={G.k} n={G.n} m={G.m}")
     return 0
 
 
-def _cmd_eigen(args, cfg: Config) -> int:
+def _cmd_eigen(args, tol: Tolerances) -> int:
     G = _load(args.file)
-    pair = first_dirichlet_eigenpair(G, cfg.tolerances)
+    pair = first_dirichlet_eigenpair(G, tol)
     print(f"lambda={_fmt(pair.lam)}")
     print(f"gap={_fmt(pair.gap)}")
     print(f"degenerate={_tf(pair.degenerate)}")
@@ -89,11 +89,11 @@ def _cmd_eigen(args, cfg: Config) -> int:
         [str(v), _tf(G.degrees[v] >= 2), _fmt(float(pair.f[v]))]
         for v in range(G.n)
     ]
-    _print_rows(cfg, ["vertex_id", "is_interior", "f_value"], rows)
+    _print_rows(args.format, ["vertex_id", "is_interior", "f_value"], rows)
     return 0
 
 
-def _cmd_slo_check(args, cfg: Config) -> int:
+def _cmd_slo_check(args, tol: Tolerances) -> int:
     G = _load(args.file)
     violations = check_slo(G, _int_list(args.order))
     if not violations:
@@ -104,7 +104,7 @@ def _cmd_slo_check(args, cfg: Config) -> int:
     return 1
 
 
-def _cmd_slo_find(args, cfg: Config) -> int:
+def _cmd_slo_find(args, tol: Tolerances) -> int:
     G = _load(args.file)
     order = find_slo_ordering(G)
     if order is None:
@@ -114,7 +114,7 @@ def _cmd_slo_find(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_slo_construct(args, cfg: Config) -> int:
+def _cmd_slo_construct(args, tol: Tolerances) -> int:
     pi = _degree_sequence(args.k, args.pi)
     G, order = construct_slo_supertree(pi)
     sys.stdout.write(serialize_sht(G))
@@ -122,19 +122,19 @@ def _cmd_slo_construct(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_relabel(args, cfg: Config) -> int:
+def _cmd_relabel(args, tol: Tolerances) -> int:
     G = _load(args.file)
-    pair = first_dirichlet_eigenpair(G, cfg.tolerances)
-    labels = relabel(G, pair.f, cfg.tolerances)
+    pair = first_dirichlet_eigenpair(G, tol)
+    labels = relabel(G, pair.f, tol)
     rows = [
         [str(v), str(s), str(i), str(p), _fmt(float(pair.f[v]))]
         for v, (s, i, p) in sorted(labels.items(), key=lambda item: item[1])
     ]
-    _print_rows(cfg, ["vertex_id", "s", "i", "p", "f_value"], rows)
+    _print_rows(args.format, ["vertex_id", "s", "i", "p", "f_value"], rows)
     return 0
 
 
-def _cmd_switch(args, cfg: Config) -> int:
+def _cmd_switch(args, tol: Tolerances) -> int:
     G = _load(args.file)
     spec = SwitchSpec(
         e1=_edge_at(G, args.e1),
@@ -146,7 +146,7 @@ def _cmd_switch(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_shift(args, cfg: Config) -> int:
+def _cmd_shift(args, tol: Tolerances) -> int:
     G = _load(args.file)
     spec = ShiftSpec(
         u=args.u,
@@ -157,26 +157,30 @@ def _cmd_shift(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_unit(args, cfg: Config) -> int:
+def _cmd_unit(args, tol: Tolerances) -> int:
     pi = _degree_sequence(args.k, args.pi)
     print(f"pi={unit_transformation(pi, args.p)}")
     return 0
 
 
-def _cmd_enumerate(args, cfg: Config) -> int:
+def _cmd_enumerate(args, tol: Tolerances) -> int:
     pi = _degree_sequence(args.k, args.pi)
     members = _pi_classes(pi)
     print(f"count={len(members)}")
     rows = [[code.decode("ascii")] for code, _ in members]
-    _print_rows(cfg, ["canonical_code"], rows)
+    _print_rows(args.format, ["canonical_code"], rows)
     return 0
 
 
-def _print_certificate(cfg: Config, cert: FkCertificate) -> None:
-    print(
+def _certificate_line(cert: FkCertificate) -> str:
+    return (
         f"family={cert.family.describe()} "
         f"unique={_tf(cert.unique)} slo_match={_tf(cert.slo_match)}"
     )
+
+
+def _print_certificate(fmt: str, cert: FkCertificate) -> None:
+    print(_certificate_line(cert))
     winner_code = cert.all_lambdas[0][0]
     rows = [
         [
@@ -187,47 +191,42 @@ def _print_certificate(cfg: Config, cert: FkCertificate) -> None:
         ]
         for code, lam in cert.all_lambdas
     ]
-    _print_rows(cfg, ["canonical_code", "lambda", "is_winner", "is_slo"], rows)
+    _print_rows(fmt, ["canonical_code", "lambda", "is_winner", "is_slo"], rows)
 
 
 def _sweep_exit(certs: list[FkCertificate]) -> int:
     passed = sum(1 for cert in certs if cert.passed)
     for cert in certs:
-        print(
-            f"family={cert.family.describe()} "
-            f"unique={_tf(cert.unique)} slo_match={_tf(cert.slo_match)}"
-        )
+        print(_certificate_line(cert))
     print(f"families={len(certs)} passed={passed} failed={len(certs) - passed}")
     return 0 if passed == len(certs) else 1
 
 
-def _cmd_verify_fk1(args, cfg: Config) -> int:
+def _cmd_verify_fk1(args, tol: Tolerances) -> int:
     if args.all:
-        certs = fk1_sweep(args.k, args.n_max, cfg.tolerances)
+        certs = fk1_sweep(args.k, args.n_max, tol)
         return _sweep_exit(certs)
     if args.pi is None:
         raise InvalidSpec("pass --pi, or --all with --n-max")
-    cert = verify_fk_theorem1(_degree_sequence(args.k, args.pi), cfg.tolerances)
-    _print_certificate(cfg, cert)
+    cert = verify_fk_theorem1(_degree_sequence(args.k, args.pi), tol)
+    _print_certificate(args.format, cert)
     return 0 if cert.passed else 1
 
 
-def _cmd_verify_fk2(args, cfg: Config) -> int:
-    cert = verify_fk_theorem2(args.n, args.n0, args.k, args.d, cfg.tolerances)
-    _print_certificate(cfg, cert)
+def _cmd_verify_fk2(args, tol: Tolerances) -> int:
+    cert = verify_fk_theorem2(args.n, args.n0, args.k, args.d, tol)
+    _print_certificate(args.format, cert)
     return 0 if cert.passed else 1
 
 
-def _cmd_majorize(args, cfg: Config) -> int:
+def _cmd_majorize(args, tol: Tolerances) -> int:
     pi = _degree_sequence(args.k, args.pi)
     pi_prime = _degree_sequence(args.k, args.pi_prime)
     majorized = majorizes(pi, pi_prime)
     print(f"majorized={_tf(majorized)}")
     if not majorized:
         return 2
-    lam, lam_prime, decreased = _majorization_lambdas(
-        pi, pi_prime, cfg.tolerances
-    )
+    lam, lam_prime, decreased = _majorization_lambdas(pi, pi_prime, tol)
     print(f"lambda_pi={_fmt(lam)}")
     print(f"lambda_pi_prime={_fmt(lam_prime)}")
     print(f"strict_decrease={_tf(decreased)}")
@@ -350,9 +349,8 @@ def main(argv=None) -> int:
     tol = DEFAULT_TOLERANCES
     if args.epsilon is not None:
         tol = replace(tol, rel_eps=args.epsilon)
-    cfg = Config(tolerances=tol, output=args.format)
     try:
-        return args.run(args, cfg)
+        return args.run(args, tol)
     except SupertreeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,15 @@
-"""Numeric tolerances and run configuration.
+"""Numeric tolerances.
 
 Every threshold used by the eigenpair report and by comparison helpers lives
 in one frozen record so the CLI can override them in a single place and tests
 can state them explicitly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Tolerances",
-    "Config",
     "DEFAULT_TOLERANCES",
-    "approx_eq",
     "at_least",
     "at_most",
     "strictly_less",
@@ -31,21 +29,8 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-@dataclass
-class Config:
-    """Run configuration assembled by the CLI from its global flags."""
-
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    output: str = "csv"  # "csv" or "plain"
-
-
 def _scale(x: float, y: float) -> float:
     return max(1.0, abs(x), abs(y))
-
-
-def approx_eq(x: float, y: float, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Equality of computed reals, relative to max(1, |x|, |y|)."""
-    return abs(x - y) <= tol.rel_eps * _scale(x, y)
 
 
 def at_least(x: float, y: float, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

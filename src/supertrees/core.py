@@ -10,9 +10,7 @@ and reads/writes the .sht text format.
 
 import bisect
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BadVertexId,
@@ -67,17 +65,6 @@ class Supertree:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[VertexId, ...], ...]:
-        """Neighbors of each vertex (vertices sharing at least one edge)."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            for v in e:
-                nbrs[v].update(e)
-        for v in range(self.n):
-            nbrs[v].discard(v)
-        return tuple(tuple(sorted(s)) for s in nbrs)
 
 
 @dataclass(frozen=True)
@@ -292,30 +279,17 @@ def degree_sequence(G: Supertree) -> DegreeSequence:
     return DegreeSequence.from_degrees(G.k, G.degrees)
 
 
-def _bfs_depth(G: Supertree, root: VertexId) -> list[int]:
-    depth = [-1] * G.n
-    depth[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in G.adjacency[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return depth
-
-
 def distance(G: Supertree, u: VertexId, v: VertexId) -> int:
     """Minimum number of edges on a connecting path."""
     if not (0 <= u < G.n and 0 <= v < G.n):
         raise BadVertexId(f"vertex pair ({u}, {v}) outside 0..{G.n - 1}")
-    return _bfs_depth(G, u)[v]
+    return _incidence_walk(G, u)[0][v] // 2
 
 
 def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
     if not 0 <= root < G.n:
         raise BadVertexId(f"root {root} outside 0..{G.n - 1}")
-    depth = _bfs_depth(G, root)
+    depth = [d // 2 for d in _incidence_walk(G, root)[0][: G.n]]
     height = max(depth)
     levels: list[list[int]] = [[] for _ in range(height + 1)]
     for v in range(G.n):
@@ -373,6 +347,17 @@ def _rooted_order(adj: list[list[int]], root: int) -> tuple[list[int], list[int]
                 parent[w] = u
                 order.append(w)
     return order, parent
+
+
+def _incidence_walk(G: Supertree, root: VertexId) -> tuple[list[int], list[int]]:
+    """Depth and parent (-1 at the root) of every incidence-tree node,
+    walked from vertex root. A vertex's depth is twice its distance from
+    root, and an edge node's parent is the edge's vertex nearest root."""
+    order, parent = _rooted_order(_incidence_adjacency(G), root)
+    depth = [0] * len(order)
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+    return depth, parent
 
 
 def _tree_centroids(adj: list[list[int]]) -> list[int]:

@@ -39,7 +39,7 @@ from .core import (
 )
 from .errors import EmptyFamily, NotKUniform, NotMajorized
 from .slo import construct_slo_supertree
-from .spectral import first_dirichlet_eigenpair, first_dirichlet_eigenvalues
+from .spectral import first_dirichlet_eigenvalues
 from .transforms import unit_transform_chain
 
 __all__ = [
@@ -60,9 +60,9 @@ __all__ = [
 class FamilySpec:
     """Identifies an enumerated family for reports.
 
-    kind "pi" fixes a degree sequence; kind "counts" fixes vertex count n
-    and interior count n0; kind "min_degree" additionally bounds the
-    interior degrees from below by d.
+    kind "pi" fixes a degree sequence; kind "min_degree" fixes vertex
+    count n and interior count n0 and bounds the interior degrees from
+    below by d.
     """
 
     kind: str
@@ -75,8 +75,6 @@ class FamilySpec:
     def describe(self) -> str:
         if self.kind == "pi":
             return f"T_pi(k={self.k},pi={self.pi})"
-        if self.kind == "counts":
-            return f"T(n={self.n},n0={self.n0},k={self.k})"
         return f"T_d(n={self.n},n0={self.n0},k={self.k},d={self.d})"
 
 
@@ -311,10 +309,9 @@ def _majorization_lambdas(
     if pi.entries == pi_prime.entries:
         raise NotMajorized("the sequences are equal; no strict comparison")
     unit_transform_chain(pi, pi_prime)
-    lam = first_dirichlet_eigenpair(construct_slo_supertree(pi)[0], tol).lam
-    lam_prime = first_dirichlet_eigenpair(
-        construct_slo_supertree(pi_prime)[0], tol
-    ).lam
+    lam, lam_prime = first_dirichlet_eigenvalues(
+        [construct_slo_supertree(pi)[0], construct_slo_supertree(pi_prime)[0]]
+    )
     return lam, lam_prime, strictly_less(lam_prime, lam, tol)
 
 

@@ -26,16 +26,13 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import (
     DegreeSequence,
-    LevelStructure,
     Supertree,
     VertexId,
-    _incidence_adjacency,
+    _incidence_walk,
     _isomorphism,
-    _rooted_order,
     boundary_partition,
     build_supertree,
     degree_sequence,
-    level_structure,
 )
 from .errors import NotAnEigenfunction, NotAPermutation
 
@@ -69,26 +66,20 @@ class SloViolation:
         return f"{self.rule} witness={self.witness}"
 
 
-def _hanging(
-    G: Supertree, root: VertexId
-) -> tuple[LevelStructure, list[list[tuple]]]:
-    """Levels seen from root, and the edges reaching down into each level.
-
-    ``blocks[s]`` lists (top, members) for every edge whose k-1 members sit
-    at level s, in G.edges order; acyclicity leaves exactly one vertex, the
-    top, one level up.
-    """
-    ls = level_structure(G, root)
-    parent = _rooted_order(_incidence_adjacency(G), root)[1]
-    blocks: list[list[tuple]] = [[] for _ in range(ls.height + 1)]
-    for ei, e in enumerate(G.edges):
-        top = parent[G.n + ei]
-        blocks[ls.depth[top] + 1].append((top, tuple(v for v in e if v != top)))
-    return ls, blocks
-
-
 def check_slo(G: Supertree, order) -> list[SloViolation]:
-    """All rule violations of a candidate ordering; empty iff spiral-like.
+    """Rule violations of a candidate ordering, one witness per violating
+    consecutive pair; empty iff spiral-like.
+
+    S1, S2, S3 and S5 each say that one number read along the ordering
+    never decreases (height, parent position, interior before boundary,
+    interior degree), so a pair out of order anywhere implies one among
+    consecutive pairs. Witnesses, O(n) in all:
+
+      S1, S3  (u, v) for u, v adjacent in the ordering;
+      S2      (p2, p1, c2, c1) for adjacent non-root c1, c2 whose parents
+              p1, p2 come in the other order;
+      S4      (edge, intervening vertex) for each split edge;
+      S5      (u, v) for u, v adjacent among the interior vertices.
 
     Raises:
         NotAPermutation: order is not a permutation of 0..n-1.
@@ -96,49 +87,45 @@ def check_slo(G: Supertree, order) -> list[SloViolation]:
     ord_tuple = tuple(order)
     if sorted(ord_tuple) != list(range(G.n)):
         raise NotAPermutation("ordering is not a permutation of 0..n-1")
-    pos = {v: i for i, v in enumerate(ord_tuple)}
-    ls, blocks = _hanging(G, ord_tuple[0])
-    depth = ls.depth
-    interior = frozenset(v for v in range(G.n) if G.degrees[v] >= 2)
-    violations: list[SloViolation] = []
+    pos = [0] * G.n
+    for i, v in enumerate(ord_tuple):
+        pos[v] = i
+    depth, parent = _incidence_walk(G, ord_tuple[0])
+    degrees = G.degrees
+    violations = [
+        SloViolation("S1", (u, v))
+        for u, v in zip(ord_tuple, ord_tuple[1:])
+        if depth[u] > depth[v]
+    ]
 
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            u, v = ord_tuple[i], ord_tuple[j]
-            if depth[u] > depth[v]:
-                violations.append(SloViolation("S1", (u, v)))
+    # a non-root vertex's parent is its edge's top vertex, two nodes up
+    children = ord_tuple[1:]
+    for c1, c2 in zip(children, children[1:]):
+        p1, p2 = parent[parent[c1]], parent[parent[c2]]
+        if pos[p2] < pos[p1]:
+            violations.append(SloViolation("S2", (p2, p1, c2, c1)))
 
-    parent = {v: top for level in blocks for top, members in level for v in members}
-    children = sorted(parent, key=pos.get)
-    for i, c1 in enumerate(children):
-        for c2 in children[i + 1 :]:
-            p1, p2 = parent[c1], parent[c2]
-            if p1 != p2 and pos[p2] < pos[p1]:
-                violations.append(SloViolation("S2", (p2, p1, c2, c1)))
-
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            u, v = ord_tuple[i], ord_tuple[j]
-            if u not in interior and v in interior:
-                violations.append(SloViolation("S3", (u, v)))
+    violations.extend(
+        SloViolation("S3", (u, v))
+        for u, v in zip(ord_tuple, ord_tuple[1:])
+        if degrees[u] < 2 <= degrees[v]
+    )
 
     for e in G.edges:
-        by_pos = sorted(e, key=pos.get)
-        block = by_pos[1:]
-        lo = min(pos[v] for v in block)
-        hi = max(pos[v] for v in block)
+        block = sorted(e, key=pos.__getitem__)[1:]
+        lo, hi = pos[block[0]], pos[block[-1]]
         if hi - lo != len(block) - 1:
             gap = next(
                 ord_tuple[i] for i in range(lo, hi + 1) if ord_tuple[i] not in e
             )
             violations.append(SloViolation("S4", (e, gap)))
 
-    ordered_interior = [v for v in ord_tuple if v in interior]
-    for i, u in enumerate(ordered_interior):
-        for v in ordered_interior[i + 1 :]:
-            if G.degrees[u] > G.degrees[v]:
-                violations.append(SloViolation("S5", (u, v)))
-
+    interior = [v for v in ord_tuple if degrees[v] >= 2]
+    violations.extend(
+        SloViolation("S5", (u, v))
+        for u, v in zip(interior, interior[1:])
+        if degrees[u] > degrees[v]
+    )
     return violations
 
 
@@ -242,10 +229,18 @@ def relabel(
         for v in range(G.n)
         if abs(fs[v] - top_value) <= tol.rel_eps * max(1.0, abs(top_value))
     )
-    ls, blocks_at = _hanging(G, root)
+    # blocks_at[s] lists (top, members) for every edge whose k-1 members sit
+    # at level s, in G.edges order; the top is the edge's vertex one level up
+    depth, parent = _incidence_walk(G, root)
+    blocks_at: list[list[tuple]] = [[] for _ in range(max(depth) // 2 + 1)]
+    for ei, e in enumerate(G.edges):
+        top = parent[G.n + ei]
+        blocks_at[depth[top] // 2 + 1].append(
+            (top, tuple(v for v in e if v != top))
+        )
     labels: dict[VertexId, VertexLabel] = {root: (0, 1, 1)}
 
-    for lvl in range(1, ls.height + 1):
+    for lvl in range(1, len(blocks_at)):
         blocks = blocks_at[lvl]
 
         def group_sum(block):

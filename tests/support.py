@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from supertrees import (
     DEFAULT_TOLERANCES,
     DegreeSequence,
+    NotAPermutation,
     ShiftSpec,
+    SloViolation,
     Supertree,
     SwitchSpec,
     apply_vertex_permutation,
@@ -271,6 +274,104 @@ def reference_find_slo_ordering(G: Supertree) -> tuple[VertexId, ...] | None:
             assert not violations, violations
             return order
     return None
+
+
+def reference_depths(G: Supertree, root: VertexId) -> list[int]:
+    """Distance of every vertex from root by breadth-first search over the
+    vertex graph (two vertices are adjacent when they share an edge); the
+    library reads distances off its incidence-tree walk instead."""
+    nbrs: list[set[int]] = [set() for _ in range(G.n)]
+    for e in G.edges:
+        for v in e:
+            nbrs[v].update(e)
+    depth = [-1] * G.n
+    depth[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(nbrs[u]):
+            if depth[w] < 0:
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    return depth
+
+
+def reference_check_slo(G: Supertree, order) -> list[SloViolation]:
+    """Every rule violation of a candidate ordering, comparing all O(n^2)
+    pairs; the library's check_slo reports only the consecutive ones.
+
+    Depths come from reference_depths, and each edge's parent is its
+    vertex nearest the root.
+    """
+    ord_tuple = tuple(order)
+    if sorted(ord_tuple) != list(range(G.n)):
+        raise NotAPermutation("ordering is not a permutation of 0..n-1")
+    pos = {v: i for i, v in enumerate(ord_tuple)}
+    depth = reference_depths(G, ord_tuple[0])
+    interior = frozenset(v for v in range(G.n) if G.degrees[v] >= 2)
+    violations: list[SloViolation] = []
+
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            u, v = ord_tuple[i], ord_tuple[j]
+            if depth[u] > depth[v]:
+                violations.append(SloViolation("S1", (u, v)))
+
+    parent = {}
+    for e in G.edges:
+        top = min(e, key=depth.__getitem__)
+        parent.update((v, top) for v in e if v != top)
+    children = sorted(parent, key=pos.get)
+    for i, c1 in enumerate(children):
+        for c2 in children[i + 1 :]:
+            p1, p2 = parent[c1], parent[c2]
+            if p1 != p2 and pos[p2] < pos[p1]:
+                violations.append(SloViolation("S2", (p2, p1, c2, c1)))
+
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            u, v = ord_tuple[i], ord_tuple[j]
+            if u not in interior and v in interior:
+                violations.append(SloViolation("S3", (u, v)))
+
+    for e in G.edges:
+        by_pos = sorted(e, key=pos.get)
+        block = by_pos[1:]
+        lo = min(pos[v] for v in block)
+        hi = max(pos[v] for v in block)
+        if hi - lo != len(block) - 1:
+            gap = next(
+                ord_tuple[i] for i in range(lo, hi + 1) if ord_tuple[i] not in e
+            )
+            violations.append(SloViolation("S4", (e, gap)))
+
+    ordered_interior = [v for v in ord_tuple if v in interior]
+    for i, u in enumerate(ordered_interior):
+        for v in ordered_interior[i + 1 :]:
+            if G.degrees[u] > G.degrees[v]:
+                violations.append(SloViolation("S5", (u, v)))
+
+    return violations
+
+
+def consecutive_witnesses(G: Supertree, order, violations) -> list[SloViolation]:
+    """The violations whose witness pair is consecutive: adjacent in the
+    ordering for S1 and S3, adjacent children for S2, adjacent among the
+    interior vertices for S5; every S4 witness."""
+    pos = {v: i for i, v in enumerate(order)}
+    interior = [v for v in order if G.degrees[v] >= 2]
+    next_interior = dict(zip(interior, interior[1:]))
+
+    def kept(x: SloViolation) -> bool:
+        if x.rule in ("S1", "S3"):
+            return pos[x.witness[1]] == pos[x.witness[0]] + 1
+        if x.rule == "S2":
+            return pos[x.witness[2]] == pos[x.witness[3]] + 1
+        if x.rule == "S5":
+            return next_interior.get(x.witness[0]) == x.witness[1]
+        return True
+
+    return [x for x in violations if kept(x)]
 
 
 def random_supertree(rng: random.Random, k: int, m: int) -> Supertree:

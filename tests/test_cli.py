@@ -17,9 +17,11 @@ from hypothesis import strategies as hs
 
 import supertrees
 from supertrees import (
+    DegreeSequence,
     apply_vertex_permutation,
     build_supertree,
     check_slo,
+    construct_slo_supertree,
     parse_sht,
     serialize_sht,
 )
@@ -137,7 +139,7 @@ def test_slo_check_reports_violations(capsys, h7):
     code, out, _ = _run(capsys, "slo-check", h7, "--order", "1,0,2,3,4,5,6")
     assert code == 1
     lines = out.splitlines()
-    assert lines[0] == "violation rule=S1 witness=(3, 5)"
+    assert lines[0] == "violation rule=S1 witness=(4, 5)"
     assert {line.split()[1] for line in lines} == {"rule=S1", "rule=S2"}
 
 
@@ -175,6 +177,28 @@ def test_slo_find_long_path_cold_process(tmp_path):
     head, *order = proc.stdout.split()
     assert head == "order"
     assert check_slo(G, [int(v) for v in order]) == []
+
+
+def test_slo_check_reversed_order_cold_process(tmp_path):
+    # the reversed creation order of a 1,000-edge SLO-supertree breaks S1,
+    # S3 and S5 at almost every pair; one witness per consecutive pair
+    # keeps the report linear in the size of the tree
+    pi = DegreeSequence.from_degrees(2, (2,) * 333 + (3,) * 333 + (1,) * 335)
+    G, order = construct_slo_supertree(pi)
+    path = tmp_path / "slo1000.sht"
+    path.write_text(serialize_sht(G))
+    env = dict(os.environ, PYTHONPATH=str(Path(supertrees.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "supertrees.cli", "slo-check", str(path),
+         "--order", ",".join(str(v) for v in reversed(order))],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines
+    assert all(line.startswith("violation rule=S") for line in lines)
+    assert len(lines) <= 4 * G.n + G.m
 
 
 def test_slo_construct_roundtrip(capsys):

@@ -40,7 +40,7 @@ from supertrees.core import (
     _tree_centroids,
 )
 from supertrees.enumeration import _grow_classes
-from support import random_supertree, reference_code
+from support import random_supertree, reference_code, reference_depths
 
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 CHAIN9 = ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
@@ -67,8 +67,6 @@ def test_build_normalizes_edges_and_degrees():
     assert G.edges == TWO_INTERIOR
     assert G.degrees == (2, 2, 1, 1, 1, 1, 1)
     assert G.m == 3
-    assert G.adjacency[0] == (1, 2, 3, 4)
-    assert G.adjacency[6] == (1, 5)
 
 
 def test_counting_identity_holds():
@@ -190,6 +188,22 @@ def test_distance_and_levels():
         level_structure(G, 9)
     with pytest.raises(BadVertexId):
         distance(G, 0, 9)
+
+
+def test_distance_and_levels_match_vertex_graph_search():
+    rng = random.Random(2024)
+    for _ in range(40):
+        G = random_supertree(rng, rng.choice((2, 3, 4)), rng.randrange(1, 9))
+        for root in range(0, G.n, 3):
+            depth = reference_depths(G, root)
+            ls = level_structure(G, root)
+            assert list(ls.depth) == depth
+            assert ls.height == max(depth)
+            assert ls.levels == tuple(
+                tuple(v for v in range(G.n) if depth[v] == s)
+                for s in range(ls.height + 1)
+            )
+            assert [distance(G, root, v) for v in range(G.n)] == depth
 
 
 def test_every_edge_spans_two_consecutive_levels():

@@ -146,9 +146,6 @@ def test_family_spec_describe():
         FamilySpec(kind="pi", k=3, pi=pi).describe()
         == "T_pi(k=3,pi=2,2,1,1,1,1,1)"
     )
-    assert FamilySpec(kind="counts", k=3, n=9, n0=3).describe() == (
-        "T(n=9,n0=3,k=3)"
-    )
     assert FamilySpec(kind="min_degree", k=3, n=7, n0=2, d=2).describe() == (
         "T_d(n=7,n0=2,k=3,d=2)"
     )
