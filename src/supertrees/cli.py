@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--epsilon", type=float, default=None,
-        help="override the relative comparison tolerance",
+        help="override the relative comparison tolerance (finite, at least 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,6 +344,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.epsilon is not None and not 0.0 <= args.epsilon < float("inf"):
+            parser.error("argument --epsilon: expected a finite non-negative number")
     except SystemExit as exc:
         return int(exc.code or 0)
     tol = DEFAULT_TOLERANCES

@@ -310,15 +310,16 @@ def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
 #
 # The incidence tree has one node per vertex (ids 0..n-1) and one per edge
 # (ids n..n+m-1), linked by membership. Supertree isomorphism is exactly
-# label-preserving isomorphism of these bipartite trees. One encoder serves
-# every caller: it walks the incidence tree breadth-first from a root, then
+# label-preserving isomorphism of these bipartite trees. One encoder,
+# _CentroidTree, serves every caller: it finds the centroid from subtree
+# sizes seen from node 0, walks the tree breadth-first from there, and
 # bottom-up gives each node the AHU code b"v(" or b"e(", followed by the
-# sorted codes of its children, followed by b")". Rooted at the centroid
-# the root's code is a complete invariant.
+# sorted codes of its children, followed by b")". The root's code is a
+# complete invariant.
 #
-# The centroid is unique (canonical_code's minimum runs over one node): the
-# tree has km+1 nodes and every rooted subtree holds jk of them (below an
-# edge node) or jk+1 (below a vertex), so none holds exactly half. Class
+# The centroid is unique: the tree has km+1 nodes and every rooted subtree
+# holds jk of them (below an edge node) or jk+1 (below a vertex), so none
+# holds exactly half. Class
 # growth encodes each parent once, rooted at its centroid, and derives the
 # code of every child grown by one pendant edge from that encoding: the
 # child's codes change only on the path from the attachment vertex to the
@@ -326,13 +327,11 @@ def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
 
 
 def _incidence_adjacency(G: Supertree) -> list[list[int]]:
-    total = G.n + G.m
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for ei, e in enumerate(G.edges):
-        enode = G.n + ei
+    adj: list[list[int]] = [[] for _ in range(G.n)]
+    for enode, e in enumerate(G.edges, G.n):
         for v in e:
             adj[v].append(enode)
-            adj[enode].append(v)
+    adj.extend(list(e) for e in G.edges)
     return adj
 
 
@@ -360,69 +359,51 @@ def _incidence_walk(G: Supertree, root: VertexId) -> tuple[list[int], list[int]]
     return depth, parent
 
 
-def _tree_centroids(adj: list[list[int]]) -> list[int]:
-    total = len(adj)
-    order, parent = _rooted_order(adj, 0)
-    size = [1] * total
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-    best = total + 1
-    centroids: list[int] = []
-    for u in range(total):
-        heaviest = total - size[u]
-        for w in adj[u]:
-            if w != parent[u]:
-                heaviest = max(heaviest, size[w])
-        if heaviest < best:
-            best = heaviest
-            centroids = [u]
-        elif heaviest == best:
-            centroids.append(u)
-    return centroids
-
-
 def _code(u: int, n_vertices: int, children: list[bytes]) -> bytes:
     return (b"v(" if u < n_vertices else b"e(") + b"".join(children) + b")"
 
 
-def _rooted_codes(
-    adj: list[list[int]], root: int, n_vertices: int
-) -> tuple[list[bytes], list[int], list[int], list[list[bytes]]]:
-    """The code of the subtree below every node of the incidence tree rooted
-    at root, each node's parent (-1 at the root; the parent of an edge node
-    is the edge's vertex nearest the root), the breadth-first order, and
-    each node's sorted child codes."""
-    order, parent = _rooted_order(adj, root)
-    below: list[list[bytes]] = [[] for _ in adj]
-    codes = [b""] * len(adj)
-    for u in reversed(order):
-        children = below[u]
-        children.sort()
-        codes[u] = _code(u, n_vertices, children)
-        if u != root:
-            below[parent[u]].append(codes[u])
-    return codes, parent, order, below
-
-
 def canonical_code(G: Supertree) -> CanonicalCode:
     """Byte string equal for two supertrees iff they are isomorphic."""
-    adj = _incidence_adjacency(G)
-    return min(_rooted_codes(adj, c, G.n)[0][c] for c in _tree_centroids(adj))
+    return _CentroidTree(G).code
 
 
 class _CentroidTree:
-    """G's incidence tree rooted at its centroid: codes, parents, sorted
-    child codes and subtree sizes, read by orbit and child-code queries."""
+    """G's incidence tree rooted at its centroid: the root's code and every
+    node's code, parent (-1 at the root), breadth-first order, sorted child
+    codes and subtree size."""
 
     def __init__(self, G: Supertree):
         adj = _incidence_adjacency(G)
-        self.n, self.k, self.total = G.n, G.k, len(adj)
-        self.codes, self.parent, self.order, self.below = _rooted_codes(
-            adj, _tree_centroids(adj)[0], G.n
-        )
-        self.size = [1] * self.total
-        for u in reversed(self.order[1:]):
-            self.size[self.parent[u]] += self.size[u]
+        n, total = G.n, len(adj)
+        self.n, self.k, self.total = n, G.k, total
+        # subtree sizes seen from node 0; the centroid is reached by
+        # descending into the child holding more than half the nodes
+        order, parent = _rooted_order(adj, 0)
+        size = [1] * total
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        root, heavy = 0, [0]
+        while heavy:
+            root = heavy[0]
+            heavy = [w for w in adj[root] if w != parent[root] and 2 * size[w] > total]
+        order, parent = _rooted_order(adj, root)
+        below: list[list[bytes]] = [[] for _ in range(total)]
+        # a node without children is a boundary vertex
+        codes = [b"v()"] * total
+        size = [1] * total
+        for u in reversed(order[1:]):
+            kids = below[u]
+            if kids:
+                kids.sort()
+                codes[u] = _code(u, n, kids)
+            p = parent[u]
+            below[p].append(codes[u])
+            size[p] += size[u]
+        below[root].sort()
+        codes[root] = self.code = _code(root, n, below[root])
+        self.codes, self.parent, self.order = codes, parent, order
+        self.below, self.size = below, size
 
     def children(self) -> list[list[int]]:
         """Each node's children sorted by code, equal codes in breadth-first
@@ -477,7 +458,7 @@ class _CentroidTree:
         for u in path[: top + 1]:
             kids = below[u].copy()
             if old:
-                del kids[bisect.bisect_left(kids, old)]
+                kids.remove(old)
             bisect.insort(kids, new)
             old, new = codes[u], _code(u, n, kids)
         # the rest of the tree, re-rooted from the root down to the
@@ -485,7 +466,7 @@ class _CentroidTree:
         up = b""
         for i in range(len(path) - 1, top, -1):
             rest = below[path[i]].copy()
-            del rest[bisect.bisect_left(rest, codes[path[i - 1]])]
+            rest.remove(codes[path[i - 1]])
             if up:
                 bisect.insort(rest, up)
             up = _code(path[i], n, rest)
@@ -503,7 +484,7 @@ def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:
     children of matched nodes in sorted-code order.
     """
     a, b = _CentroidTree(G), _CentroidTree(H)
-    if a.codes[a.order[0]] != b.codes[b.order[0]]:
+    if a.code != b.code:
         return None
     kids_a, kids_b = a.children(), b.children()
     match = [0] * a.total

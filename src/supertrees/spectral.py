@@ -5,10 +5,12 @@ The Laplacian of a k-uniform supertree has degree on the diagonal and
 interior vertices gives the Dirichlet matrix; its smallest eigenvalue is
 positive and simple, with an eigenvector that is strictly positive on the
 interior. Eigenpairs come from LAPACK's symmetric solver (numpy.linalg.eigh)
-on that dense block; the eigenvalues of many supertrees come from one call
-on their stacked blocks.
+on that dense block. One numpy scatter builds the blocks of a whole stack of
+supertrees with equal k, n and n0; a single matrix is a stack of one, and
+first_dirichlet_eigenvalues solves each (k, n, n0) group in one eigh call.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,26 +62,38 @@ class DirichletEigenpair:
     residual: float
 
 
+def _laplacian_blocks(trees, interior: bool = True) -> np.ndarray:
+    """Stacked (B, r, r) Laplacian blocks of B supertrees with equal k, n and
+    n0, on the interior (r = n0) or on all vertices (r = n). Vertex v of tree
+    b is vertex b*n + v of their disjoint union, and a cumulative sum over the
+    picked vertices gives its row in the stack. Two edges share at most one
+    vertex, so no entry is scattered twice."""
+    k, n, B = trees[0].k, trees[0].n, len(trees)
+    flat = itertools.chain.from_iterable
+    degrees = np.fromiter(flat(G.degrees for G in trees), np.intp, B * n)
+    picked = degrees >= (2 if interior else 1)
+    row = np.cumsum(picked) - 1
+    r = (int(row[-1]) + 1) // B
+    blocks = np.zeros((B, r * r))
+    blocks[:, :: r + 1] = degrees[picked].reshape(B, r)
+    p, q = zip(*itertools.permutations(range(k), 2))
+    edges = np.fromiter(flat(flat(G.edges) for G in trees), np.intp).reshape(B, -1)
+    union = (edges + np.arange(0, B * n, n)[:, None]).reshape(-1, k)
+    src, dst = union[:, p], union[:, q]
+    both = picked[src] & picked[dst]
+    blocks.ravel()[row[src[both]] * r + row[dst[both]] % r] = -1.0 / (k - 1)
+    return blocks.reshape(B, r, r)
+
+
 def assemble_laplacian(G: Supertree) -> np.ndarray:
-    lap = np.zeros((G.n, G.n))
-    for v in range(G.n):
-        lap[v, v] = G.degrees[v]
-    w = -1.0 / (G.k - 1)
-    for e in G.edges:
-        for i in e:
-            for j in e:
-                if i != j:
-                    lap[i, j] = w
-    return lap
+    return _laplacian_blocks([G], interior=False)[0]
 
 
 def dirichlet_laplacian(G: Supertree) -> DirichletLaplacian:
     interior = tuple(v for v in range(G.n) if G.degrees[v] >= 2)
     if not interior:
         raise NoInteriorVertices("every vertex has degree one")
-    lap = assemble_laplacian(G)
-    idx = np.array(interior)
-    return DirichletLaplacian(matrix=lap[np.ix_(idx, idx)], interior=interior)
+    return DirichletLaplacian(matrix=_laplacian_blocks([G])[0], interior=interior)
 
 
 def first_dirichlet_eigenpair(
@@ -110,23 +124,26 @@ def first_dirichlet_eigenpair(
 def first_dirichlet_eigenvalues(trees) -> list[float]:
     """Smallest Dirichlet eigenvalue of each supertree, in input order.
 
-    Blocks of equal interior size are stacked into one numpy.linalg.eigh
-    call, which runs the same LAPACK driver on each block as
-    first_dirichlet_eigenpair, so each value equals its ``lam`` exactly.
+    The supertrees are grouped by (k, n, n0); each group's interior blocks
+    are built as one stack and solved in one numpy.linalg.eigh call, which
+    runs the same LAPACK driver on each block as first_dirichlet_eigenpair,
+    so each value equals its ``lam`` exactly.
 
     Raises:
         NoInteriorVertices: a supertree has no interior vertex.
     """
-    blocks = [dirichlet_laplacian(G).matrix for G in trees]
-    by_size: dict[int, list[int]] = {}
-    for i, block in enumerate(blocks):
-        by_size.setdefault(len(block), []).append(i)
-    lams = [0.0] * len(blocks)
-    for idx in by_size.values():
-        values = np.linalg.eigh(np.stack([blocks[i] for i in idx]))[0]
-        for i, lam in zip(idx, values[:, 0].tolist()):
-            lams[i] = lam
-    return lams
+    trees = list(trees)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, G in enumerate(trees):
+        n0 = G.n - G.degrees.count(1)
+        if not n0:
+            raise NoInteriorVertices("every vertex has degree one")
+        groups.setdefault((G.k, G.n, n0), []).append(i)
+    lams: dict[int, float] = {}
+    for idx in groups.values():
+        values = np.linalg.eigh(_laplacian_blocks([trees[i] for i in idx]))[0]
+        lams.update(zip(idx, values[:, 0].tolist()))
+    return [lams[i] for i in range(len(trees))]
 
 
 def rayleigh_quotient(G: Supertree, f) -> float:

@@ -12,6 +12,8 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
+
 from supertrees import (
     DEFAULT_TOLERANCES,
     DegreeSequence,
@@ -32,9 +34,9 @@ from supertrees.config import strictly_less
 from supertrees.core import (
     LevelStructure,
     VertexId,
+    _code,
     _incidence_adjacency,
-    _rooted_codes,
-    _tree_centroids,
+    _rooted_order,
 )
 from supertrees.enumeration import _grow_classes
 
@@ -108,6 +110,78 @@ def oracle_classes(k: int, n: int) -> dict[bytes, Supertree]:
     return out
 
 
+def reference_laplacian(G: Supertree) -> np.ndarray:
+    """The n x n Laplacian filled one element at a time: degree on the
+    diagonal, -1/(k-1) between vertices sharing an edge; the library
+    scatters whole stacks of blocks instead."""
+    lap = np.zeros((G.n, G.n))
+    for v in range(G.n):
+        lap[v, v] = G.degrees[v]
+    w = -1.0 / (G.k - 1)
+    for e in G.edges:
+        for i in e:
+            for j in e:
+                if i != j:
+                    lap[i, j] = w
+    return lap
+
+
+def tree_centroids(adj: list[list[int]]) -> list[int]:
+    """Every node of the tree adj whose heaviest branch is lightest, by a
+    scan of all nodes; the library descends from node 0 to the one
+    centroid instead."""
+    total = len(adj)
+    order, parent = _rooted_order(adj, 0)
+    size = [1] * total
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    best = total + 1
+    centroids: list[int] = []
+    for u in range(total):
+        heaviest = total - size[u]
+        for w in adj[u]:
+            if w != parent[u]:
+                heaviest = max(heaviest, size[w])
+        if heaviest < best:
+            best = heaviest
+            centroids = [u]
+        elif heaviest == best:
+            centroids.append(u)
+    return centroids
+
+
+def rooted_codes(
+    adj: list[list[int]], root: int, n_vertices: int
+) -> tuple[list[bytes], list[int], list[int], list[list[bytes]]]:
+    """The code of the subtree below every node of the incidence tree rooted
+    at root, each node's parent (-1 at the root), the breadth-first order,
+    and each node's sorted child codes."""
+    order, parent = _rooted_order(adj, root)
+    below: list[list[bytes]] = [[] for _ in adj]
+    codes = [b""] * len(adj)
+    for u in reversed(order):
+        children = below[u]
+        children.sort()
+        codes[u] = _code(u, n_vertices, children)
+        if u != root:
+            below[parent[u]].append(codes[u])
+    return codes, parent, order, below
+
+
+def reference_centroid_tree(G: Supertree) -> dict:
+    """The fields of core._CentroidTree by the three-pass encoder: a scan
+    for the centroid, the rooted codes, then subtree sizes in a pass of
+    their own."""
+    adj = _incidence_adjacency(G)
+    (root,) = tree_centroids(adj)
+    codes, parent, order, below = rooted_codes(adj, root, G.n)
+    size = [1] * len(adj)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    return {"codes": codes, "parent": parent, "order": order, "below": below,
+            "size": size}
+
+
 def _rooted_code(adj: list[list[int]], root: int, n_vertices: int) -> bytes:
     def code(u: int, parent: int) -> bytes:
         label = b"v" if u < n_vertices else b"e"
@@ -121,7 +195,7 @@ def reference_code(G: Supertree) -> bytes:
     """Canonical code from the recursive AHU encoder that fixed the byte
     format certificates print; recursion bounds it to small supertrees."""
     adj = _incidence_adjacency(G)
-    return min(_rooted_code(adj, c, G.n) for c in _tree_centroids(adj))
+    return min(_rooted_code(adj, c, G.n) for c in tree_centroids(adj))
 
 
 def reference_grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
@@ -158,7 +232,7 @@ def _hanging(
     swap the two subtrees.
     """
     ls = level_structure(G, root)
-    codes, parent = _rooted_codes(_incidence_adjacency(G), root, G.n)[:2]
+    codes, parent = rooted_codes(_incidence_adjacency(G), root, G.n)[:2]
     blocks: list[list[tuple]] = [[] for _ in range(ls.height + 1)]
     for ei, e in enumerate(G.edges):
         top = parent[G.n + ei]

@@ -350,6 +350,21 @@ def test_usage_errors_exit_2(capsys, star, tmp_path):
         assert "Traceback" not in err
 
 
+def test_epsilon_must_be_finite_and_non_negative(capsys):
+    argv = ["majorize", "--k", "2", "--pi", "3,3,1,1,1,1",
+            "--pi-prime", "4,2,1,1,1,1"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert "strict_decrease=true" in out
+    for value in ("nan", "-1", "inf", "-inf"):
+        code, out, err = _run(capsys, f"--epsilon={value}", *argv)
+        assert code == 2
+        assert out == ""
+        assert "argument --epsilon: expected a finite non-negative number" in err
+        assert "Traceback" not in err
+    assert _run(capsys, "--epsilon", "0", *argv)[0] == 0
+
+
 @pytest.fixture(scope="module")
 def h7_module(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "h7.sht"

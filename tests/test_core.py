@@ -37,10 +37,15 @@ from supertrees.core import (
     _CentroidTree,
     _incidence_adjacency,
     _rooted_order,
-    _tree_centroids,
 )
 from supertrees.enumeration import _grow_classes
-from support import random_supertree, reference_code, reference_depths
+from support import (
+    random_supertree,
+    reference_centroid_tree,
+    reference_code,
+    reference_depths,
+    tree_centroids,
+)
 
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 CHAIN9 = ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
@@ -284,12 +289,12 @@ def _centroid_shift(G, v) -> int:
     H = _attach_leaf(G, v)
     node = {G.n + i: H.n + H.edges.index(e) for i, e in enumerate(G.edges)}
     adj = _incidence_adjacency(H)
-    (c,) = _tree_centroids(_incidence_adjacency(G))
+    (c,) = tree_centroids(_incidence_adjacency(G))
     order, parent = _rooted_order(adj, node.get(c, c))
     depth = [0] * len(adj)
     for u in order[1:]:
         depth[u] = depth[parent[u]] + 1
-    (c_child,) = _tree_centroids(adj)
+    (c_child,) = tree_centroids(adj)
     return depth[c_child]
 
 
@@ -301,7 +306,7 @@ def test_leaf_child_codes_match_canonical_code():
         trees += [random_supertree(rng, k, rng.randrange(1, 12)) for _ in range(20)]
     for G in trees:
         # km+1 nodes and subtrees of jk or jk+1 nodes: no edge halves the tree
-        assert len(_tree_centroids(_incidence_adjacency(G))) == 1
+        assert len(tree_centroids(_incidence_adjacency(G))) == 1
         tree = _CentroidTree(G)
         for v in range(G.n):
             assert tree.leaf_child_code(v) == canonical_code(_attach_leaf(G, v))
@@ -315,6 +320,19 @@ def test_leaf_child_codes_match_canonical_code():
             assert _centroid_shift(G, far) == 1
             for v in (0, far, G.n // 2):
                 assert tree.leaf_child_code(v) == canonical_code(_attach_leaf(G, v))
+
+
+def test_centroid_tree_matches_three_pass_encoder():
+    rng = random.Random(1618)
+    for k, m in ((2, 10), (3, 6), (4, 5)):
+        for layer in _grow_classes(k, m):
+            for _, G in layer:
+                perm = list(range(G.n))
+                rng.shuffle(perm)
+                for H in (G, apply_vertex_permutation(G, perm)):
+                    tree, ref = _CentroidTree(H), reference_centroid_tree(H)
+                    assert {name: getattr(tree, name) for name in ref} == ref
+                    assert tree.code == ref["codes"][ref["order"][0]]
 
 
 def test_canonical_code_separates_classes():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -23,7 +24,8 @@ from supertrees import (
     fk2_sweep,
     rayleigh_quotient,
 )
-from support import random_boundary_zero, random_supertree
+from supertrees.enumeration import _grow_classes
+from support import random_boundary_zero, random_supertree, reference_laplacian
 
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 
@@ -155,6 +157,78 @@ def test_no_interior_vertices_raises():
         dirichlet_laplacian(single)
     with pytest.raises(NoInteriorVertices):
         first_dirichlet_eigenvalues([star(3, 2), single])
+
+
+def test_scatter_assembly_matches_reference():
+    rng = random.Random(4242)
+    trees = [
+        random_supertree(rng, k, rng.randrange(1, 9))
+        for k in range(2, 7)
+        for _ in range(20)
+    ]
+    for k, m in ((2, 10), (3, 6)):
+        trees += [G for layer in _grow_classes(k, m) for _, G in layer]
+    for G in trees:
+        lap = reference_laplacian(G)
+        assert np.array_equal(assemble_laplacian(G), lap)
+        interior = [v for v in range(G.n) if G.degrees[v] >= 2]
+        if interior:
+            dl = dirichlet_laplacian(G)
+            assert dl.interior == tuple(interior)
+            assert np.array_equal(dl.matrix, lap[np.ix_(interior, interior)])
+
+
+def _mixed_groups():
+    """Supertrees from several (k, n, n0) groups, interleaved, and the set
+    of their (k, n, n0) keys."""
+    rng = random.Random(99)
+    groups = [
+        [random_supertree(rng, 2, 6) for _ in range(40)],
+        [star(3, d) for d in (2, 3, 4)],
+        [build_supertree(3, 7, TWO_INTERIOR), star(3, 3)],
+        [random_supertree(rng, 4, 4) for _ in range(10)],
+    ]
+    trees = [G for group in itertools.zip_longest(*groups) for G in group if G]
+    keys = {(G.k, G.n, sum(d >= 2 for d in G.degrees)) for G in trees}
+    return trees, keys
+
+
+def test_eigenvalues_of_mixed_groups_in_input_order():
+    trees, keys = _mixed_groups()
+    assert len(keys) >= 5
+    assert first_dirichlet_eigenvalues(trees) == [
+        first_dirichlet_eigenpair(G).lam for G in trees
+    ]
+    single = build_supertree(3, 3, [(0, 1, 2)])
+    with pytest.raises(NoInteriorVertices):
+        first_dirichlet_eigenvalues(trees[:7] + [single] + trees[7:])
+
+
+def _count_eigh(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_one_eigh_per_group(monkeypatch):
+    trees, keys = _mixed_groups()
+    calls = _count_eigh(monkeypatch)
+    first_dirichlet_eigenvalues(trees)
+    assert len(calls) == len(keys)
+    assert sum(shape[0] for shape in calls) == len(trees)
+
+
+def test_one_eigh_per_family(monkeypatch):
+    calls = _count_eigh(monkeypatch)
+    certs = fk2_sweep(2, 10, 2)
+    assert len(calls) == len(certs)
+    assert [shape[0] for shape in calls] == [len(c.all_lambdas) for c in certs]
 
 
 def test_stacked_eigenvalues_equal_single_solves():
