@@ -5,7 +5,10 @@ in one frozen record so the CLI can override them in a single place and tests
 can state them explicitly.
 """
 
+import math
 from dataclasses import dataclass
+
+from .errors import InvalidSpec
 
 __all__ = [
     "Tolerances",
@@ -24,6 +27,11 @@ class Tolerances:
     degenerate_gap: float = 1e-9
     # absolute tie window between eigenvalues of distinct supertrees
     lambda_tie: float = 1e-10
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0.0 <= value < math.inf:
+                raise InvalidSpec(f"{name}={value} is not finite and non-negative")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -319,11 +319,12 @@ def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
 #
 # The centroid is unique: the tree has km+1 nodes and every rooted subtree
 # holds jk of them (below an edge node) or jk+1 (below a vertex), so none
-# holds exactly half. Class
-# growth encodes each parent once, rooted at its centroid, and derives the
-# code of every child grown by one pendant edge from that encoding: the
-# child's codes change only on the path from the attachment vertex to the
-# root, and its centroid lies on that path.
+# holds exactly half. Class growth encodes each parent once, rooted at its
+# centroid, and one pass over that encoding labels the automorphism orbits
+# and derives the code of the child grown by one pendant edge at the lowest
+# vertex of each orbit: the child's codes change only on the path from the
+# attachment vertex to the root, and its centroid is the root or the root's
+# child on that path.
 
 
 def _incidence_adjacency(G: Supertree) -> list[list[int]]:
@@ -415,64 +416,56 @@ class _CentroidTree:
             row.sort(key=self.codes.__getitem__)
         return kids
 
-    def orbit_representatives(self) -> list[VertexId]:
-        """The lowest vertex of every orbit of G's automorphism group,
-        ascending.
+    def leaf_children(self) -> list[tuple[CanonicalCode, VertexId]]:
+        """(canonical_code(_attach_leaf(G, v)), v) for the lowest vertex v
+        of every orbit of G's automorphism group, v ascending.
 
-        Every automorphism fixes the centroid, so the orbits are those of the
-        tree rooted there: two nodes share an orbit iff their parents do and
-        their subtree codes are equal.
-        """
-        orbit = [0] * self.total
-        ids: dict[tuple[int, bytes], int] = {}
-        for u in self.order[1:]:
-            key = (orbit[self.parent[u]], self.codes[u])
-            orbit[u] = ids.setdefault(key, len(ids) + 1)
-        lowest: dict[int, VertexId] = {}
-        for v in range(self.n):
-            lowest.setdefault(orbit[v], v)
-        return list(lowest.values())
+        Every automorphism fixes the centroid, so two nodes share an orbit
+        iff their parents do and their codes are equal. The pendant edge
+        adds k nodes below v, so only codes on the path from v to the root
+        change. The child's centroid is the root, or the root's child on
+        the path when its grown subtree holds more than half of the child.
 
-    def leaf_child_code(self, v: VertexId) -> CanonicalCode:
-        """canonical_code(_attach_leaf(G, v)), from G's encoding.
-
-        The pendant edge adds k nodes below v, so only the codes and sizes
-        on the path from v to the root change. Every subtree off that path
-        holds at most half of G, so the child's centroid is the deepest path
-        node whose grown subtree holds more than half of the child. The code
-        rooted there is the grown code of its subtree plus the code of the
-        rest of the tree, re-rooted down the path from the root.
+        It is never two steps down. A subtree holding j edges has jk nodes
+        below an edge node and jk+1 below a vertex, and each below the root
+        holds less than half of G's km+1 nodes. A centroid at x under w
+        needs x's subtree, grown by k, to exceed half of the child's km+k+1
+        nodes, while w's subtree, which holds x's (and w when it is an
+        edge node), stayed below half of G. For an edge node x holding j
+        edges that puts 2j strictly between m-1 and m; for a vertex x under
+        an edge node w holding j edges, strictly between m and m+1.
         """
         n, k, codes, below, parent, size = (
             self.n, self.k, self.codes, self.below, self.parent, self.size
         )
-        total = self.total + k
-        path = [v]
-        while parent[path[-1]] >= 0:
-            path.append(parent[path[-1]])
-        top = 0
-        while 2 * (size[path[top]] + k) < total:
-            top += 1
-        # grown codes from v up to the centroid path[top]
-        new, old = b"e(" + b"v()" * (k - 1) + b")", b""
-        for u in path[: top + 1]:
-            kids = below[u].copy()
-            if old:
-                kids.remove(old)
-            bisect.insort(kids, new)
-            old, new = codes[u], _code(u, n, kids)
-        # the rest of the tree, re-rooted from the root down to the
-        # centroid's parent
-        up = b""
-        for i in range(len(path) - 1, top, -1):
-            rest = below[path[i]].copy()
-            rest.remove(codes[path[i - 1]])
-            if up:
-                bisect.insort(rest, up)
-            up = _code(path[i], n, rest)
-        if up:
-            bisect.insort(kids, up)
-        return _code(path[top], n, kids)
+        orbit = [0] * self.total
+        ids: dict[tuple[int, bytes], int] = {}
+        for u in self.order[1:]:
+            orbit[u] = ids.setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
+        lowest: dict[int, VertexId] = {}
+        for v in range(n):
+            lowest.setdefault(orbit[v], v)
+        out = []
+        for v in lowest.values():
+            u, old, new = v, b"", b"e(" + b"v()" * (k - 1) + b")"
+            while True:
+                kids = below[u].copy()
+                if old:
+                    kids.remove(old)
+                bisect.insort(kids, new)
+                old, new = codes[u], _code(u, n, kids)
+                p = parent[u]
+                if p < 0:
+                    break
+                if parent[p] < 0 and 2 * (size[u] + k) > self.total + k:
+                    rest = below[p].copy()
+                    rest.remove(old)
+                    bisect.insort(kids, _code(p, n, rest))
+                    new = _code(u, n, kids)
+                    break
+                u = p
+            out.append((new, v))
+        return out
 
 
 def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:
@@ -493,13 +486,6 @@ def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:
         for x, y in zip(kids_a[u], kids_b[match[u]]):
             match[x] = y
     return match[: G.n]
-
-
-def _leaf_children(G: Supertree) -> list[tuple[CanonicalCode, VertexId]]:
-    """(canonical code, v) of the child _attach_leaf(G, v) for the lowest
-    vertex v of every automorphism orbit of G, v ascending."""
-    tree = _CentroidTree(G)
-    return [(tree.leaf_child_code(v), v) for v in tree.orbit_representatives()]
 
 
 def is_isomorphic(G1: Supertree, G2: Supertree) -> bool:

@@ -2,26 +2,18 @@
 
 Families come in two flavours: every supertree realizing a fixed degree
 sequence, and every supertree with prescribed size, interior count, and
-minimum interior degree. Enumeration grows trees one edge at a time from a
-single edge. Each class of one stage gets a pendant edge at the lowest
-vertex of every orbit of its automorphism group, since pendant edges at
-vertices of one orbit give isomorphic children. The children are
-deduplicated by canonical code, keeping the first labelled child of each
-class; each child's code is derived from its parent's centroid-rooted
-encoding, and only a child with a new code is built, as a supertree by
-construction that is not re-validated. Every supertree with at least two
-edges loses a leaf edge to a smaller supertree, so the growth reaches all
-classes. Each family's eigenvalues come from one stacked LAPACK call.
+minimum interior degree. Every supertree with at least two edges loses a
+leaf edge to a smaller one, so growing classes one pendant edge at a time
+from a single edge reaches them all. One pass over each parent's
+centroid-rooted encoding gives the code of the child at the lowest vertex
+of every automorphism orbit; only a child with a new code is built.
 
-A single family is grown alone, pruned at every stage by a monotone
-predicate its members satisfy. A sweep grows every class up to its size
-bound once, unpruned, buckets the classes by degree sequence or by (n, n0)
-at the minimum degree, and scores each family from its bucket.
-
-On top of the enumerators sit the extremality checks: within each family the
-SLO-supertree attains the smallest first Dirichlet eigenvalue, strictly
-below every other class, and the eigenvalue of the SLO-supertree decreases
-strictly along degree-sequence majorization.
+A single family grows alone, under a descending bound on its interior
+degrees. A sweep grows every class up to its size bound once, unbounded,
+and scores each family from its bucket of classes with one stacked
+eigensolve. The checks: within each family the SLO-supertree attains the
+smallest first Dirichlet eigenvalue, strictly below every other class, and
+that eigenvalue decreases strictly along degree-sequence majorization.
 """
 
 import math
@@ -33,7 +25,7 @@ from .core import (
     DegreeSequence,
     Supertree,
     _attach_leaf,
-    _leaf_children,
+    _CentroidTree,
     build_supertree,
     canonical_code,
 )
@@ -138,42 +130,38 @@ def feasible_degree_sequences(
     ]
 
 
-def _grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
-    """Isomorphism classes of supertrees with 1..m_target edges whose every
-    growth stage satisfies the monotone predicate keep: layer i lists the
-    classes with i + 1 edges as (canonical code, supertree), in code order."""
+def _grow_classes(k: int, m_target: int, bound=None) -> list:
+    """Isomorphism classes of supertrees with 1..m_target edges whose
+    interior degrees, sorted descending, fit pointwise under the descending
+    bound (when given): layer i lists the classes with i + 1 edges as
+    (canonical code, supertree), in code order. Degrees only rise as edges
+    are added, so every class that fits grows from classes that fit."""
     if m_target < 1:
         return []
     start = build_supertree(k, k, [tuple(range(k))])
-    layers = [[(canonical_code(start), start)] if keep(start) else []]
+    layers = [[(canonical_code(start), start)]]
     for _ in range(m_target - 1):
-        # keep reads only the degree multiset, equal across one code, so a
-        # child is built and tested only when its code is new
+        # the bound reads only the degree multiset, equal across one code,
+        # so a child is built and tested only when its code is new
         grown: dict[CanonicalCode, Supertree | None] = {}
         for _, G in layers[-1]:
-            for code, v in _leaf_children(G):
+            for code, v in _CentroidTree(G).leaf_children():
                 if code not in grown:
                     H = _attach_leaf(G, v)
-                    grown[code] = H if keep(H) else None
+                    desc = sorted((d for d in H.degrees if d >= 2), reverse=True)
+                    fits = bound is None or len(desc) <= len(bound) and all(
+                        d <= b for d, b in zip(desc, bound)
+                    )
+                    grown[code] = H if fits else None
         layers.append(sorted((code, H) for code, H in grown.items() if H is not None))
     return layers
 
 
 def _pi_classes(pi: DegreeSequence) -> list[tuple[CanonicalCode, Supertree]]:
-    target_desc = sorted(pi.interior, reverse=True)
-
-    def keep(G: Supertree) -> bool:
-        # degrees only grow, so current interiors sorted descending must fit
-        # pointwise under the target interior slots
-        cur = sorted((d for d in G.degrees if d >= 2), reverse=True)
-        return len(cur) <= pi.n0 and all(
-            c <= t for c, t in zip(cur, target_desc)
-        )
-
     want = tuple(sorted(pi.entries))
     return [
         (code, G)
-        for code, G in _grow_classes(pi.k, pi.m, keep)[-1]
+        for code, G in _grow_classes(pi.k, pi.m, pi.interior[::-1])[-1]
         if tuple(sorted(G.degrees)) == want
     ]
 
@@ -192,13 +180,8 @@ def _family_classes(
     m = (n - 1) // (k - 1)
     dm = max(2, d_min)
     cap = k * m - (n - n0) - dm * (n0 - 1)
-
-    def keep(G: Supertree) -> bool:
-        cur = [d for d in G.degrees if d >= 2]
-        return len(cur) <= n0 and all(d <= cap for d in cur)
-
     out = []
-    for code, G in _grow_classes(k, m, keep)[-1]:
+    for code, G in _grow_classes(k, m, (cap,) * n0)[-1]:
         interior = [d for d in G.degrees if d >= 2]
         if len(interior) == n0 and all(d >= dm for d in interior):
             out.append((code, G))
@@ -347,18 +330,19 @@ def fk1_sweep(
     """
     if k < 2:
         raise NotKUniform(f"edge size must be at least 2, got k={k}")
-    buckets: dict[tuple[int, ...], list] = {}
+    buckets: dict[tuple[int, int, tuple[int, ...]], list] = {}
     for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
         for code, G in layer:
-            buckets.setdefault(tuple(sorted(G.degrees)), []).append((code, G))
+            interior = tuple(sorted(d for d in G.degrees if d >= 2))
+            buckets.setdefault((G.n, len(interior), interior), []).append((code, G))
     certs = []
-    for n in range(k, n_max + 1, k - 1):
-        for n0 in range(1, n + 1):
-            for pi in feasible_degree_sequences(n, n0, k):
-                family = FamilySpec(kind="pi", k=k, pi=pi)
-                members = buckets[tuple(sorted(pi.entries))]
-                slo_tree, _ = construct_slo_supertree(pi)
-                certs.append(_score_family(family, members, slo_tree, tol))
+    for (n, n0, interior), members in sorted(buckets.items()):
+        if n0 == 0:
+            continue
+        pi = DegreeSequence(k, interior + (1,) * (n - n0), n0)
+        family = FamilySpec(kind="pi", k=k, pi=pi)
+        slo_tree, _ = construct_slo_supertree(pi)
+        certs.append(_score_family(family, members, slo_tree, tol))
     return certs
 
 

@@ -86,7 +86,8 @@ class NotAnEigenfunction(SupertreeError):
 # transformations
 
 class InvalidSpec(SupertreeError):
-    """A switch or shift spec violates its preconditions."""
+    """A switch or shift spec, or another argument such as a tolerance,
+    violates its preconditions."""
 
 
 class ResultNotSupertree(SupertreeError):

@@ -219,6 +219,21 @@ def reference_grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
     return layers
 
 
+def dominated_by(bound):
+    """A keep predicate for reference_grow_classes: at every threshold t >= 2,
+    G has no more degrees of at least t than bound has entries of at least
+    t, which says G's interior degrees, sorted descending, fit pointwise
+    under the descending bound."""
+
+    def keep(G: Supertree) -> bool:
+        return all(
+            sum(d >= t for d in G.degrees) <= sum(b >= t for b in bound)
+            for t in range(2, max(G.degrees) + 1)
+        )
+
+    return keep
+
+
 def _hanging(
     G: Supertree, root: VertexId
 ) -> tuple[LevelStructure, list[bytes], list[list[tuple]]]:

@@ -279,7 +279,7 @@ def test_orbit_representatives_match_brute_force():
     for k, m in ((2, 7), (3, 3)):
         for layer in _grow_classes(k, m):
             for _, G in layer:
-                reps = _CentroidTree(G).orbit_representatives()
+                reps = [v for _, v in _CentroidTree(G).leaf_children()]
                 assert reps == _brute_force_orbit_minima(G)
 
 
@@ -307,19 +307,33 @@ def test_leaf_child_codes_match_canonical_code():
     for G in trees:
         # km+1 nodes and subtrees of jk or jk+1 nodes: no edge halves the tree
         assert len(tree_centroids(_incidence_adjacency(G))) == 1
-        tree = _CentroidTree(G)
-        for v in range(G.n):
-            assert tree.leaf_child_code(v) == canonical_code(_attach_leaf(G, v))
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        # a relabeling starts the path update from other orbit members
+        for H in (G, apply_vertex_permutation(G, perm)):
+            for code, v in _CentroidTree(H).leaf_children():
+                assert code == canonical_code(_attach_leaf(H, v))
     # far ends of long paths and brooms: the update walks a long path to the
     # root, and the child's centroid is a node the parent's is not
     for k in (3, 4):
         for handle, bristles in ((30, 0), (31, 0), (26, 5), (30, 3)):
             G = broom(k, handle, bristles)
-            tree = _CentroidTree(G)
             far = G.n - 1 if bristles == 0 else G.edges[-1][0]
             assert _centroid_shift(G, far) == 1
-            for v in (0, far, G.n // 2):
-                assert tree.leaf_child_code(v) == canonical_code(_attach_leaf(G, v))
+            children = _CentroidTree(G).leaf_children()
+            assert any(_centroid_shift(G, v) == 1 for _, v in children)
+            for code, v in children:
+                assert code == canonical_code(_attach_leaf(G, v))
+            far_code = canonical_code(_attach_leaf(G, far))
+            assert far_code in [code for code, _ in children]
+
+
+def test_pendant_edge_moves_centroid_at_most_one_step():
+    # leaf_children re-roots at most once on this invariant
+    for k, m in ((2, 10), (3, 6), (4, 5)):
+        for layer in _grow_classes(k, m):
+            for _, G in layer:
+                assert all(_centroid_shift(G, v) <= 1 for v in range(G.n))
 
 
 def test_centroid_tree_matches_three_pass_encoder():

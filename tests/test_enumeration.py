@@ -10,9 +10,11 @@ from supertrees import (
     DEFAULT_TOLERANCES,
     DegreeSequence,
     EmptyFamily,
+    InvalidSpec,
     LengthMismatch,
     NotKUniform,
     NotMajorized,
+    Tolerances,
     canonical_code,
     construct_slo_supertree,
     enumerate_family,
@@ -29,7 +31,12 @@ from supertrees import (
 )
 from supertrees import enumeration
 from supertrees.enumeration import FamilySpec, _grow_classes
-from support import all_feasible, oracle_classes, reference_grow_classes
+from support import (
+    all_feasible,
+    dominated_by,
+    oracle_classes,
+    reference_grow_classes,
+)
 
 BOUQUET9_CODE = b"e(v(e(v()v()))v(e(v()v()))v(e(v()v())))"
 CHAIN9_CODE = b"v(e(v()v(e(v()v())))e(v()v(e(v()v()))))"
@@ -197,6 +204,15 @@ def test_margin_of_a_tied_pair_is_not_unique():
     assert abs(scored.margin) <= tie and not scored.unique
 
 
+def test_nan_tie_window_is_rejected():
+    # a NaN window would make every margin comparison false, and a
+    # one-class family would read not unique
+    pi = _seq(3, (2, 1, 1, 1, 1), 1)
+    assert verify_fk_theorem1(pi).unique
+    with pytest.raises(InvalidSpec, match="lambda_tie"):
+        verify_fk_theorem1(pi, Tolerances(lambda_tie=math.nan))
+
+
 def test_fk2_flattest_sequence_wins():
     cert = verify_fk_theorem2(7, 2, 3, 2)
     assert cert.unique and cert.slo_match and cert.passed
@@ -290,22 +306,24 @@ def test_growth_matches_reference_growth(monkeypatch):
     # the reference attaches at every vertex through build_supertree
     for k, m in ((2, 10), (3, 6), (4, 4)):
         assert _grow_classes(k, m) == reference_grow_classes(k, m)
-    kept = []
+    calls = []
 
-    def spy(k, m_target, keep=lambda G: True):
-        kept.append(keep)
-        return _grow_classes(k, m_target, keep)
+    def spy(k, m_target, bound=None):
+        calls.append((k, m_target, bound))
+        return _grow_classes(k, m_target, bound)
 
     monkeypatch.setattr(enumeration, "_grow_classes", spy)
-    for pi in (
-        _seq(2, (2, 2, 3, 3, 4) + (1,) * 6, 5),
-        _seq(3, (2, 2, 3) + (1,) * 8, 3),
-    ):
-        assert enumerate_supertrees(pi)
-        keep = kept.pop()
-        pruned = _grow_classes(pi.k, pi.m, keep)
-        assert pruned == reference_grow_classes(pi.k, pi.m, keep)
-        assert sum(map(len, pruned)) < sum(map(len, _grow_classes(pi.k, pi.m)))
+    assert enumerate_supertrees(_seq(2, (2, 2, 3, 3, 4) + (1,) * 6, 5))
+    assert enumerate_supertrees(_seq(3, (2, 2, 3) + (1,) * 8, 3))
+    assert enumerate_family(11, 4, 2, 2)
+    assert enumerate_family(13, 3, 3, 2)
+    assert [bound for *_, bound in calls] == [
+        (4, 3, 3, 2, 2), (3, 2, 2), (7, 7, 7, 7), (4, 4, 4)
+    ]
+    for k, m, bound in calls:
+        pruned = _grow_classes(k, m, bound)
+        assert pruned == reference_grow_classes(k, m, dominated_by(bound))
+        assert sum(map(len, pruned)) < sum(map(len, _grow_classes(k, m)))
 
 
 def test_majorization_monotonicity_examples():
@@ -320,6 +338,19 @@ def test_majorization_monotonicity_examples():
         verify_majorization_monotonicity(
             _seq(3, (2, 1, 1, 1, 1), 1), _seq(3, (2, 2) + (1,) * 5, 2)
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
+def test_majorization_rejects_bad_tolerances(value):
+    # a NaN slack would turn the proven decrease of this pair into False
+    steep, flat = _seq(2, (3, 3) + (1,) * 4, 2), _seq(2, (2, 4) + (1,) * 4, 2)
+    assert verify_majorization_monotonicity(steep, flat) is True
+    for name in ("rel_eps", "degenerate_gap", "lambda_tie"):
+        with pytest.raises(InvalidSpec, match=name):
+            verify_majorization_monotonicity(steep, flat, Tolerances(**{name: value}))
+    assert verify_majorization_monotonicity(
+        steep, flat, Tolerances(rel_eps=0.0, degenerate_gap=0.0, lambda_tie=0.0)
+    )
 
 
 def test_majorization_monotonicity_along_chain():
