@@ -1,5 +1,10 @@
 """k-uniform supertrees with boundary: Dirichlet spectra, spiral-like
-orderings, structure rewiring, and exhaustive Faber-Krahn verification."""
+orderings, structure rewiring, and exhaustive Faber-Krahn verification.
+
+Only ``spectral`` imports numpy, and the package imports it on the first
+lookup of one of its names (PEP 562), so the rest starts without numpy."""
+
+import importlib
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import (
@@ -63,15 +68,6 @@ from .slo import (
     relabel,
     relabel_ordering,
 )
-from .spectral import (
-    DirichletEigenpair,
-    DirichletLaplacian,
-    assemble_laplacian,
-    dirichlet_laplacian,
-    first_dirichlet_eigenpair,
-    first_dirichlet_eigenvalues,
-    rayleigh_quotient,
-)
 from .transforms import (
     HypothesisCheck,
     ShiftSpec,
@@ -87,6 +83,24 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
+_SPECTRAL = ("DirichletEigenpair", "DirichletLaplacian", "assemble_laplacian",
+             "dirichlet_laplacian", "first_dirichlet_eigenpair",
+             "first_dirichlet_eigenvalues", "rayleigh_quotient")
+
+
+def __getattr__(name: str):
+    if name != "spectral" and name not in _SPECTRAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # stored, so that later lookups are plain global reads
+    module = importlib.import_module(".spectral", __name__)
+    globals()[name] = value = module if name == "spectral" else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SPECTRAL))
+
+
 __all__ = [
     "BadVertexId",
     "BoundaryPartition",
@@ -95,8 +109,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "DegreeSequence",
     "DegreeTooSmall",
-    "DirichletEigenpair",
-    "DirichletLaplacian",
     "Disconnected",
     "DuplicateEdge",
     "EdgeOverlapTooLarge",
@@ -128,7 +140,6 @@ __all__ = [
     "apply_shift",
     "apply_switch",
     "apply_vertex_permutation",
-    "assemble_laplacian",
     "boundary_partition",
     "build_supertree",
     "canonical_code",
@@ -137,21 +148,17 @@ __all__ = [
     "check_switch_hypothesis",
     "construct_slo_supertree",
     "degree_sequence",
-    "dirichlet_laplacian",
     "distance",
     "enumerate_family",
     "enumerate_supertrees",
     "feasible_degree_sequences",
     "find_slo_ordering",
-    "first_dirichlet_eigenpair",
-    "first_dirichlet_eigenvalues",
     "fk1_sweep",
     "fk2_sweep",
     "is_isomorphic",
     "level_structure",
     "majorizes",
     "parse_sht",
-    "rayleigh_quotient",
     "relabel",
     "relabel_ordering",
     "serialize_sht",
@@ -160,4 +167,5 @@ __all__ = [
     "verify_fk_theorem1",
     "verify_fk_theorem2",
     "verify_majorization_monotonicity",
+    *_SPECTRAL,
 ]

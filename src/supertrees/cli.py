@@ -24,7 +24,6 @@ from .enumeration import (
 )
 from .errors import InvalidSpec, SupertreeError
 from .slo import check_slo, construct_slo_supertree, find_slo_ordering, relabel
-from .spectral import first_dirichlet_eigenpair
 from .transforms import (
     ShiftSpec,
     SwitchSpec,
@@ -79,9 +78,14 @@ def _cmd_validate(args, tol: Tolerances) -> int:
     return 0
 
 
-def _cmd_eigen(args, tol: Tolerances) -> int:
+def _eigenpair(args, tol: Tolerances):
+    from .spectral import first_dirichlet_eigenpair  # loads numpy
     G = _load(args.file)
-    pair = first_dirichlet_eigenpair(G, tol)
+    return G, first_dirichlet_eigenpair(G, tol)
+
+
+def _cmd_eigen(args, tol: Tolerances) -> int:
+    G, pair = _eigenpair(args, tol)
     print(f"lambda={_fmt(pair.lam)}")
     print(f"gap={_fmt(pair.gap)}")
     print(f"degenerate={_tf(pair.degenerate)}")
@@ -123,8 +127,7 @@ def _cmd_slo_construct(args, tol: Tolerances) -> int:
 
 
 def _cmd_relabel(args, tol: Tolerances) -> int:
-    G = _load(args.file)
-    pair = first_dirichlet_eigenpair(G, tol)
+    G, pair = _eigenpair(args, tol)
     labels = relabel(G, pair.f, tol)
     rows = [
         [str(v), str(s), str(i), str(p), _fmt(float(pair.f[v]))]

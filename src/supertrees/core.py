@@ -279,6 +279,18 @@ def degree_sequence(G: Supertree) -> DegreeSequence:
     return DegreeSequence.from_degrees(G.k, G.degrees)
 
 
+def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
+    """f, a flat sequence of G.n reals or a numpy array of them, as a list of
+    floats; error for a scalar, a nested or a wrong-length f."""
+    fs = f.tolist() if hasattr(f, "tolist") else f
+    if not hasattr(fs, "__len__") or any(isinstance(x, (list, tuple)) for x in fs):
+        raise error(f"expected {G.n} function values, got a {type(f).__name__}")
+    fs = [float(x) for x in fs]
+    if len(fs) != G.n:
+        raise error(f"expected {G.n} function values, got {len(fs)}")
+    return fs
+
+
 def distance(G: Supertree, u: VertexId, v: VertexId) -> int:
     """Minimum number of edges on a connecting path."""
     if not (0 <= u < G.n and 0 <= v < G.n):
@@ -377,7 +389,7 @@ class _CentroidTree:
     def __init__(self, G: Supertree):
         adj = _incidence_adjacency(G)
         n, total = G.n, len(adj)
-        self.n, self.k, self.total = n, G.k, total
+        self.n, self.k, self.total, self.degrees = n, G.k, total, G.degrees
         # subtree sizes seen from node 0; the centroid is reached by
         # descending into the child holding more than half the nodes
         order, parent = _rooted_order(adj, 0)
@@ -416,9 +428,10 @@ class _CentroidTree:
             row.sort(key=self.codes.__getitem__)
         return kids
 
-    def leaf_children(self) -> list[tuple[CanonicalCode, VertexId]]:
+    def leaf_children(self, degrees=None) -> list[tuple[CanonicalCode, VertexId]]:
         """(canonical_code(_attach_leaf(G, v)), v) for the lowest vertex v
-        of every orbit of G's automorphism group, v ascending.
+        of every orbit of G's automorphism group, v ascending; when degrees
+        is given, only of the orbits whose vertices have a degree in it.
 
         Every automorphism fixes the centroid, so two nodes share an orbit
         iff their parents do and their codes are equal. The pendant edge
@@ -444,7 +457,8 @@ class _CentroidTree:
             orbit[u] = ids.setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
         lowest: dict[int, VertexId] = {}
         for v in range(n):
-            lowest.setdefault(orbit[v], v)
+            if degrees is None or self.degrees[v] in degrees:
+                lowest.setdefault(orbit[v], v)
         out = []
         for v in lowest.values():
             u, old, new = v, b"", b"e(" + b"v()" * (k - 1) + b")"

@@ -31,7 +31,6 @@ from .core import (
 )
 from .errors import EmptyFamily, NotKUniform, NotMajorized
 from .slo import construct_slo_supertree
-from .spectral import first_dirichlet_eigenvalues
 from .transforms import unit_transform_chain
 
 __all__ = [
@@ -141,20 +140,22 @@ def _grow_classes(k: int, m_target: int, bound=None) -> list:
     start = build_supertree(k, k, [tuple(range(k))])
     layers = [[(canonical_code(start), start)]]
     for _ in range(m_target - 1):
-        # the bound reads only the degree multiset, equal across one code,
-        # so a child is built and tested only when its code is new
-        grown: dict[CanonicalCode, Supertree | None] = {}
+        grown: dict[CanonicalCode, Supertree] = {}
         for _, G in layers[-1]:
-            for code, v in _CentroidTree(G).leaf_children():
+            fits = None if bound is None else _raisable(G.degrees, bound)
+            for code, v in _CentroidTree(G).leaf_children(fits):
                 if code not in grown:
-                    H = _attach_leaf(G, v)
-                    desc = sorted((d for d in H.degrees if d >= 2), reverse=True)
-                    fits = bound is None or len(desc) <= len(bound) and all(
-                        d <= b for d, b in zip(desc, bound)
-                    )
-                    grown[code] = H if fits else None
-        layers.append(sorted((code, H) for code, H in grown.items() if H is not None))
+                    grown[code] = _attach_leaf(G, v)
+        layers.append(sorted(grown.items()))
     return layers
+
+
+def _raisable(degrees, bound) -> set[int]:
+    """Degrees d at which a pendant edge keeps fitting interior degrees under
+    bound: sorted descending, the first d (new last for d = 1) becomes d + 1."""
+    desc = sorted((d for d in degrees if d >= 2), reverse=True)
+    at = {d: desc.index(d) if d >= 2 else len(desc) for d in set(degrees)}
+    return {d for d, i in at.items() if i < len(bound) and d + 1 <= bound[i]}
 
 
 def _pi_classes(pi: DegreeSequence) -> list[tuple[CanonicalCode, Supertree]]:
@@ -212,6 +213,7 @@ def _score_family(
     slo_tree: Supertree,
     tol: Tolerances,
 ) -> FkCertificate:
+    from .spectral import first_dirichlet_eigenvalues  # loads numpy
     slo_code = canonical_code(slo_tree)
     lams = first_dirichlet_eigenvalues([G for _, G in members])
     rows = sorted(
@@ -289,6 +291,7 @@ def _majorization_lambdas(
     pi: DegreeSequence, pi_prime: DegreeSequence, tol: Tolerances
 ) -> tuple[float, float, bool]:
     """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
+    from .spectral import first_dirichlet_eigenvalues
     if pi.entries == pi_prime.entries:
         raise NotMajorized("the sequences are equal; no strict comparison")
     unit_transform_chain(pi, pi_prime)

@@ -21,8 +21,6 @@ first Dirichlet eigenfunction.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import (
     DegreeSequence,
@@ -30,6 +28,7 @@ from .core import (
     VertexId,
     _incidence_walk,
     _isomorphism,
+    _vertex_values,
     boundary_partition,
     build_supertree,
     degree_sequence,
@@ -212,9 +211,7 @@ def relabel(
     Raises:
         NotAnEigenfunction: f is not positive interior / zero boundary.
     """
-    fs = np.asarray(f, dtype=float)
-    if fs.shape != (G.n,):
-        raise NotAnEigenfunction(f"expected {G.n} values, got shape {fs.shape}")
+    fs = _vertex_values(G, f, NotAnEigenfunction)
     part = boundary_partition(G)
     for v in part.boundary:
         if abs(fs[v]) > 1e-12:
@@ -244,7 +241,8 @@ def relabel(
         blocks = blocks_at[lvl]
 
         def group_sum(block):
-            return float(sum(fs[v] for v in block[1]))
+            # Python floats: from 3.12 sum() compensates rounding, numpy's did not
+            return sum(fs[v] for v in block[1])
 
         def group_tiebreak(block):
             top, members = block
@@ -254,7 +252,7 @@ def relabel(
         ordered = _ranked(blocks, group_sum, group_tiebreak, tol)
         for gi, (_, members) in enumerate(ordered, start=1):
             arranged = _ranked(
-                list(members), lambda v: float(fs[v]), lambda v: v, tol
+                list(members), fs.__getitem__, lambda v: v, tol
             )
             for pp, v in enumerate(arranged, start=1):
                 labels[v] = (lvl, gi, pp)

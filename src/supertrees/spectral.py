@@ -1,13 +1,13 @@
 """Laplacian assembly and first Dirichlet eigenpairs.
 
 The Laplacian of a k-uniform supertree has degree on the diagonal and
--1/(k-1) between adjacent vertices. Restricting rows and columns to the
-interior vertices gives the Dirichlet matrix; its smallest eigenvalue is
-positive and simple, with an eigenvector that is strictly positive on the
-interior. Eigenpairs come from LAPACK's symmetric solver (numpy.linalg.eigh)
-on that dense block. One numpy scatter builds the blocks of a whole stack of
-supertrees with equal k, n and n0; a single matrix is a stack of one, and
-first_dirichlet_eigenvalues solves each (k, n, n0) group in one eigh call.
+-1/(k-1) between adjacent vertices; restricted to the interior it is the
+Dirichlet matrix, whose smallest eigenvalue is simple and positive, with an
+eigenvector positive on the interior. LAPACK (numpy.linalg.eigh) solves that
+dense block, and one numpy scatter builds the blocks of a stack of supertrees
+with equal k, n and n0; first_dirichlet_eigenvalues solves each such group in
+one eigh call. Only this module imports numpy; the package, the CLI and
+enumeration import it on first use, so the rest runs without numpy.
 """
 
 import itertools

@@ -14,10 +14,8 @@ transformations, built greedily here.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULT_TOLERANCES, Tolerances, at_least, at_most, strictly_less
-from .core import DegreeSequence, Supertree, VertexId, build_supertree
+from .core import DegreeSequence, Supertree, VertexId, _vertex_values, build_supertree
 from .errors import (
     DegreeTooSmall,
     IndexOutOfRange,
@@ -123,9 +121,7 @@ def check_switch_hypothesis(
     the two inequalities strict beyond tolerance.
     """
     _validate_switch(G, spec)
-    fs = np.asarray(f, dtype=float)
-    if fs.shape != (G.n,):
-        raise InvalidSpec(f"expected {G.n} function values, got shape {fs.shape}")
+    fs = _vertex_values(G, f, InvalidSpec)
     su1 = float(sum(fs[v] for v in spec.u1))
     sv1 = float(sum(fs[v] for v in spec.v1))
     rest1 = float(sum(fs[v] for v in spec.e1 if v not in spec.u1))
@@ -190,17 +186,15 @@ def check_shift_hypothesis(
     beyond tolerance.
     """
     _validate_shift(G, spec)
-    fs = np.asarray(f, dtype=float)
-    if fs.shape != (G.n,):
-        raise InvalidSpec(f"expected {G.n} function values, got shape {fs.shape}")
-    fu, fv = float(fs[spec.u]), float(fs[spec.v])
+    fs = _vertex_values(G, f, InvalidSpec)
+    fu, fv = fs[spec.u], fs[spec.v]
     others = {w for e in spec.edges for w in e} - {spec.u}
     weak = at_least(fu, fv, tol) and all(
-        at_least(fv, float(fs[w]), tol) for w in others
+        at_least(fv, fs[w], tol) for w in others
     )
     strict = weak and (
         strictly_less(fv, fu, tol)
-        or any(strictly_less(float(fs[w]), fv, tol) for w in others)
+        or any(strictly_less(fs[w], fv, tol) for w in others)
     )
     return HypothesisCheck(weak=weak, strict=strict)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import random
 import shutil
@@ -199,6 +200,86 @@ def test_slo_check_reversed_order_cold_process(tmp_path):
     assert lines
     assert all(line.startswith("violation rule=S") for line in lines)
     assert len(lines) <= 4 * G.n + G.m
+
+
+def _cold_python(script: str, *args: str) -> dict:
+    """Run script in a fresh interpreter and parse the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=str(Path(supertrees.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+COLD_CLI = """
+import contextlib, io, json, sys
+import supertrees
+loaded = ["numpy" in sys.modules]
+import supertrees.cli
+loaded.append("numpy" in sys.modules)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = supertrees.cli.main(argv)
+    runs.append([code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def test_numpy_loads_only_for_eigenproblems(capsys, h7):
+    combinatorial = [
+        ["validate", h7],
+        ["slo-check", h7, "--order", "0,1,2,3,4,5,6"],
+        ["slo-find", h7],
+        ["slo-construct", "--k", "3", "--pi", "2,2,1,1,1,1,1"],
+        ["switch", h7, "--e1", "1", "--e2", "0", "--u1", "3", "--v1", "1"],
+        ["shift", h7, "--u", "1", "--edges", "2", "--v", "3"],
+        ["unit", "--k", "3", "--pi", "3,3,1,1,1,1,1,1,1,1,1", "--p", "0"],
+        ["enumerate", "--k", "3", "--pi", "2,2,2,1,1,1,1,1,1"],
+    ]
+    spectral = [
+        ["eigen", h7],
+        ["relabel", h7],
+        ["verify-fk1", "--k", "3", "--pi", "2,2,2,1,1,1,1,1,1"],
+        ["verify-fk2", "--n", "9", "--n0", "3", "--k", "3", "--d", "2"],
+        ["majorize", "--k", "3", "--pi", "3,3,1,1,1,1,1,1,1,1,1",
+         "--pi-prime", "2,4,1,1,1,1,1,1,1,1,1"],
+    ]
+    cold = _cold_python(COLD_CLI, json.dumps(combinatorial + spectral))
+    assert cold["loaded"] == [False, False]
+    runs = cold["runs"]
+    assert [run[2] for run in runs[: len(combinatorial)]] == [False] * len(combinatorial)
+    assert all(run[2] for run in runs[len(combinatorial):])
+    # a cold process that loads numpy on demand prints what this one does
+    for argv, (code, out, _) in zip(combinatorial + spectral, runs):
+        assert _run(capsys, *argv)[:2] == (code, out)
+    assert all(code == 0 for code, _, _ in runs)
+
+
+COLD_SURFACE = """
+import json
+import supertrees
+names = list(supertrees.__all__)
+listed = set(names) <= set(dir(supertrees))
+before = "first_dirichlet_eigenpair" in vars(supertrees)
+first = supertrees.first_dirichlet_eigenpair
+cached = vars(supertrees).get("first_dirichlet_eigenpair") is first
+same = first is supertrees.spectral.first_dirichlet_eigenpair
+star = {}
+exec("from supertrees import *", star)
+print(json.dumps({"listed": listed, "before": before, "cached": cached,
+                  "same": same, "unbound": [n for n in names if n not in star]}))
+"""
+
+
+def test_package_surface_binds_spectral_names_on_first_lookup():
+    cold = _cold_python(COLD_SURFACE)
+    assert cold == {"listed": True, "before": False, "cached": True,
+                    "same": True, "unbound": []}
+    with pytest.raises(AttributeError):
+        supertrees.no_such_name
 
 
 def test_slo_construct_roundtrip(capsys):

@@ -26,6 +26,7 @@ from supertrees.enumeration import _grow_classes
 from support import (
     all_feasible,
     consecutive_witnesses,
+    random_supertree,
     reference_check_slo,
     reference_depths,
     reference_find_slo_ordering,
@@ -303,5 +304,31 @@ def test_relabel_rejects_non_eigenfunctions():
 
 
 def test_relabel_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        relabel(two_interior(), [1.0] * 6)
+    G = two_interior()
+    f = first_dirichlet_eigenpair(G).f
+    # a non-numeric entry raises what float() raises, as numpy's coercion did
+    for bad, error in (
+        ([1.0] * 6, NotAnEigenfunction),
+        (np.append(f, 0.0), NotAnEigenfunction),
+        (f.reshape(-1, 1), NotAnEigenfunction),
+        (f.reshape(1, -1), NotAnEigenfunction),
+        ([[x] for x in f], NotAnEigenfunction),
+        (1.0, NotAnEigenfunction),
+        (np.float64(1.0), NotAnEigenfunction),
+        (["a"] * 7, ValueError),
+        ([object()] * 7, TypeError),
+        ([1j] * 7, TypeError),
+    ):
+        with pytest.raises(error) as info:
+            relabel(G, bad)
+        assert type(info.value) is error
+
+
+def test_relabel_reads_lists_tuples_and_arrays_alike():
+    rng = random.Random(400)
+    for i in range(400):
+        G = random_supertree(rng, 2 + i % 4, rng.randint(2, 14))
+        f = first_dirichlet_eigenpair(G).f
+        labels = relabel(G, f)
+        assert relabel(G, f.tolist()) == labels
+        assert relabel(G, tuple(f)) == labels

@@ -58,6 +58,45 @@ def _seq(k, degrees):
 # ---------------------------------------------------------------- switching
 
 
+def test_hypothesis_checks_read_lists_tuples_and_arrays_alike():
+    rng = random.Random(401)
+    for i in range(200):
+        G = random_supertree(rng, 2 + i % 4, rng.randint(2, 14))
+        f = first_dirichlet_eigenpair(G).f
+        specs = [random_switch_spec(rng, G)]
+        shift = random_shift_spec(rng, G)
+        for spec in specs + ([shift] if shift else []):
+            check = (
+                check_switch_hypothesis
+                if isinstance(spec, SwitchSpec)
+                else check_shift_hypothesis
+            )
+            want = check(G, f, spec)
+            assert check(G, f.tolist(), spec) == want
+            assert check(G, tuple(f), spec) == want
+
+
+def test_hypothesis_checks_reject_malformed_functions():
+    G = _tree(3, 7, H_EDGES)
+    f = first_dirichlet_eigenpair(G).f
+    switch = SwitchSpec((0, 3, 4), (0, 1, 2), frozenset({3}), frozenset({1}))
+    shift = ShiftSpec(u=1, edges=((1, 5, 6),), v=3)
+    for bad, error in (
+        ([0.0] * 6, InvalidSpec),
+        (f.reshape(-1, 1), InvalidSpec),
+        (1.0, InvalidSpec),
+        (["a"] * 7, ValueError),
+        ([object()] * 7, TypeError),
+    ):
+        for check, spec in (
+            (check_switch_hypothesis, switch),
+            (check_shift_hypothesis, shift),
+        ):
+            with pytest.raises(error) as info:
+                check(G, bad, spec)
+            assert type(info.value) is error
+
+
 def test_switch_identity_is_noop():
     G = _tree(3, 7, H_EDGES)
     spec = SwitchSpec(e1=(0, 3, 4), e2=(0, 1, 2), u1=frozenset(), v1=frozenset())
