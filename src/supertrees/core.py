@@ -335,8 +335,8 @@ def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
 # centroid, and one pass over that encoding labels the automorphism orbits
 # and derives the code of the child grown by one pendant edge at the lowest
 # vertex of each orbit: the child's codes change only on the path from the
-# attachment vertex to the root, and its centroid is the root or the root's
-# child on that path.
+# attachment vertex to the root, and its centroid, where growth starts the
+# child's encoding, is the root or the root's child on that path.
 
 
 def _incidence_adjacency(G: Supertree) -> list[list[int]]:
@@ -384,22 +384,21 @@ def canonical_code(G: Supertree) -> CanonicalCode:
 class _CentroidTree:
     """G's incidence tree rooted at its centroid: the root's code and every
     node's code, parent (-1 at the root), breadth-first order, sorted child
-    codes and subtree size."""
+    codes and subtree size. Class growth passes the centroid as root; for
+    other callers it is found from subtree sizes seen from node 0."""
 
-    def __init__(self, G: Supertree):
+    def __init__(self, G: Supertree, root: int | None = None):
         adj = _incidence_adjacency(G)
         n, total = G.n, len(adj)
         self.n, self.k, self.total, self.degrees = n, G.k, total, G.degrees
-        # subtree sizes seen from node 0; the centroid is reached by
-        # descending into the child holding more than half the nodes
-        order, parent = _rooted_order(adj, 0)
-        size = [1] * total
-        for u in reversed(order[1:]):
-            size[parent[u]] += size[u]
-        root, heavy = 0, [0]
-        while heavy:
-            root = heavy[0]
-            heavy = [w for w in adj[root] if w != parent[root] and 2 * size[w] > total]
+        if root is None:
+            # the nodes whose subtree seen from node 0 holds more than half
+            # the tree form a path down from node 0; it ends at the centroid
+            order, parent = _rooted_order(adj, 0)
+            size = [1] * total
+            for u in reversed(order[1:]):
+                size[parent[u]] += size[u]
+            root = [u for u in order if 2 * size[u] > total][-1]
         order, parent = _rooted_order(adj, root)
         below: list[list[bytes]] = [[] for _ in range(total)]
         # a node without children is a boundary vertex
@@ -428,15 +427,16 @@ class _CentroidTree:
             row.sort(key=self.codes.__getitem__)
         return kids
 
-    def leaf_children(self, degrees=None) -> list[tuple[CanonicalCode, VertexId]]:
-        """(canonical_code(_attach_leaf(G, v)), v) for the lowest vertex v
-        of every orbit of G's automorphism group, v ascending; when degrees
-        is given, only of the orbits whose vertices have a degree in it.
+    def leaf_children(self, degrees=None) -> list[tuple[CanonicalCode, VertexId, int]]:
+        """(canonical_code(_attach_leaf(G, v)), v, c) for the lowest vertex v
+        of every orbit of G's automorphism group, v ascending, with c the
+        child's centroid as a node of G's incidence tree; when degrees is
+        given, only of the orbits whose vertices have a degree in it.
 
         Every automorphism fixes the centroid, so two nodes share an orbit
         iff their parents do and their codes are equal. The pendant edge
         adds k nodes below v, so only codes on the path from v to the root
-        change. The child's centroid is the root, or the root's child on
+        change. The child's centroid c is the root, or the root's child on
         the path when its grown subtree holds more than half of the child.
 
         It is never two steps down. A subtree holding j edges has jk nodes
@@ -478,7 +478,7 @@ class _CentroidTree:
                     new = _code(u, n, kids)
                     break
                 u = p
-            out.append((new, v))
+            out.append((new, v, u))
         return out
 
 

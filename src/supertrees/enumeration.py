@@ -16,6 +16,7 @@ smallest first Dirichlet eigenvalue, strictly below every other class, and
 that eigenvalue decreases strictly along degree-sequence majorization.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -134,19 +135,26 @@ def _grow_classes(k: int, m_target: int, bound=None) -> list:
     interior degrees, sorted descending, fit pointwise under the descending
     bound (when given): layer i lists the classes with i + 1 edges as
     (canonical code, supertree), in code order. Degrees only rise as edges
-    are added, so every class that fits grows from classes that fit."""
+    are added, so every class that fits grows from classes that fit. A kept
+    child H's encoding starts at the centroid its parent's pass found: a
+    vertex keeps its id, and edge e's node becomes H.n + H.edges.index(e)."""
     if m_target < 1:
         return []
     start = build_supertree(k, k, [tuple(range(k))])
-    layers = [[(canonical_code(start), start)]]
+    layers, roots = [[(canonical_code(start), start)]], [None]
     for _ in range(m_target - 1):
         grown: dict[CanonicalCode, Supertree] = {}
-        for _, G in layers[-1]:
+        centroid: dict[CanonicalCode, int] = {}
+        for (_, G), root in zip(layers[-1], roots):
             fits = None if bound is None else _raisable(G.degrees, bound)
-            for code, v in _CentroidTree(G).leaf_children(fits):
+            for code, v, c in _CentroidTree(G, root).leaf_children(fits):
                 if code not in grown:
-                    grown[code] = _attach_leaf(G, v)
+                    H = grown[code] = _attach_leaf(G, v)
+                    if c >= G.n:
+                        c = H.n + bisect.bisect_left(H.edges, G.edges[c - G.n])
+                    centroid[code] = c
         layers.append(sorted(grown.items()))
+        roots = [centroid[code] for code, _ in layers[-1]]
     return layers
 
 

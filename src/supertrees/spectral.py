@@ -4,10 +4,11 @@ The Laplacian of a k-uniform supertree has degree on the diagonal and
 -1/(k-1) between adjacent vertices; restricted to the interior it is the
 Dirichlet matrix, whose smallest eigenvalue is simple and positive, with an
 eigenvector positive on the interior. LAPACK (numpy.linalg.eigh) solves that
-dense block, and one numpy scatter builds the blocks of a stack of supertrees
-with equal k, n and n0; first_dirichlet_eigenvalues solves each such group in
-one eigh call. Only this module imports numpy; the package, the CLI and
-enumeration import it on first use, so the rest runs without numpy.
+dense block. One numpy scatter builds the blocks of a stack of supertrees
+with equal k, n and n0: first_dirichlet_eigenvalues solves each such group in
+one eigh call, and first_dirichlet_eigenpair solves a stack of one. Only this
+module imports numpy; the package, the CLI and enumeration import it on
+first use, so the rest runs without numpy.
 """
 
 import itertools
@@ -62,23 +63,32 @@ class DirichletEigenpair:
     residual: float
 
 
+_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _laplacian_blocks(trees, interior: bool = True) -> np.ndarray:
     """Stacked (B, r, r) Laplacian blocks of B supertrees with equal k, n and
     n0, on the interior (r = n0) or on all vertices (r = n). Vertex v of tree
     b is vertex b*n + v of their disjoint union, and a cumulative sum over the
     picked vertices gives its row in the stack. Two edges share at most one
-    vertex, so no entry is scattered twice."""
+    vertex, so no entry is scattered twice. _PAIRS keeps each k's ordered
+    member pairs of an edge. An empty interior raises NoInteriorVertices."""
     k, n, B = trees[0].k, trees[0].n, len(trees)
     flat = itertools.chain.from_iterable
     degrees = np.fromiter(flat(G.degrees for G in trees), np.intp, B * n)
     picked = degrees >= (2 if interior else 1)
     row = np.cumsum(picked) - 1
     r = (int(row[-1]) + 1) // B
+    if not r:
+        raise NoInteriorVertices("every vertex has degree one")
     blocks = np.zeros((B, r * r))
     blocks[:, :: r + 1] = degrees[picked].reshape(B, r)
-    p, q = zip(*itertools.permutations(range(k), 2))
-    edges = np.fromiter(flat(flat(G.edges) for G in trees), np.intp).reshape(B, -1)
-    union = (edges + np.arange(0, B * n, n)[:, None]).reshape(-1, k)
+    if k not in _PAIRS:
+        _PAIRS[k] = tuple(map(np.array, zip(*itertools.permutations(range(k), 2))))
+    p, q = _PAIRS[k]
+    union = np.fromiter(flat(flat(G.edges) for G in trees), np.intp).reshape(-1, k)
+    if B > 1:
+        union = (union.reshape(B, -1) + np.arange(0, B * n, n)[:, None]).reshape(-1, k)
     src, dst = union[:, p], union[:, q]
     both = picked[src] & picked[dst]
     blocks.ravel()[row[src[both]] * r + row[dst[both]] % r] = -1.0 / (k - 1)
@@ -90,10 +100,9 @@ def assemble_laplacian(G: Supertree) -> np.ndarray:
 
 
 def dirichlet_laplacian(G: Supertree) -> DirichletLaplacian:
+    matrix = _laplacian_blocks([G])[0]
     interior = tuple(v for v in range(G.n) if G.degrees[v] >= 2)
-    if not interior:
-        raise NoInteriorVertices("every vertex has degree one")
-    return DirichletLaplacian(matrix=_laplacian_blocks([G])[0], interior=interior)
+    return DirichletLaplacian(matrix=matrix, interior=interior)
 
 
 def first_dirichlet_eigenpair(
@@ -104,21 +113,21 @@ def first_dirichlet_eigenpair(
     The eigenfunction sign is fixed so its largest-magnitude entry is
     positive, which makes it positive throughout the interior.
     """
-    dl = dirichlet_laplacian(G)
-    values, vectors = np.linalg.eigh(dl.matrix)
+    M = _laplacian_blocks([G])[0]
+    values, vectors = np.linalg.eigh(M)
     lam = float(values[0])
     x = vectors[:, 0].copy()
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
-    x /= np.linalg.norm(x)
+    # math.sqrt(x @ x) is what np.linalg.norm computes for a real 1-D x
+    x /= math.sqrt(x @ x)
     f = np.zeros(G.n)
-    f[list(dl.interior)] = x
+    f[np.fromiter(G.degrees, np.intp, G.n) >= 2] = x
     gap = float(values[1] - values[0]) if len(values) > 1 else math.inf
-    residual = float(np.linalg.norm(dl.matrix @ x - lam * x))
+    r = M @ x - lam * x
+    residual = math.sqrt(r @ r)
     degenerate = gap <= tol.degenerate_gap * max(1.0, lam)
-    return DirichletEigenpair(
-        lam=lam, f=f, gap=gap, degenerate=degenerate, residual=residual
-    )
+    return DirichletEigenpair(lam, f, gap, degenerate, residual)
 
 
 def first_dirichlet_eigenvalues(trees) -> list[float]:
@@ -135,10 +144,7 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
     trees = list(trees)
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, G in enumerate(trees):
-        n0 = G.n - G.degrees.count(1)
-        if not n0:
-            raise NoInteriorVertices("every vertex has degree one")
-        groups.setdefault((G.k, G.n, n0), []).append(i)
+        groups.setdefault((G.k, G.n, G.degrees.count(1)), []).append(i)
     lams: dict[int, float] = {}
     for idx in groups.values():
         values = np.linalg.eigh(_laplacian_blocks([trees[i] for i in idx]))[0]

@@ -9,6 +9,7 @@ between the two is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -22,11 +23,13 @@ from supertrees import (
     SloViolation,
     Supertree,
     SwitchSpec,
+    Tolerances,
     apply_vertex_permutation,
     boundary_partition,
     build_supertree,
     canonical_code,
     check_slo,
+    dirichlet_laplacian,
     feasible_degree_sequences,
     level_structure,
 )
@@ -124,6 +127,26 @@ def reference_laplacian(G: Supertree) -> np.ndarray:
                 if i != j:
                     lap[i, j] = w
     return lap
+
+
+def reference_eigenpair(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
+    """(lam, f, gap, degenerate, residual) by the library's earlier single
+    solve: the DirichletLaplacian with its interior tuple, and norms from
+    np.linalg.norm; the library now takes the interior block straight from
+    the scatter and norms from math.sqrt(x @ x)."""
+    dl = dirichlet_laplacian(G)
+    values, vectors = np.linalg.eigh(dl.matrix)
+    lam = float(values[0])
+    x = vectors[:, 0].copy()
+    if x[np.argmax(np.abs(x))] < 0.0:
+        x = -x
+    x /= np.linalg.norm(x)
+    f = np.zeros(G.n)
+    f[list(dl.interior)] = x
+    gap = float(values[1] - values[0]) if len(values) > 1 else math.inf
+    residual = float(np.linalg.norm(dl.matrix @ x - lam * x))
+    degenerate = gap <= tol.degenerate_gap * max(1.0, lam)
+    return lam, f, gap, degenerate, residual
 
 
 def tree_centroids(adj: list[list[int]]) -> list[int]:
@@ -474,6 +497,17 @@ def random_supertree(rng: random.Random, k: int, m: int) -> Supertree:
     perm = list(range(n))
     rng.shuffle(perm)
     return apply_vertex_permutation(build_supertree(k, n, edges), perm)
+
+
+def broom(k: int, handle: int, bristles: int) -> Supertree:
+    """A path of handle edges with bristles more edges at its far end."""
+    edges, tip, n = [], 0, 1
+    for i in range(handle + bristles):
+        edges.append((tip,) + tuple(range(n, n + k - 1)))
+        n += k - 1
+        if i < handle:
+            tip = n - 1
+    return build_supertree(k, n, edges)
 
 
 def random_boundary_zero(rng: random.Random, G: Supertree) -> list[float]:

@@ -40,6 +40,7 @@ from supertrees.core import (
 )
 from supertrees.enumeration import _grow_classes
 from support import (
+    broom,
     random_supertree,
     reference_centroid_tree,
     reference_code,
@@ -50,17 +51,6 @@ from support import (
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 CHAIN9 = ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
 BOUQUET9 = ((0, 1, 2), (0, 3, 4), (1, 5, 6), (2, 7, 8))
-
-
-def broom(k: int, handle: int, bristles: int):
-    """A path of handle edges with bristles more edges at its far end."""
-    edges, tip, n = [], 0, 1
-    for i in range(handle + bristles):
-        edges.append((tip,) + tuple(range(n, n + k - 1)))
-        n += k - 1
-        if i < handle:
-            tip = n - 1
-    return build_supertree(k, n, edges)
 
 
 def two_interior():
@@ -279,7 +269,7 @@ def test_orbit_representatives_match_brute_force():
     for k, m in ((2, 7), (3, 3)):
         for layer in _grow_classes(k, m):
             for _, G in layer:
-                reps = [v for _, v in _CentroidTree(G).leaf_children()]
+                reps = [v for _, v, _ in _CentroidTree(G).leaf_children()]
                 assert reps == _brute_force_orbit_minima(G)
 
 
@@ -311,7 +301,7 @@ def test_leaf_child_codes_match_canonical_code():
         rng.shuffle(perm)
         # a relabeling starts the path update from other orbit members
         for H in (G, apply_vertex_permutation(G, perm)):
-            for code, v in _CentroidTree(H).leaf_children():
+            for code, v, _ in _CentroidTree(H).leaf_children():
                 assert code == canonical_code(_attach_leaf(H, v))
     # far ends of long paths and brooms: the update walks a long path to the
     # root, and the child's centroid is a node the parent's is not
@@ -321,11 +311,11 @@ def test_leaf_child_codes_match_canonical_code():
             far = G.n - 1 if bristles == 0 else G.edges[-1][0]
             assert _centroid_shift(G, far) == 1
             children = _CentroidTree(G).leaf_children()
-            assert any(_centroid_shift(G, v) == 1 for _, v in children)
-            for code, v in children:
+            assert any(_centroid_shift(G, v) == 1 for _, v, _ in children)
+            for code, v, _ in children:
                 assert code == canonical_code(_attach_leaf(G, v))
             far_code = canonical_code(_attach_leaf(G, far))
-            assert far_code in [code for code, _ in children]
+            assert far_code in [code for code, *_ in children]
 
 
 def test_pendant_edge_moves_centroid_at_most_one_step():

@@ -30,6 +30,7 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees import enumeration
+from supertrees.core import _CentroidTree
 from supertrees.enumeration import FamilySpec, _grow_classes
 from support import (
     all_feasible,
@@ -324,6 +325,44 @@ def test_growth_matches_reference_growth(monkeypatch):
         pruned = _grow_classes(k, m, bound)
         assert pruned == reference_grow_classes(k, m, dominated_by(bound))
         assert sum(map(len, pruned)) < sum(map(len, _grow_classes(k, m)))
+
+
+def test_growth_carries_each_childs_centroid(monkeypatch):
+    # a kept child's encoding starts at the centroid found in its parent's
+    # pass; one layer past m encodes every kept class of layer m
+    carried, rerooted = [], []
+
+    class Spy(_CentroidTree):
+        def __init__(self, G, root=None):
+            super().__init__(G, root)
+            if root is not None:
+                carried.append((root, _CentroidTree(G).order[0]))
+
+        def leaf_children(self, degrees=None):
+            out = super().leaf_children(degrees)
+            rerooted.extend(c for *_, c in out if c != self.order[0])
+            return out
+
+    calls = [(k, m, None) for k, m in ((2, 9), (3, 6), (4, 5), (5, 4))]
+
+    def spy(k, m_target, bound=None):
+        calls.append((k, m_target, bound))
+        return _grow_classes(k, m_target, bound)
+
+    monkeypatch.setattr(enumeration, "_CentroidTree", Spy)
+    monkeypatch.setattr(enumeration, "_grow_classes", spy)
+    for k, n_max in ((2, 10), (3, 11), (4, 10)):
+        for pi in all_feasible(k, n_max):
+            enumerate_supertrees(pi)
+            for d in (1, 2, 3):
+                enumerate_family(pi.n, pi.n0, k, d)
+    assert any(bound for *_, bound in calls)
+    for k, m, bound in set(calls):
+        carried.clear()
+        layers = _grow_classes(k, m + 1, bound)
+        assert len(carried) == sum(map(len, layers[1:-1]))
+        assert all(root == centroid for root, centroid in carried)
+    assert rerooted
 
 
 def test_majorization_monotonicity_examples():

@@ -24,8 +24,15 @@ from supertrees import (
     fk2_sweep,
     rayleigh_quotient,
 )
+from supertrees import apply_vertex_permutation, spectral
 from supertrees.enumeration import _grow_classes
-from support import random_boundary_zero, random_supertree, reference_laplacian
+from support import (
+    broom,
+    random_boundary_zero,
+    random_supertree,
+    reference_eigenpair,
+    reference_laplacian,
+)
 
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 
@@ -176,6 +183,66 @@ def test_scatter_assembly_matches_reference():
             dl = dirichlet_laplacian(G)
             assert dl.interior == tuple(interior)
             assert np.array_equal(dl.matrix, lap[np.ix_(interior, interior)])
+
+
+def _with_interior(rng: random.Random, k: int, n0: int):
+    """A randomly grown supertree with exactly n0 interior vertices: a
+    pendant edge at a boundary vertex adds one, elsewhere none."""
+    edges, degrees = [tuple(range(k))], [1] * k
+    while sum(d >= 2 for d in degrees) < n0:
+        v = rng.randrange(len(degrees))
+        edges.append((v,) + tuple(range(len(degrees), len(degrees) + k - 1)))
+        degrees[v] += 1
+        degrees += [1] * (k - 1)
+    perm = list(range(len(degrees)))
+    rng.shuffle(perm)
+    return apply_vertex_permutation(build_supertree(k, len(degrees), edges), perm)
+
+
+def test_eigenpair_equals_reference_arithmetic_bitwise():
+    rng = random.Random(1729)
+    trees = [_with_interior(rng, 2 + n0 % 4, n0) for n0 in range(1, 121)]
+    trees += [_with_interior(rng, k, rng.randrange(1, 121)) for k in (2, 3, 4, 5)]
+    trees += [build_supertree(2, m + 1, [(i, i + 1) for i in range(m)])
+              for m in range(2, 201)]
+    trees += [broom(3, handle, bristles)
+              for handle in (2, 5, 20, 60) for bristles in (0, 2, 7, 30)]
+    trees += [star(k, d) for k in (2, 3, 4, 5) for d in (2, 3, 6)]
+    interiors = {sum(d >= 2 for d in G.degrees) for G in trees}
+    assert set(range(1, 121)) <= interiors and max(interiors) == 199
+    for G in trees:
+        pair = first_dirichlet_eigenpair(G)
+        lam, f, gap, degenerate, residual = reference_eigenpair(G)
+        assert pair.lam.hex() == lam.hex()
+        assert pair.gap.hex() == gap.hex()
+        assert pair.residual.hex() == residual.hex()
+        assert pair.degenerate == degenerate
+        assert [x.hex() for x in pair.f.tolist()] == [x.hex() for x in f.tolist()]
+    assert first_dirichlet_eigenpair(star(3, 4)).gap == math.inf
+
+
+def test_cached_member_pairs_serve_every_k_and_stack():
+    # the member-pair index is cached per k; calls interleaving k, interior
+    # and stack size must each match the element-wise reference
+    rng = random.Random(5150)
+    for _ in range(3):
+        for k in (2, 3, 4, 5):
+            G = random_supertree(rng, k, rng.randrange(2, 9))
+            perms = [rng.sample(range(G.n), G.n) for _ in range(3)]
+            stack = [G] + [apply_vertex_permutation(G, p) for p in perms]
+            for interior in (True, False):
+                low = 2 if interior else 1
+                for trees in ([G], stack):
+                    picked = [
+                        [v for v in range(H.n) if H.degrees[v] >= low] for H in trees
+                    ]
+                    want = np.array([
+                        reference_laplacian(H)[np.ix_(rows, rows)]
+                        for H, rows in zip(trees, picked)
+                    ])
+                    blocks = spectral._laplacian_blocks(trees, interior)
+                    assert blocks.shape == want.shape
+                    assert np.array_equal(blocks, want)
 
 
 def _mixed_groups():
