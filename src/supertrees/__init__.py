@@ -1,85 +1,19 @@
 """k-uniform supertrees with boundary: Dirichlet spectra, spiral-like
 orderings, structure rewiring, and exhaustive Faber-Krahn verification.
 
-Only ``spectral`` imports numpy, and the package imports it on the first
-lookup of one of its names (PEP 562), so the rest starts without numpy."""
+Each module's ``__all__`` is the one list of its public names. Only
+``spectral`` imports numpy, and the package imports it on the first lookup
+of one of its names (PEP 562), so the rest starts without numpy."""
 
 import importlib
 
+from . import core, enumeration, errors, slo, transforms
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .core import (
-    BoundaryPartition,
-    CanonicalCode,
-    DegreeSequence,
-    LevelStructure,
-    Supertree,
-    VertexId,
-    apply_vertex_permutation,
-    boundary_partition,
-    build_supertree,
-    canonical_code,
-    degree_sequence,
-    distance,
-    is_isomorphic,
-    level_structure,
-    parse_sht,
-    serialize_sht,
-)
-from .enumeration import (
-    FamilySpec,
-    FkCertificate,
-    enumerate_family,
-    enumerate_supertrees,
-    feasible_degree_sequences,
-    fk1_sweep,
-    fk2_sweep,
-    verify_fk_theorem1,
-    verify_fk_theorem2,
-    verify_majorization_monotonicity,
-)
-from .errors import (
-    BadVertexId,
-    ContainsCycle,
-    DegreeTooSmall,
-    Disconnected,
-    DuplicateEdge,
-    EdgeOverlapTooLarge,
-    EmptyFamily,
-    IndexOutOfRange,
-    InfeasibleDegreeSequence,
-    InvalidSpec,
-    LengthMismatch,
-    NoInteriorVertices,
-    NotAnEigenfunction,
-    NotAPermutation,
-    NotKUniform,
-    NotMajorized,
-    ResultNotSupertree,
-    ShtFormatError,
-    SupertreeError,
-    ZeroFunction,
-)
-from .slo import (
-    SloViolation,
-    VertexLabel,
-    check_slo,
-    construct_slo_supertree,
-    find_slo_ordering,
-    relabel,
-    relabel_ordering,
-)
-from .transforms import (
-    HypothesisCheck,
-    ShiftSpec,
-    SwitchSpec,
-    apply_shift,
-    apply_switch,
-    check_shift_hypothesis,
-    check_switch_hypothesis,
-    majorizes,
-    unit_transform_chain,
-    unit_transformation,
-)
+from .core import *
+from .enumeration import *
+from .errors import *
+from .slo import *
+from .transforms import *
 
 __version__ = "0.1.0"
 
@@ -102,70 +36,12 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "BadVertexId",
-    "BoundaryPartition",
-    "CanonicalCode",
-    "ContainsCycle",
     "DEFAULT_TOLERANCES",
-    "DegreeSequence",
-    "DegreeTooSmall",
-    "Disconnected",
-    "DuplicateEdge",
-    "EdgeOverlapTooLarge",
-    "EmptyFamily",
-    "FamilySpec",
-    "FkCertificate",
-    "HypothesisCheck",
-    "IndexOutOfRange",
-    "InfeasibleDegreeSequence",
-    "InvalidSpec",
-    "LengthMismatch",
-    "LevelStructure",
-    "NoInteriorVertices",
-    "NotAPermutation",
-    "NotAnEigenfunction",
-    "NotKUniform",
-    "NotMajorized",
-    "ResultNotSupertree",
-    "ShtFormatError",
-    "SloViolation",
-    "Supertree",
-    "SupertreeError",
-    "SwitchSpec",
-    "ShiftSpec",
     "Tolerances",
-    "VertexId",
-    "VertexLabel",
-    "ZeroFunction",
-    "apply_shift",
-    "apply_switch",
-    "apply_vertex_permutation",
-    "boundary_partition",
-    "build_supertree",
-    "canonical_code",
-    "check_shift_hypothesis",
-    "check_slo",
-    "check_switch_hypothesis",
-    "construct_slo_supertree",
-    "degree_sequence",
-    "distance",
-    "enumerate_family",
-    "enumerate_supertrees",
-    "feasible_degree_sequences",
-    "find_slo_ordering",
-    "fk1_sweep",
-    "fk2_sweep",
-    "is_isomorphic",
-    "level_structure",
-    "majorizes",
-    "parse_sht",
-    "relabel",
-    "relabel_ordering",
-    "serialize_sht",
-    "unit_transform_chain",
-    "unit_transformation",
-    "verify_fk_theorem1",
-    "verify_fk_theorem2",
-    "verify_majorization_monotonicity",
+    *core.__all__,
+    *enumeration.__all__,
+    *errors.__all__,
+    *slo.__all__,
+    *transforms.__all__,
     *_SPECTRAL,
 ]

@@ -97,13 +97,46 @@ class FkCertificate:
 
 
 def _ascending_partitions(total: int, count: int, low: int):
+    """Non-decreasing count-tuples of parts >= low summing to total, in
+    lexicographic order."""
     if count == 0:
         if total == 0:
             yield ()
         return
-    for first in range(low, total - low * (count - 1) + 1):
-        for rest in _ascending_partitions(total - first, count - 1, first):
-            yield (first,) + rest
+    parts = [low] * (count - 1) + [total - low * (count - 1)]
+    if parts[-1] < low:
+        return
+    while True:
+        yield tuple(parts)
+        # raise the rightmost part that the later ones can still follow and
+        # make those as small as they can be; rest is the sum of parts[i:]
+        rest = parts[-1]
+        for i in range(count - 2, -1, -1):
+            rest += parts[i]
+            x, tail = parts[i] + 1, count - 1 - i
+            if rest - x >= tail * x:
+                break
+        else:
+            return
+        parts[i:] = [x] * tail + [rest - x * tail]
+
+
+def _flattest_sequence(n: int, n0: int, k: int, d: int) -> DegreeSequence | None:
+    """(d, ..., d, d') with n0 interior entries, d' taking the remainder, or
+    all ones for the single edge (n0 = 0, n = k); None when no supertree has
+    n vertices, n0 interior ones and interior degrees at least d: k < 2, n0
+    outside 0..n, (n-1) not a multiple of (k-1), n0 = 0 with n != k, or
+    d' < max(2, d)."""
+    if k < 2 or not 0 <= n0 <= n or (n - 1) % (k - 1) != 0:
+        return None
+    if n0 == 0:
+        return DegreeSequence(k, (1,) * n, 0) if n == k else None
+    m = (n - 1) // (k - 1)
+    dm = max(2, d)
+    dprime = (k * m - (n - n0)) - (n0 - 1) * dm
+    if dprime < dm:
+        return None
+    return DegreeSequence(k, (dm,) * (n0 - 1) + (dprime,) + (1,) * (n - n0), n0)
 
 
 def feasible_degree_sequences(
@@ -115,18 +148,12 @@ def feasible_degree_sequences(
     Every returned sequence is realizable (the greedy SLO construction
     realizes it); infeasible parameters give the empty list.
     """
-    if n < 1 or k < 2 or (n - 1) % (k - 1) != 0 or not 0 <= n0 <= n:
+    flattest = _flattest_sequence(n, n0, k, d_min)
+    if flattest is None:
         return []
-    m = (n - 1) // (k - 1)
-    if n0 == 0:
-        return [DegreeSequence(k, (1,) * n, 0)] if m == 1 else []
-    if m < 2:
-        return []
-    interior_sum = k * m - (n - n0)
-    dm = max(2, d_min)
     return [
-        DegreeSequence(k, part + (1,) * (n - n0), n0)
-        for part in _ascending_partitions(interior_sum, n0, dm)
+        DegreeSequence(k, part + flattest.entries[n0:], n0)
+        for part in _ascending_partitions(sum(flattest.interior), n0, max(2, d_min))
     ]
 
 
@@ -184,13 +211,13 @@ def enumerate_supertrees(pi: DegreeSequence) -> list[Supertree]:
 def _family_classes(
     n: int, n0: int, k: int, d_min: int
 ) -> list[tuple[CanonicalCode, Supertree]]:
-    if not feasible_degree_sequences(n, n0, k, d_min):
+    flattest = _flattest_sequence(n, n0, k, d_min)
+    if flattest is None:
         return []
-    m = (n - 1) // (k - 1)
-    dm = max(2, d_min)
-    cap = k * m - (n - n0) - dm * (n0 - 1)
+    # the interior degrees are at least max(2, d_min) each, so none exceeds d'
+    cap, dm = max(flattest.entries), max(2, d_min)
     out = []
-    for code, G in _grow_classes(k, m, (cap,) * n0)[-1]:
+    for code, G in _grow_classes(k, flattest.m, (cap,) * n0)[-1]:
         interior = [d for d in G.degrees if d >= 2]
         if len(interior) == n0 and all(d >= dm for d in interior):
             out.append((code, G))
@@ -203,16 +230,6 @@ def enumerate_family(
     """Every isomorphism class with n vertices, n0 interior vertices, and
     all interior degrees at least d_min, sorted by canonical code."""
     return [G for _, G in _family_classes(n, n0, k, d_min)]
-
-
-def _flattest_sequence(n: int, n0: int, k: int, d: int) -> DegreeSequence:
-    """(d, ..., d, d') with n0 interior entries, d' taking the remainder."""
-    m = (n - 1) // (k - 1)
-    dm = max(2, d)
-    dprime = (k * m - (n - n0)) - (n0 - 1) * dm
-    return DegreeSequence(
-        k, (dm,) * (n0 - 1) + (dprime,) + (1,) * (n - n0), n0
-    )
 
 
 def _score_family(

@@ -21,7 +21,7 @@ first Dirichlet eigenfunction.
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
 from .core import (
     DegreeSequence,
     Supertree,
@@ -186,10 +186,9 @@ def _ranked(entries, value_of, tiebreak_of, tol: Tolerances):
     i = 0
     while i < len(by_value):
         j = i + 1
-        while j < len(by_value):
-            a, b = value_of(by_value[j - 1]), value_of(by_value[j])
-            if abs(a - b) > tol.rel_eps * max(1.0, abs(a), abs(b)):
-                break
+        while j < len(by_value) and not strictly_less(
+            value_of(by_value[j]), value_of(by_value[j - 1]), tol
+        ):
             j += 1
         out.extend(sorted(by_value[i:j], key=tiebreak_of))
         i = j
@@ -222,9 +221,7 @@ def relabel(
 
     top_value = max(fs)
     root = min(
-        v
-        for v in range(G.n)
-        if abs(fs[v] - top_value) <= tol.rel_eps * max(1.0, abs(top_value))
+        v for v in range(G.n) if not strictly_less(fs[v], top_value, tol)
     )
     # blocks_at[s] lists (top, members) for every edge whose k-1 members sit
     # at level s, in G.edges order; the top is the edge's vertex one level up

@@ -242,6 +242,19 @@ def reference_grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
     return layers
 
 
+def reference_ascending_partitions(total: int, count: int, low: int):
+    """The recursive generator that enumeration._ascending_partitions
+    replaced: non-decreasing count-tuples of parts >= low summing to total,
+    in lexicographic order, one recursion level per part."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(low, total - low * (count - 1) + 1):
+        for rest in reference_ascending_partitions(total - first, count - 1, first):
+            yield (first,) + rest
+
+
 def dominated_by(bound):
     """A keep predicate for reference_grow_classes: at every threshold t >= 2,
     G has no more degrees of at least t than bound has entries of at least

@@ -282,6 +282,12 @@ def test_package_surface_binds_spectral_names_on_first_lookup():
         supertrees.no_such_name
 
 
+def test_package_lists_every_spectral_name():
+    # _SPECTRAL is the one name list the lazy loader keeps by hand
+    assert set(supertrees._SPECTRAL) == set(supertrees.spectral.__all__)
+    assert len(supertrees.__all__) == len(set(supertrees.__all__))
+
+
 def test_slo_construct_roundtrip(capsys):
     code, out, _ = _run(capsys, "slo-construct", "--k", "3", "--pi",
                         "2,2,1,1,1,1,1")

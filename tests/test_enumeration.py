@@ -31,11 +31,12 @@ from supertrees import (
 )
 from supertrees import enumeration
 from supertrees.core import _CentroidTree
-from supertrees.enumeration import FamilySpec, _grow_classes
+from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
 from support import (
     all_feasible,
     dominated_by,
     oracle_classes,
+    reference_ascending_partitions,
     reference_grow_classes,
 )
 
@@ -94,6 +95,22 @@ def test_feasible_sequences_min_degree_filter():
     ]
 
 
+def test_ascending_partitions_match_recursive_reference():
+    for total in range(16):
+        for count in range(7):
+            for low in range(5):
+                assert list(_ascending_partitions(total, count, low)) == list(
+                    reference_ascending_partitions(total, count, low)
+                )
+
+
+def test_feasible_sequences_of_a_long_path():
+    # one part per interior vertex: deeper than any recursion limit
+    assert [s.entries for s in feasible_degree_sequences(3001, 2999, 2)] == [
+        (2,) * 2999 + (1, 1)
+    ]
+
+
 def test_enumerate_single_class_sequences():
     for pi in (
         _seq(3, (2, 1, 1, 1, 1), 1),
@@ -146,6 +163,43 @@ def test_enumerate_family_by_interior_count():
     assert len(enumerate_family(3, 0, 3)) == 1
     assert enumerate_family(5, 0, 3) == []
     assert enumerate_family(9, 3, 3, 3) == []
+
+
+def test_family_emptiness_without_listing_sequences(monkeypatch):
+    # the family path reads emptiness off the flattest sequence; listing
+    # every degree sequence of a large family would never end. Which
+    # families are empty is read independently from one unpruned growth.
+    least_degree = {}
+    for k in range(2, 5):
+        for layer in _grow_classes(k, 12 // (k - 1)):
+            for _, G in layer:
+                interior = [x for x in G.degrees if x >= 2]
+                key = (G.n, len(interior), k)
+                least = min(interior, default=math.inf)
+                least_degree[key] = max(least_degree.get(key, 0), least)
+    empty = {
+        (n, n0, k, d): least_degree.get((n, n0, k), 0) < max(2, d)
+        for k in range(1, 5)
+        for n in range(14)
+        for n0 in range(n + 2)
+        for d in range(1, 5)
+    }
+    for args, is_empty in empty.items():
+        assert (not feasible_degree_sequences(*args)) == is_empty
+
+    def unlisted(*args):
+        raise AssertionError("the family path listed degree sequences")
+
+    monkeypatch.setattr(enumeration, "feasible_degree_sequences", unlisted)
+    assert [G.edges for G in enumerate_family(3, 0, 3)] == [((0, 1, 2),)]
+    assert not all(empty.values()) and any(empty.values())
+    for (n, n0, k, d), is_empty in empty.items():
+        assert (enumerate_family(n, n0, k, d) == []) == is_empty
+        if is_empty or n0 == 0:
+            with pytest.raises(EmptyFamily):
+                verify_fk_theorem2(n, n0, k, d)
+        else:
+            assert verify_fk_theorem2(n, n0, k, d).passed
 
 
 def test_family_spec_describe():
