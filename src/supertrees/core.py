@@ -417,16 +417,6 @@ class _CentroidTree:
         self.codes, self.parent, self.order = codes, parent, order
         self.below, self.size = below, size
 
-    def children(self) -> list[list[int]]:
-        """Each node's children sorted by code, equal codes in breadth-first
-        order."""
-        kids: list[list[int]] = [[] for _ in range(self.total)]
-        for u in self.order[1:]:
-            kids[self.parent[u]].append(u)
-        for row in kids:
-            row.sort(key=self.codes.__getitem__)
-        return kids
-
     def leaf_children(self, degrees=None) -> list[tuple[CanonicalCode, VertexId, int]]:
         """(canonical_code(_attach_leaf(G, v)), v, c) for the lowest vertex v
         of every orbit of G's automorphism group, v ascending, with c the
@@ -487,18 +477,20 @@ def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:
     vertex v of G, or None when G and H are not isomorphic.
 
     Every isomorphism matches the two centroids, and below matched nodes it
-    matches children of equal code, so a breadth-first walk pairs the
-    children of matched nodes in sorted-code order.
+    matches children of equal code, so a breadth-first walk over G pairs
+    each node with the first unmatched child of equal code under its
+    parent's image.
     """
     a, b = _CentroidTree(G), _CentroidTree(H)
     if a.code != b.code:
         return None
-    kids_a, kids_b = a.children(), b.children()
+    free: dict[tuple[int, bytes], list[int]] = {}
+    for y in reversed(b.order[1:]):
+        free.setdefault((b.parent[y], b.codes[y]), []).append(y)
     match = [0] * a.total
     match[a.order[0]] = b.order[0]
-    for u in a.order:
-        for x, y in zip(kids_a[u], kids_b[match[u]]):
-            match[x] = y
+    for x in a.order[1:]:
+        match[x] = free[match[a.parent[x]], a.codes[x]].pop()
     return match[: G.n]
 
 

@@ -10,10 +10,11 @@ of every automorphism orbit; only a child with a new code is built.
 
 A single family grows alone, under a descending bound on its interior
 degrees. A sweep grows every class up to its size bound once, unbounded,
-and scores each family from its bucket of classes with one stacked
-eigensolve. The checks: within each family the SLO-supertree attains the
-smallest first Dirichlet eigenvalue, strictly below every other class, and
-that eigenvalue decreases strictly along degree-sequence majorization.
+buckets the classes by degree sequence, and scores each family (a min-degree
+family joins its buckets) with one stacked eigensolve. The checks: within
+each family the SLO-supertree attains the smallest first Dirichlet
+eigenvalue, strictly below every other class, and that eigenvalue decreases
+strictly along degree-sequence majorization.
 """
 
 import bisect
@@ -235,11 +236,13 @@ def enumerate_family(
 def _score_family(
     family: FamilySpec,
     members: list[tuple[CanonicalCode, Supertree]],
-    slo_tree: Supertree,
     tol: Tolerances,
 ) -> FkCertificate:
+    """The predicted winner is the SLO-supertree of pi, or of the flattest
+    sequence of a min-degree family."""
     from .spectral import first_dirichlet_eigenvalues  # loads numpy
-    slo_code = canonical_code(slo_tree)
+    pi = family.pi or _flattest_sequence(family.n, family.n0, family.k, family.d)
+    slo_code = canonical_code(construct_slo_supertree(pi)[0])
     lams = first_dirichlet_eigenvalues([G for _, G in members])
     rows = sorted(
         ((code, lam, G) for (code, G), lam in zip(members, lams)),
@@ -281,9 +284,7 @@ def verify_fk_theorem1(
     """
     members = _pi_classes(pi)
     assert members, "validated degree sequences are realizable"
-    slo_tree, _ = construct_slo_supertree(pi)
-    family = FamilySpec(kind="pi", k=pi.k, pi=pi)
-    return _score_family(family, members, slo_tree, tol)
+    return _score_family(FamilySpec(kind="pi", k=pi.k, pi=pi), members, tol)
 
 
 def verify_fk_theorem2(
@@ -308,8 +309,7 @@ def verify_fk_theorem2(
     members = _family_classes(n, n0, k, d)
     if not members:
         raise EmptyFamily(f"{family.describe()} is empty")
-    slo_tree, _ = construct_slo_supertree(_flattest_sequence(n, n0, k, d))
-    return _score_family(family, members, slo_tree, tol)
+    return _score_family(family, members, tol)
 
 
 def _majorization_lambdas(
@@ -345,6 +345,19 @@ def verify_majorization_monotonicity(
     return _majorization_lambdas(pi, pi_prime, tol)[2]
 
 
+def _sweep_buckets(k: int, n_max: int) -> list:
+    """Every class with edge size k and at most n_max vertices, grown once
+    unbounded, as sorted ((n, n0, ascending interior degrees), classes)."""
+    if k < 2:
+        raise NotKUniform(f"edge size must be at least 2, got k={k}")
+    buckets: dict[tuple[int, int, tuple[int, ...]], list] = {}
+    for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
+        for code, G in layer:
+            interior = tuple(sorted(d for d in G.degrees if d >= 2))
+            buckets.setdefault((G.n, len(interior), interior), []).append((code, G))
+    return sorted(buckets.items())
+
+
 def fk1_sweep(
     k: int,
     n_max: int,
@@ -356,21 +369,11 @@ def fk1_sweep(
     Raises:
         NotKUniform: k is below 2.
     """
-    if k < 2:
-        raise NotKUniform(f"edge size must be at least 2, got k={k}")
-    buckets: dict[tuple[int, int, tuple[int, ...]], list] = {}
-    for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
-        for code, G in layer:
-            interior = tuple(sorted(d for d in G.degrees if d >= 2))
-            buckets.setdefault((G.n, len(interior), interior), []).append((code, G))
     certs = []
-    for (n, n0, interior), members in sorted(buckets.items()):
-        if n0 == 0:
-            continue
-        pi = DegreeSequence(k, interior + (1,) * (n - n0), n0)
-        family = FamilySpec(kind="pi", k=k, pi=pi)
-        slo_tree, _ = construct_slo_supertree(pi)
-        certs.append(_score_family(family, members, slo_tree, tol))
+    for (n, n0, interior), members in _sweep_buckets(k, n_max):
+        if n0:
+            pi = DegreeSequence(k, interior + (1,) * (n - n0), n0)
+            certs.append(_score_family(FamilySpec(kind="pi", k=k, pi=pi), members, tol))
     return certs
 
 
@@ -381,22 +384,17 @@ def fk2_sweep(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[FkCertificate]:
     """Certificates for every nonempty minimum-degree family with edge size
-    k and at most n_max vertices.
+    k and at most n_max vertices: each joins the fk1_sweep buckets of its
+    (n, n0) whose smallest interior degree is at least max(2, d).
 
     Raises:
         NotKUniform: k is below 2.
     """
-    if k < 2:
-        raise NotKUniform(f"edge size must be at least 2, got k={k}")
-    buckets: dict[tuple[int, int], list] = {}
-    for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
-        for code, G in layer:
-            interior = [x for x in G.degrees if x >= 2]
-            if interior and min(interior) >= max(2, d):
-                buckets.setdefault((G.n, len(interior)), []).append((code, G))
-    certs = []
-    for (n, n0), members in sorted(buckets.items()):
-        family = FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d)
-        slo_tree, _ = construct_slo_supertree(_flattest_sequence(n, n0, k, d))
-        certs.append(_score_family(family, members, slo_tree, tol))
-    return certs
+    joined: dict[tuple[int, int], list] = {}
+    for (n, n0, interior), members in _sweep_buckets(k, n_max):
+        if n0 and interior[0] >= max(2, d):
+            joined.setdefault((n, n0), []).extend(members)
+    return [
+        _score_family(FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d), group, tol)
+        for (n, n0), group in joined.items()
+    ]

@@ -66,13 +66,14 @@ class DirichletEigenpair:
 _PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _laplacian_blocks(trees, interior: bool = True) -> np.ndarray:
+def _laplacian_blocks(trees, interior: bool = True):
     """Stacked (B, r, r) Laplacian blocks of B supertrees with equal k, n and
-    n0, on the interior (r = n0) or on all vertices (r = n). Vertex v of tree
-    b is vertex b*n + v of their disjoint union, and a cumulative sum over the
-    picked vertices gives its row in the stack. Two edges share at most one
-    vertex, so no entry is scattered twice. _PAIRS keeps each k's ordered
-    member pairs of an edge. An empty interior raises NoInteriorVertices."""
+    n0, on the interior (r = n0) or on all vertices (r = n), with the mask of
+    picked vertices of their disjoint union, where vertex v of tree b is
+    vertex b*n + v; a cumulative sum over the mask gives its row in the
+    stack. Two edges share at most one vertex, so no entry is scattered
+    twice. _PAIRS keeps each k's ordered member pairs of an edge. An empty
+    interior raises NoInteriorVertices."""
     k, n, B = trees[0].k, trees[0].n, len(trees)
     flat = itertools.chain.from_iterable
     degrees = np.fromiter(flat(G.degrees for G in trees), np.intp, B * n)
@@ -92,17 +93,16 @@ def _laplacian_blocks(trees, interior: bool = True) -> np.ndarray:
     src, dst = union[:, p], union[:, q]
     both = picked[src] & picked[dst]
     blocks.ravel()[row[src[both]] * r + row[dst[both]] % r] = -1.0 / (k - 1)
-    return blocks.reshape(B, r, r)
+    return blocks.reshape(B, r, r), picked
 
 
 def assemble_laplacian(G: Supertree) -> np.ndarray:
-    return _laplacian_blocks([G], interior=False)[0]
+    return _laplacian_blocks([G], interior=False)[0][0]
 
 
 def dirichlet_laplacian(G: Supertree) -> DirichletLaplacian:
-    matrix = _laplacian_blocks([G])[0]
-    interior = tuple(v for v in range(G.n) if G.degrees[v] >= 2)
-    return DirichletLaplacian(matrix=matrix, interior=interior)
+    blocks, picked = _laplacian_blocks([G])
+    return DirichletLaplacian(blocks[0], tuple(np.flatnonzero(picked).tolist()))
 
 
 def first_dirichlet_eigenpair(
@@ -113,7 +113,8 @@ def first_dirichlet_eigenpair(
     The eigenfunction sign is fixed so its largest-magnitude entry is
     positive, which makes it positive throughout the interior.
     """
-    M = _laplacian_blocks([G])[0]
+    blocks, picked = _laplacian_blocks([G])
+    M = blocks[0]
     values, vectors = np.linalg.eigh(M)
     lam = float(values[0])
     x = vectors[:, 0].copy()
@@ -122,7 +123,7 @@ def first_dirichlet_eigenpair(
     # math.sqrt(x @ x) is what np.linalg.norm computes for a real 1-D x
     x /= math.sqrt(x @ x)
     f = np.zeros(G.n)
-    f[np.fromiter(G.degrees, np.intp, G.n) >= 2] = x
+    f[picked] = x
     gap = float(values[1] - values[0]) if len(values) > 1 else math.inf
     r = M @ x - lam * x
     residual = math.sqrt(r @ r)
@@ -147,7 +148,7 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
         groups.setdefault((G.k, G.n, G.degrees.count(1)), []).append(i)
     lams: dict[int, float] = {}
     for idx in groups.values():
-        values = np.linalg.eigh(_laplacian_blocks([trees[i] for i in idx]))[0]
+        values = np.linalg.eigh(_laplacian_blocks([trees[i] for i in idx])[0])[0]
         lams.update(zip(idx, values[:, 0].tolist()))
     return [lams[i] for i in range(len(trees))]
 

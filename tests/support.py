@@ -221,6 +221,32 @@ def reference_code(G: Supertree) -> bytes:
     return min(_rooted_code(adj, c, G.n) for c in tree_centroids(adj))
 
 
+def reference_isomorphism(G: Supertree, H: Supertree) -> list[int] | None:
+    """The vertex map G -> H that pairs the children of matched nodes in
+    sorted-code order (equal codes in breadth-first order), walking down
+    from the two centroids, or None when the root codes differ; core's
+    _isomorphism pairs by a dict of unmatched nodes and must agree."""
+    a, b = reference_centroid_tree(G), reference_centroid_tree(H)
+    if a["codes"][a["order"][0]] != b["codes"][b["order"][0]]:
+        return None
+
+    def children(t: dict) -> list[list[int]]:
+        kids: list[list[int]] = [[] for _ in t["codes"]]
+        for u in t["order"][1:]:
+            kids[t["parent"][u]].append(u)
+        for row in kids:
+            row.sort(key=t["codes"].__getitem__)
+        return kids
+
+    kids_a, kids_b = children(a), children(b)
+    match = [0] * len(a["codes"])
+    match[a["order"][0]] = b["order"][0]
+    for u in a["order"]:
+        for x, y in zip(kids_a[u], kids_b[match[u]]):
+            match[x] = y
+    return match[: G.n]
+
+
 def reference_grow_classes(k: int, m_target: int, keep=lambda G: True) -> list:
     """Class growth that attaches a pendant edge at every vertex and
     validates each child through build_supertree; the library's growth

@@ -202,6 +202,26 @@ def test_slo_check_reversed_order_cold_process(tmp_path):
     assert len(lines) <= 4 * G.n + G.m
 
 
+def test_out_of_memory_exits_2_without_traceback():
+    # the n-entry degree sequence alone needs about 800 MB, twice the cap
+    import resource
+
+    cap = 400 * 2**20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(supertrees.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "supertrees.cli", "verify-fk2", "--n", "100000001",
+         "--n0", "1", "--k", "2", "--d", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory\n"
+
+
 def _cold_python(script: str, *args: str) -> dict:
     """Run script in a fresh interpreter and parse the JSON it prints."""
     env = dict(os.environ, PYTHONPATH=str(Path(supertrees.__file__).parents[1]))

@@ -36,6 +36,7 @@ from supertrees.core import (
     _attach_leaf,
     _CentroidTree,
     _incidence_adjacency,
+    _isomorphism,
     _rooted_order,
 )
 from supertrees.enumeration import _grow_classes
@@ -45,6 +46,7 @@ from support import (
     reference_centroid_tree,
     reference_code,
     reference_depths,
+    reference_isomorphism,
     tree_centroids,
 )
 
@@ -337,6 +339,27 @@ def test_centroid_tree_matches_three_pass_encoder():
                     tree, ref = _CentroidTree(H), reference_centroid_tree(H)
                     assert {name: getattr(tree, name) for name in ref} == ref
                     assert tree.code == ref["codes"][ref["order"][0]]
+
+
+def test_isomorphism_maps_edges_onto_edges_like_sorted_children():
+    rng = random.Random(1729)
+    for k, m in ((2, 10), (3, 6), (4, 5)):
+        for layer in _grow_classes(k, m):
+            shuffled = [
+                apply_vertex_permutation(G, rng.sample(range(G.n), G.n))
+                for _, G in layer
+            ]
+            for (_, G), H in zip(layer, shuffled):
+                phi = _isomorphism(G, H)
+                assert phi == reference_isomorphism(G, H)
+                assert sorted(phi) == list(range(G.n))
+                edges = {frozenset(e) for e in H.edges}
+                assert all(frozenset(phi[v] for v in e) in edges for e in G.edges)
+            # every other class of the layer has the same k and n
+            others = shuffled[1:] + shuffled[:1] if len(layer) > 1 else []
+            for (_, G), H in zip(layer, others):
+                assert _isomorphism(G, H) is None
+                assert reference_isomorphism(G, H) is None
 
 
 def test_canonical_code_separates_classes():

@@ -253,9 +253,7 @@ def test_margin_of_a_tied_pair_is_not_unique():
         for G in enumerate_supertrees(pi)
         if canonical_code(G) in tied
     ]
-    scored = enumeration._score_family(
-        cert.family, members, cert.winner, DEFAULT_TOLERANCES
-    )
+    scored = enumeration._score_family(cert.family, members, DEFAULT_TOLERANCES)
     assert abs(scored.margin) <= tie and not scored.unique
 
 
@@ -323,6 +321,31 @@ def test_fk2_sweep_small():
             fk2_sweep(k, 5, 2)
 
 
+def test_fk2_sweep_joins_fk1_buckets():
+    # a min-degree family is the union of the degree-sequence families of
+    # its (n, n0) whose interior degrees are all at least max(2, d)
+    for k, n_max in ((2, 11), (3, 13), (4, 13)):
+        fk1 = fk1_sweep(k, n_max)
+        for d in range(1, 5):
+            dm = max(2, d)
+            want: dict[tuple[int, int], set] = {}
+            for cert in fk1:
+                pi = cert.family.pi
+                if min(pi.interior) >= dm:
+                    rows = {(code, lam.hex()) for code, lam in cert.all_lambdas}
+                    want.setdefault((len(pi.entries), pi.n0), set()).update(rows)
+            certs = fk2_sweep(k, n_max, d)
+            assert [(c.family.n, c.family.n0) for c in certs] == sorted(want)
+            for cert in certs:
+                n, n0 = cert.family.n, cert.family.n0
+                rows = {(code, lam.hex()) for code, lam in cert.all_lambdas}
+                assert rows == want[n, n0]
+                # (d, ..., d, d'): the interior degrees sum to k*m - (n - n0)
+                last = k * (n - 1) // (k - 1) - (n - n0) - (n0 - 1) * dm
+                pi = _seq(k, (dm,) * (n0 - 1) + (last,) + (1,) * (n - n0), n0)
+                assert cert.slo_code == canonical_code(construct_slo_supertree(pi)[0])
+
+
 def _comparable(cert):
     return (
         cert.family,
@@ -342,7 +365,7 @@ def test_sweeps_match_per_family_verifiers():
         for cert in certs:
             ref = verify_fk_theorem1(cert.family.pi)
             assert _comparable(cert) == _comparable(ref)
-    for k, n_max, d in ((2, 10, 2), (2, 10, 3), (3, 9, 2)):
+    for k, n_max, d in ((2, 10, 2), (2, 10, 3), (3, 9, 2), (2, 10, 1), (4, 10, 2)):
         certs = fk2_sweep(k, n_max, d)
         assert [(c.family.n, c.family.n0) for c in certs] == [
             (n, n0)
