@@ -1,47 +1,54 @@
 """k-uniform supertrees with boundary: Dirichlet spectra, spiral-like
 orderings, structure rewiring, and exhaustive Faber-Krahn verification.
 
-Each module's ``__all__`` is the one list of its public names. Only
-``spectral`` imports numpy, and the package imports it on the first lookup
-of one of its names (PEP 562), so the rest starts without numpy."""
+Each module's ``__all__`` is the one list of its public names. Importing the
+package imports no module; the first lookup of a name imports the modules in
+dependency order until one lists it, and stores the value, so later lookups
+are plain global reads (PEP 562). Only ``spectral`` imports numpy: it is
+searched last, and until it is imported its ``__all__`` is read from its
+source, so a name it does not list leaves numpy unloaded.
+"""
 
 import importlib
-
-from . import core, enumeration, errors, slo, transforms
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .core import *
-from .enumeration import *
-from .errors import *
-from .slo import *
-from .transforms import *
+import sys
 
 __version__ = "0.1.0"
 
-_SPECTRAL = ("DirichletEigenpair", "DirichletLaplacian", "assemble_laplacian",
-             "dirichlet_laplacian", "first_dirichlet_eigenpair",
-             "first_dirichlet_eigenvalues", "rayleigh_quotient")
+# dependency order: each module imports only modules listed before it
+_MODULES = ("errors", "config", "core", "slo", "transforms", "enumeration", "spectral")
+
+
+def _names(module: str) -> list[str]:
+    """The module's __all__; spectral's comes from its source until something
+    imports it, since importing it loads numpy."""
+    name = f"{__name__}.{module}"
+    if module != "spectral" or name in sys.modules:
+        return importlib.import_module(name).__all__
+    import ast
+    from importlib.util import find_spec
+    tree = ast.parse(find_spec(name).loader.get_source(name))
+    return next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__"
+    )
 
 
 def __getattr__(name: str):
-    if name != "spectral" and name not in _SPECTRAL:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # stored, so that later lookups are plain global reads
-    module = importlib.import_module(".spectral", __name__)
-    globals()[name] = value = module if name == "spectral" else getattr(module, name)
+    if name == "__all__":
+        value = list(dict.fromkeys(n for module in _MODULES for n in _names(module)))
+    elif name in _MODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        # no public name starts with "_", so a dunder probe imports nothing
+        module = next(
+            (m for m in _MODULES if not name.startswith("_") and name in _names(m)), None
+        )
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_SPECTRAL))
-
-
-__all__ = [
-    "DEFAULT_TOLERANCES",
-    "Tolerances",
-    *core.__all__,
-    *enumeration.__all__,
-    *errors.__all__,
-    *slo.__all__,
-    *transforms.__all__,
-    *_SPECTRAL,
-]
+    return sorted(set(globals()) | set(_MODULES) | set(sys.modules[__name__].__all__))

@@ -5,33 +5,17 @@ One subcommand per operation, line-oriented output: single values print as
 ``--format plain``), and supertrees print in the .sht text format. Floats
 carry 12 decimal digits. Exit codes: 0 success or verified, 1 verification
 failure, 2 malformed input or usage error.
+
+Each handler imports the modules it runs, so a process loads only its
+subcommand's share of the package; numpy loads only with ``spectral``.
 """
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import DegreeSequence, Supertree, parse_sht, serialize_sht
-from .enumeration import (
-    FkCertificate,
-    _majorization_lambdas,
-    _pi_classes,
-    fk1_sweep,
-    verify_fk_theorem1,
-    verify_fk_theorem2,
-)
-from .errors import InvalidSpec, SupertreeError
-from .slo import check_slo, construct_slo_supertree, find_slo_ordering, relabel
-from .transforms import (
-    ShiftSpec,
-    SwitchSpec,
-    apply_shift,
-    apply_switch,
-    majorizes,
-    unit_transformation,
-)
+from .errors import EmptyFamily, InvalidSpec, SupertreeError
 
 __all__ = ["main"]
 
@@ -59,7 +43,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _load(path: str) -> Supertree:
-    return parse_sht(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        return parse_sht(fh.read())
 
 
 def _degree_sequence(k: int, text: str) -> DegreeSequence:
@@ -98,6 +83,7 @@ def _cmd_eigen(args, tol: Tolerances) -> int:
 
 
 def _cmd_slo_check(args, tol: Tolerances) -> int:
+    from .slo import check_slo
     G = _load(args.file)
     violations = check_slo(G, _int_list(args.order))
     if not violations:
@@ -109,6 +95,7 @@ def _cmd_slo_check(args, tol: Tolerances) -> int:
 
 
 def _cmd_slo_find(args, tol: Tolerances) -> int:
+    from .slo import find_slo_ordering
     G = _load(args.file)
     order = find_slo_ordering(G)
     if order is None:
@@ -119,6 +106,7 @@ def _cmd_slo_find(args, tol: Tolerances) -> int:
 
 
 def _cmd_slo_construct(args, tol: Tolerances) -> int:
+    from .slo import construct_slo_supertree
     pi = _degree_sequence(args.k, args.pi)
     G, order = construct_slo_supertree(pi)
     sys.stdout.write(serialize_sht(G))
@@ -127,6 +115,7 @@ def _cmd_slo_construct(args, tol: Tolerances) -> int:
 
 
 def _cmd_relabel(args, tol: Tolerances) -> int:
+    from .slo import relabel
     G, pair = _eigenpair(args, tol)
     labels = relabel(G, pair.f, tol)
     rows = [
@@ -138,6 +127,7 @@ def _cmd_relabel(args, tol: Tolerances) -> int:
 
 
 def _cmd_switch(args, tol: Tolerances) -> int:
+    from .transforms import SwitchSpec, apply_switch
     G = _load(args.file)
     spec = SwitchSpec(
         e1=_edge_at(G, args.e1),
@@ -150,6 +140,7 @@ def _cmd_switch(args, tol: Tolerances) -> int:
 
 
 def _cmd_shift(args, tol: Tolerances) -> int:
+    from .transforms import ShiftSpec, apply_shift
     G = _load(args.file)
     spec = ShiftSpec(
         u=args.u,
@@ -161,12 +152,14 @@ def _cmd_shift(args, tol: Tolerances) -> int:
 
 
 def _cmd_unit(args, tol: Tolerances) -> int:
+    from .transforms import unit_transformation
     pi = _degree_sequence(args.k, args.pi)
     print(f"pi={unit_transformation(pi, args.p)}")
     return 0
 
 
 def _cmd_enumerate(args, tol: Tolerances) -> int:
+    from .enumeration import _pi_classes
     pi = _degree_sequence(args.k, args.pi)
     members = _pi_classes(pi)
     print(f"count={len(members)}")
@@ -175,14 +168,14 @@ def _cmd_enumerate(args, tol: Tolerances) -> int:
     return 0
 
 
-def _certificate_line(cert: FkCertificate) -> str:
+def _certificate_line(cert) -> str:
     return (
         f"family={cert.family.describe()} "
         f"unique={_tf(cert.unique)} slo_match={_tf(cert.slo_match)}"
     )
 
 
-def _print_certificate(fmt: str, cert: FkCertificate) -> None:
+def _print_certificate(fmt: str, cert) -> None:
     print(_certificate_line(cert))
     winner_code = cert.all_lambdas[0][0]
     rows = [
@@ -197,7 +190,7 @@ def _print_certificate(fmt: str, cert: FkCertificate) -> None:
     _print_rows(fmt, ["canonical_code", "lambda", "is_winner", "is_slo"], rows)
 
 
-def _sweep_exit(certs: list[FkCertificate]) -> int:
+def _sweep_exit(certs: list) -> int:
     passed = sum(1 for cert in certs if cert.passed)
     for cert in certs:
         print(_certificate_line(cert))
@@ -206,8 +199,12 @@ def _sweep_exit(certs: list[FkCertificate]) -> int:
 
 
 def _cmd_verify_fk1(args, tol: Tolerances) -> int:
+    from .enumeration import fk1_sweep, verify_fk_theorem1
     if args.all:
         certs = fk1_sweep(args.k, args.n_max, tol)
+        if not certs:
+            raise EmptyFamily(f"no degree sequence with k={args.k} and n <= "
+                              f"{args.n_max} has an interior vertex")
         return _sweep_exit(certs)
     if args.pi is None:
         raise InvalidSpec("pass --pi, or --all with --n-max")
@@ -217,12 +214,15 @@ def _cmd_verify_fk1(args, tol: Tolerances) -> int:
 
 
 def _cmd_verify_fk2(args, tol: Tolerances) -> int:
+    from .enumeration import verify_fk_theorem2
     cert = verify_fk_theorem2(args.n, args.n0, args.k, args.d, tol)
     _print_certificate(args.format, cert)
     return 0 if cert.passed else 1
 
 
 def _cmd_majorize(args, tol: Tolerances) -> int:
+    from .enumeration import _majorization_lambdas
+    from .transforms import majorizes
     pi = _degree_sequence(args.k, args.pi)
     pi_prime = _degree_sequence(args.k, args.pi_prime)
     majorized = majorizes(pi, pi_prime)
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     tol = DEFAULT_TOLERANCES
     if args.epsilon is not None:
-        tol = replace(tol, rel_eps=args.epsilon)
+        tol = tol._replace(rel_eps=args.epsilon)
     try:
         return args.run(args, tol)
     except SupertreeError as exc:

@@ -1,12 +1,12 @@
 """Numeric tolerances.
 
 Every threshold used by the eigenpair report and by comparison helpers lives
-in one frozen record so the CLI can override them in a single place and tests
-can state them explicitly.
+in one immutable record so the CLI can override them in a single place and
+tests can state them explicitly.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidSpec
 
@@ -19,19 +19,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    # |x - y| <= rel_eps * max(1, |x|, |y|) counts as equal for computed reals
-    rel_eps: float = 1e-10
-    # relative spectral-gap floor below which an eigenpair is flagged degenerate
-    degenerate_gap: float = 1e-9
-    # absolute tie window between eigenvalues of distinct supertrees
-    lambda_tie: float = 1e-10
+class Tolerances(namedtuple("Tolerances", "rel_eps degenerate_gap lambda_tie",
+                            defaults=(1e-10, 1e-9, 1e-10))):
+    """Comparison thresholds, each finite and non-negative.
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    With ``rel_eps``, |x - y| <= rel_eps * max(1, |x|, |y|) counts as equal
+    for computed reals; ``degenerate_gap`` is the relative spectral-gap floor
+    below which an eigenpair is flagged degenerate, and ``lambda_tie`` the
+    absolute tie window between eigenvalues of distinct supertrees.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0.0 <= value < math.inf:
                 raise InvalidSpec(f"{name}={value} is not finite and non-negative")
+        return self
+
+    # _replace builds through _make, which would skip the check in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -10,7 +10,7 @@ and reads/writes the .sht text format.
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BadVertexId,
@@ -46,39 +46,34 @@ VertexId = int
 CanonicalCode = bytes
 
 
-@dataclass(frozen=True)
-class Supertree:
+class Supertree(namedtuple("Supertree", "k n edges degrees")):
     """A k-uniform supertree with consistent fields.
 
     Input from outside the library goes through :func:`build_supertree`,
     which performs the full validation pass; class growth extends an
     existing supertree by a pendant edge, which needs no validation.
-    Fields are assumed consistent everywhere else. Edges are stored as
-    sorted k-tuples, sorted lexicographically.
+    Fields are assumed consistent everywhere else. Vertex ids are 0..n-1,
+    ``degrees[v]`` is the degree of v, and edges are stored as sorted
+    k-tuples, sorted lexicographically.
     """
 
-    k: int
-    n: int
-    edges: tuple[tuple[VertexId, ...], ...]
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class BoundaryPartition:
-    """Interior/boundary split of vertices and edges."""
+class BoundaryPartition(namedtuple(
+        "BoundaryPartition", "interior boundary interior_edges boundary_edges")):
+    """Interior/boundary split of vertices, as frozensets, and of edges, as
+    tuples of the edges inside the interior and of those meeting the
+    boundary."""
 
-    interior: frozenset[VertexId]
-    boundary: frozenset[VertexId]
-    interior_edges: tuple[tuple[VertexId, ...], ...]
-    boundary_edges: tuple[tuple[VertexId, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LevelStructure:
+class LevelStructure(namedtuple("LevelStructure", "root levels depth a b height")):
     """Breadth-first layers of a supertree seen from a root vertex.
 
     ``levels[i]`` lists the vertices at distance i from the root, ``depth[v]``
@@ -87,16 +82,10 @@ class LevelStructure:
     with a single vertex on the shallow side.
     """
 
-    root: VertexId
-    levels: tuple[tuple[VertexId, ...], ...]
-    depth: tuple[int, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    height: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(namedtuple("DegreeSequence", "k entries n0")):
     """Degree multiset of a supertree in canonical arrangement.
 
     ``entries`` holds the n0 interior degrees first, non-decreasing and each
@@ -106,12 +95,9 @@ class DegreeSequence:
     passing validation are exactly the ones realized by some supertree.
     """
 
-    k: int
-    entries: tuple[int, ...]
-    n0: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        k, entries, n0 = self.k, self.entries, self.n0
+    def __new__(cls, k: int, entries: tuple[int, ...], n0: int):
         if k < 2:
             raise InfeasibleDegreeSequence(f"edge size must be at least 2, got k={k}")
         n = len(entries)
@@ -146,6 +132,10 @@ class DegreeSequence:
             raise InfeasibleDegreeSequence(
                 "a supertree with two or more edges has an interior vertex"
             )
+        return super().__new__(cls, k, entries, n0)
+
+    # _replace builds through _make, which would skip the check in __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_degrees(cls, k: int, degrees) -> "DegreeSequence":

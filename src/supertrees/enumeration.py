@@ -19,7 +19,7 @@ strictly along degree-sequence majorization.
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
 from .core import (
@@ -49,8 +49,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind k pi n n0 d",
+                            defaults=(None, None, None, None))):
     """Identifies an enumerated family for reports.
 
     kind "pi" fixes a degree sequence; kind "min_degree" fixes vertex
@@ -58,12 +58,7 @@ class FamilySpec:
     below by d.
     """
 
-    kind: str
-    k: int
-    pi: DegreeSequence | None = None
-    n: int | None = None
-    n0: int | None = None
-    d: int | None = None
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == "pi":
@@ -71,10 +66,13 @@ class FamilySpec:
         return f"T_d(n={self.n},n0={self.n0},k={self.k},d={self.d})"
 
 
-@dataclass(frozen=True)
-class FkCertificate:
+class FkCertificate(namedtuple(
+        "FkCertificate",
+        "family winner winner_lambda slo_code all_lambdas unique slo_match margin")):
     """Outcome of one extremality check over a fully enumerated family.
 
+    ``winner`` is the class listed first, of eigenvalue ``winner_lambda``,
+    and ``slo_code`` the canonical code of the predicted SLO-supertree.
     ``all_lambdas`` lists (canonical code, eigenvalue) for every isomorphism
     class, eigenvalues ascending; classes tied within ``lambda_tie`` are
     listed by canonical code. ``margin`` is the runner-up's eigenvalue minus
@@ -83,14 +81,7 @@ class FkCertificate:
     predicted SLO-supertree.
     """
 
-    family: FamilySpec
-    winner: Supertree
-    winner_lambda: float
-    slo_code: CanonicalCode
-    all_lambdas: tuple[tuple[CanonicalCode, float], ...]
-    unique: bool
-    slo_match: bool
-    margin: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

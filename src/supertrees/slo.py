@@ -19,7 +19,7 @@ class with k=2 m<=11, k=3 m<=6 and k=4 m<=5), and relabels vertices along a
 first Dirichlet eigenfunction.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
 from .core import (
@@ -50,16 +50,14 @@ __all__ = [
 VertexLabel = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class SloViolation:
+class SloViolation(namedtuple("SloViolation", "rule witness")):
     """One broken ordering rule with a concrete witness.
 
     ``rule`` is one of "S1".."S5". The witness holds the vertices involved;
     for S4 it is (edge, intervening vertex).
     """
 
-    rule: str
-    witness: tuple
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.rule} witness={self.witness}"

@@ -13,7 +13,7 @@ first use, so the rest runs without numpy.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,20 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DirichletLaplacian:
+class DirichletLaplacian(namedtuple("DirichletLaplacian", "matrix interior")):
     """Interior restriction of the Laplacian.
 
     ``matrix`` is the dense (n0, n0) block; ``interior[i]`` is the vertex id
     behind row/column i (ascending).
     """
 
-    matrix: np.ndarray
-    interior: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DirichletEigenpair:
+class DirichletEigenpair(
+        namedtuple("DirichletEigenpair", "lam f gap degenerate residual")):
     """First Dirichlet eigenpair of a supertree.
 
     ``f`` has one entry per vertex, zero on the boundary, positive on the
@@ -56,11 +54,7 @@ class DirichletEigenpair:
     strict comparisons between entries of f.
     """
 
-    lam: float
-    f: np.ndarray
-    gap: float
-    degenerate: bool
-    residual: float
+    __slots__ = ()
 
 
 _PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -12,10 +12,10 @@ ascending prefix sums. Any majorized pair is connected by a chain of unit
 transformations, built greedily here.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import DEFAULT_TOLERANCES, Tolerances, at_least, at_most, strictly_less
-from .core import DegreeSequence, Supertree, VertexId, _vertex_values, build_supertree
+from .core import DegreeSequence, Supertree, _vertex_values, build_supertree
 from .errors import (
     DegreeTooSmall,
     IndexOutOfRange,
@@ -40,35 +40,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SwitchSpec:
-    """Exchange u1 (a subset of e1) with v1 (a subset of e2, same size)."""
+class SwitchSpec(namedtuple("SwitchSpec", "e1 e2 u1 v1")):
+    """Exchange u1 (a subset of e1) with v1 (a subset of e2, same size): e1
+    and e2 are edges, u1 and v1 frozensets of vertices."""
 
-    e1: tuple[VertexId, ...]
-    e2: tuple[VertexId, ...]
-    u1: frozenset
-    v1: frozenset
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(namedtuple("ShiftSpec", "u edges v")):
     """Replace u by v in every edge of the bundle (all containing u)."""
 
-    u: VertexId
-    edges: tuple[tuple[VertexId, ...], ...]
-    v: VertexId
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(namedtuple("HypothesisCheck", "weak strict")):
     """Outcome of an eigenfunction hypothesis test.
 
     weak guarantees the eigenvalue does not increase; strict additionally
     guarantees a strict decrease.
     """
 
-    weak: bool
-    strict: bool
+    __slots__ = ()
 
 
 def _validate_switch(G: Supertree, spec: SwitchSpec) -> None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -235,17 +237,39 @@ def _cold_python(script: str, *args: str) -> dict:
 
 COLD_CLI = """
 import contextlib, io, json, sys
+def loaded():
+    own = sorted(m[11:] for m in sys.modules if m.startswith("supertrees."))
+    return [own, "numpy" in sys.modules, "dataclasses" in sys.modules]
 import supertrees
-loaded = ["numpy" in sys.modules]
+before = [loaded()]
 import supertrees.cli
-loaded.append("numpy" in sys.modules)
+before.append(loaded())
 runs = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = supertrees.cli.main(argv)
-    runs.append([code, out.getvalue(), "numpy" in sys.modules])
-print(json.dumps({"loaded": loaded, "runs": runs}))
+    runs.append([code, out.getvalue(), *loaded()])
+print(json.dumps({"before": before, "runs": runs}))
 """
+
+ENUMERATION = {"enumeration", "slo", "transforms"}
+# the modules of the package a subcommand runs beyond cli, config, core and
+# errors, which every process loads
+RUNS = {
+    "validate": set(),
+    "slo-check": {"slo"},
+    "slo-find": {"slo"},
+    "slo-construct": {"slo"},
+    "switch": {"transforms"},
+    "shift": {"transforms"},
+    "unit": {"transforms"},
+    "enumerate": ENUMERATION,
+    "eigen": {"spectral"},
+    "relabel": {"slo", "spectral"},
+    "verify-fk1": ENUMERATION | {"spectral"},
+    "verify-fk2": ENUMERATION | {"spectral"},
+    "majorize": ENUMERATION | {"spectral"},
+}
 
 
 def test_numpy_loads_only_for_eigenproblems(capsys, h7):
@@ -267,45 +291,90 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         ["majorize", "--k", "3", "--pi", "3,3,1,1,1,1,1,1,1,1,1",
          "--pi-prime", "2,4,1,1,1,1,1,1,1,1,1"],
     ]
+    assert [argv[0] for argv in combinatorial + spectral] == list(RUNS)
     cold = _cold_python(COLD_CLI, json.dumps(combinatorial + spectral))
-    assert cold["loaded"] == [False, False]
+    base = ["cli", "config", "core", "errors"]
+    assert cold["before"] == [[[], False, False], [base, False, False]]
     runs = cold["runs"]
-    assert [run[2] for run in runs[: len(combinatorial)]] == [False] * len(combinatorial)
-    assert all(run[2] for run in runs[len(combinatorial):])
-    # a cold process that loads numpy on demand prints what this one does
-    for argv, (code, out, _) in zip(combinatorial + spectral, runs):
+    # modules stay loaded, so each run adds what it runs to what ran before
+    expected = set(base)
+    for argv, (_, _, own, _, dataclasses) in zip(combinatorial + spectral, runs):
+        expected |= RUNS[argv[0]]
+        assert (argv[0], sorted(own), dataclasses) == (argv[0], sorted(expected), False)
+    assert [run[3] for run in runs[: len(combinatorial)]] == [False] * len(combinatorial)
+    assert all(run[3] for run in runs[len(combinatorial):])
+    # a cold process that loads modules on demand prints what this one does
+    for argv, (code, out, *_) in zip(combinatorial + spectral, runs):
         assert _run(capsys, *argv)[:2] == (code, out)
-    assert all(code == 0 for code, _, _ in runs)
+    assert all(run[0] == 0 for run in runs)
+
+
+def _imported(node, module_level: bool):
+    """Top-level names of the modules imported under node, outside function
+    bodies (which run only when called) when module_level is set."""
+    for child in ast.iter_child_nodes(node):
+        if module_level and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child.module.split(".")[0]
+        yield from _imported(child, module_level)
+
+
+def test_only_spectral_imports_numpy_and_no_module_loads_heavy_stdlib():
+    # a cold CLI process would pay for these before its subcommand runs
+    paths = sorted(Path(supertrees.__file__).parent.glob("*.py"))
+    assert "spectral.py" in {path.name for path in paths}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        heavy = {"dataclasses", "pathlib", "typing"} & set(_imported(tree, True))
+        assert (path.name, heavy) == (path.name, set())
+        numpy = "numpy" in set(_imported(tree, False))
+        assert (path.name, numpy) == (path.name, path.name == "spectral.py")
 
 
 COLD_SURFACE = """
-import json
+import json, sys
 import supertrees
+probes = [hasattr(supertrees, name)
+          for name in ("no_such_name", "__wrapped__", "__test__", "_SPECTRAL")]
 names = list(supertrees.__all__)
 listed = set(names) <= set(dir(supertrees))
+numpy = "numpy" in sys.modules
 before = "first_dirichlet_eigenpair" in vars(supertrees)
 first = supertrees.first_dirichlet_eigenpair
 cached = vars(supertrees).get("first_dirichlet_eigenpair") is first
 same = first is supertrees.spectral.first_dirichlet_eigenpair
 star = {}
 exec("from supertrees import *", star)
-print(json.dumps({"listed": listed, "before": before, "cached": cached,
-                  "same": same, "unbound": [n for n in names if n not in star]}))
+print(json.dumps({"probes": probes, "listed": listed, "numpy": numpy,
+                  "before": before, "cached": cached, "same": same,
+                  "unbound": [n for n in names if n not in star]}))
 """
 
 
 def test_package_surface_binds_spectral_names_on_first_lookup():
+    # probes, __all__ and dir() leave numpy unloaded
     cold = _cold_python(COLD_SURFACE)
-    assert cold == {"listed": True, "before": False, "cached": True,
-                    "same": True, "unbound": []}
+    assert cold == {"probes": [False] * 4, "listed": True, "numpy": False,
+                    "before": False, "cached": True, "same": True, "unbound": []}
     with pytest.raises(AttributeError):
         supertrees.no_such_name
 
 
-def test_package_lists_every_spectral_name():
-    # _SPECTRAL is the one name list the lazy loader keeps by hand
-    assert set(supertrees._SPECTRAL) == set(supertrees.spectral.__all__)
-    assert len(supertrees.__all__) == len(set(supertrees.__all__))
+def test_package_all_is_the_union_of_the_module_lists():
+    modules = sorted(
+        path.stem for path in Path(supertrees.__file__).parent.glob("*.py")
+        if path.stem not in ("__init__", "cli")
+    )
+    union = [name for module in modules
+             for name in importlib.import_module(f"supertrees.{module}").__all__]
+    assert len(union) == len(set(union))
+    assert sorted(supertrees.__all__) == sorted(union)
+    star = {}
+    exec("from supertrees import *", star)
+    assert [name for name in union if star.get(name) is not getattr(supertrees, name)] == []
 
 
 def test_slo_construct_roundtrip(capsys):
@@ -392,6 +461,16 @@ def test_verify_fk1_sweep(capsys):
         "family=T_pi(k=3,pi=2,2,1,1,1,1,1) unique=true slo_match=true\n"
         "families=3 passed=3 failed=0\n"
     )
+
+
+def test_verify_fk1_empty_sweep_exits_2(capsys):
+    # with k=3 the first sequence with an interior vertex has n=5
+    for n_max in ("2", "4"):
+        code, out, err = _run(capsys, "verify-fk1", "--k", "3", "--all",
+                              "--n-max", n_max)
+        assert (code, out) == (2, "")
+        assert err == (f"EmptyFamily: no degree sequence with k=3 and n <= {n_max} "
+                       "has an interior vertex\n")
 
 
 def test_verify_fk1_requires_pi_or_all(capsys):

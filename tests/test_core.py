@@ -10,27 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from supertrees import (
+    DEFAULT_TOLERANCES,
     BadVertexId,
     ContainsCycle,
     DegreeSequence,
+    FamilySpec,
+    HypothesisCheck,
     Disconnected,
     DuplicateEdge,
     EdgeOverlapTooLarge,
     InfeasibleDegreeSequence,
     NotKUniform,
+    ShiftSpec,
     ShtFormatError,
     Supertree,
     SupertreeError,
+    SwitchSpec,
     apply_vertex_permutation,
     boundary_partition,
     build_supertree,
     canonical_code,
+    check_slo,
     degree_sequence,
+    dirichlet_laplacian,
     distance,
+    first_dirichlet_eigenpair,
     is_isomorphic,
     level_structure,
     parse_sht,
     serialize_sht,
+    verify_fk_theorem1,
 )
 from supertrees.core import (
     _attach_leaf,
@@ -162,6 +171,35 @@ def test_degree_sequence_validation():
     # two edges force an interior vertex
     with pytest.raises(InfeasibleDegreeSequence):
         DegreeSequence(2, (1, 1, 1), 0)
+    # keyword construction and _replace validate too
+    with pytest.raises(InfeasibleDegreeSequence):
+        DegreeSequence(k=3, entries=(2, 1, 1, 1, 1), n0=2)
+    with pytest.raises(InfeasibleDegreeSequence):
+        DegreeSequence(3, (2, 1, 1, 1, 1), 1)._replace(n0=-1)
+
+
+def test_records_are_immutable_named_tuples():
+    G = build_supertree(3, 9, CHAIN9)
+    pi = degree_sequence(G)
+    records = [
+        G, boundary_partition(G), level_structure(G, 0), pi, DEFAULT_TOLERANCES,
+        FamilySpec("pi", 3, pi), verify_fk_theorem1(pi),
+        check_slo(G, range(8, -1, -1))[0],
+        SwitchSpec((0, 1, 2), (2, 3, 4), frozenset({0}), frozenset({3})),
+        ShiftSpec(2, ((2, 3, 4),), 0), HypothesisCheck(True, False),
+        dirichlet_laplacian(G), first_dirichlet_eigenpair(G),
+    ]
+    for r in records:
+        cls, fields = type(r), r._fields
+        assert cls(*r) == r == cls(**dict(zip(fields, r)))
+        assert repr(r) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(fields, r)) + ")"
+        for attr in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(r, attr, None)
+        if cls.__module__ != "supertrees.spectral":  # those hold numpy arrays
+            assert hash(r) == hash(tuple(r))
+    assert FamilySpec("pi", 3) == FamilySpec(kind="pi", k=3, pi=None, n=None, n0=None, d=None)
 
 
 def test_from_degrees_sorts():

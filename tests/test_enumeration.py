@@ -464,6 +464,8 @@ def test_majorization_rejects_bad_tolerances(value):
     for name in ("rel_eps", "degenerate_gap", "lambda_tie"):
         with pytest.raises(InvalidSpec, match=name):
             verify_majorization_monotonicity(steep, flat, Tolerances(**{name: value}))
+        with pytest.raises(InvalidSpec, match=name):
+            Tolerances()._replace(**{name: value})
     assert verify_majorization_monotonicity(
         steep, flat, Tolerances(rel_eps=0.0, degenerate_gap=0.0, lambda_tie=0.0)
     )

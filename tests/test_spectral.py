@@ -113,7 +113,7 @@ def test_path_eigenvalue_for_pairs():
     # the interior of a k=2 path with m edges is a path on m-1 vertices, so
     # lambda = 2 - 2cos(pi/m); the bound is absolute, and at m=400 (lambda
     # about 6e-5) it is loose in relative terms: certifying small lambda
-    # relatively is a separate problem (ROADMAP item 5)
+    # relatively is a separate problem (ROADMAP items 7 and 4)
     for m in (3, 50, 400):
         G = build_supertree(2, m + 1, [(i, i + 1) for i in range(m)])
         pair = first_dirichlet_eigenpair(G)
