@@ -13,9 +13,6 @@ from .errors import InvalidSpec
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
-    "at_least",
-    "at_most",
-    "strictly_less",
 ]
 
 

@@ -4,7 +4,7 @@ A supertree is a connected acyclic k-uniform hypergraph: every edge has
 exactly k vertices and two edges share at most one vertex, so the vertex-edge
 incidence graph is a tree. Degree-one vertices form the boundary; vertices of
 degree at least two are interior. This module validates supertrees, computes
-degree/level data, provides an exact canonical form for isomorphism tests,
+degree sequences and an exact canonical form (equal codes iff isomorphic),
 and reads/writes the .sht text format.
 """
 
@@ -27,17 +27,10 @@ __all__ = [
     "VertexId",
     "CanonicalCode",
     "Supertree",
-    "BoundaryPartition",
     "DegreeSequence",
-    "LevelStructure",
     "build_supertree",
-    "boundary_partition",
     "degree_sequence",
-    "distance",
-    "level_structure",
     "canonical_code",
-    "is_isomorphic",
-    "apply_vertex_permutation",
     "parse_sht",
     "serialize_sht",
 ]
@@ -62,27 +55,6 @@ class Supertree(namedtuple("Supertree", "k n edges degrees")):
     @property
     def m(self) -> int:
         return len(self.edges)
-
-
-class BoundaryPartition(namedtuple(
-        "BoundaryPartition", "interior boundary interior_edges boundary_edges")):
-    """Interior/boundary split of vertices, as frozensets, and of edges, as
-    tuples of the edges inside the interior and of those meeting the
-    boundary."""
-
-    __slots__ = ()
-
-
-class LevelStructure(namedtuple("LevelStructure", "root levels depth a b height")):
-    """Breadth-first layers of a supertree seen from a root vertex.
-
-    ``levels[i]`` lists the vertices at distance i from the root, ``depth[v]``
-    is the layer index of v, ``a[i]`` the layer size and ``b[i]`` the sum of
-    degrees over the layer. Every edge spans exactly two consecutive layers,
-    with a single vertex on the shallow side.
-    """
-
-    __slots__ = ()
 
 
 class DegreeSequence(namedtuple("DegreeSequence", "k entries n0")):
@@ -255,16 +227,6 @@ def _attach_leaf(G: Supertree, v: VertexId) -> Supertree:
     return Supertree(k=k, n=n + k - 1, edges=tuple(edges), degrees=tuple(degrees))
 
 
-def boundary_partition(G: Supertree) -> BoundaryPartition:
-    """Split vertices into interior (degree >= 2) and boundary (degree 1),
-    and edges into fully-interior edges and edges meeting the boundary."""
-    interior = frozenset(v for v in range(G.n) if G.degrees[v] >= 2)
-    boundary = frozenset(v for v in range(G.n) if G.degrees[v] == 1)
-    interior_edges = tuple(e for e in G.edges if all(v in interior for v in e))
-    boundary_edges = tuple(e for e in G.edges if any(v in boundary for v in e))
-    return BoundaryPartition(interior, boundary, interior_edges, boundary_edges)
-
-
 def degree_sequence(G: Supertree) -> DegreeSequence:
     return DegreeSequence.from_degrees(G.k, G.degrees)
 
@@ -279,33 +241,6 @@ def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
     if len(fs) != G.n:
         raise error(f"expected {G.n} function values, got {len(fs)}")
     return fs
-
-
-def distance(G: Supertree, u: VertexId, v: VertexId) -> int:
-    """Minimum number of edges on a connecting path."""
-    if not (0 <= u < G.n and 0 <= v < G.n):
-        raise BadVertexId(f"vertex pair ({u}, {v}) outside 0..{G.n - 1}")
-    return _incidence_walk(G, u)[0][v] // 2
-
-
-def level_structure(G: Supertree, root: VertexId) -> LevelStructure:
-    if not 0 <= root < G.n:
-        raise BadVertexId(f"root {root} outside 0..{G.n - 1}")
-    depth = [d // 2 for d in _incidence_walk(G, root)[0][: G.n]]
-    height = max(depth)
-    levels: list[list[int]] = [[] for _ in range(height + 1)]
-    for v in range(G.n):
-        levels[depth[v]].append(v)
-    a = tuple(len(level) for level in levels)
-    b = tuple(sum(G.degrees[v] for v in level) for level in levels)
-    return LevelStructure(
-        root=root,
-        levels=tuple(tuple(level) for level in levels),
-        depth=tuple(depth),
-        a=a,
-        b=b,
-        height=height,
-    )
 
 
 # --- canonical form -------------------------------------------------------
@@ -484,20 +419,6 @@ def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:
     return match[: G.n]
 
 
-def is_isomorphic(G1: Supertree, G2: Supertree) -> bool:
-    if G1.k != G2.k or G1.n != G2.n:
-        return False
-    return canonical_code(G1) == canonical_code(G2)
-
-
-def apply_vertex_permutation(G: Supertree, perm) -> Supertree:
-    """Relabel vertices: vertex v becomes perm[v]."""
-    p = list(perm)
-    if sorted(p) != list(range(G.n)):
-        raise BadVertexId("perm is not a permutation of 0..n-1")
-    return build_supertree(G.k, G.n, [[p[v] for v in e] for e in G.edges])
-
-
 # --- .sht text format -----------------------------------------------------
 #
 #   k 3
@@ -505,13 +426,14 @@ def apply_vertex_permutation(G: Supertree, perm) -> Supertree:
 #   e 0 1 2
 #   e 0 3 4
 #
-# Lines starting with '#' are comments. Parsing tolerates arbitrary
-# whitespace and skips trailing `order` metadata lines emitted by
-# slo-construct; serialization is canonical (sorted ids, sorted edges).
+# A file has exactly one `k` and one `n` line. Lines starting with '#' are
+# comments. Parsing tolerates arbitrary whitespace and skips trailing
+# `order` metadata lines emitted by slo-construct; serialization is
+# canonical (sorted ids, sorted edges).
 
 
 def parse_sht(text: str) -> Supertree:
-    k = n = None
+    header: dict[str, int] = {}
     edges: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -531,13 +453,13 @@ def parse_sht(text: str) -> Supertree:
             edges.append(values)
         elif len(values) != 1:
             raise ShtFormatError(f"line {lineno}: {tag!r} takes one integer")
-        elif tag == "k":
-            k = values[0]
+        elif tag in header:
+            raise ShtFormatError(f"line {lineno}: second {tag!r} line")
         else:
-            n = values[0]
-    if k is None or n is None:
+            header[tag] = values[0]
+    if len(header) < 2:
         raise ShtFormatError("missing required 'k' or 'n' line")
-    return build_supertree(k, n, edges)
+    return build_supertree(header["k"], header["n"], edges)
 
 
 def serialize_sht(G: Supertree) -> str:

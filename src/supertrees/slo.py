@@ -29,7 +29,6 @@ from .core import (
     _incidence_walk,
     _isomorphism,
     _vertex_values,
-    boundary_partition,
     build_supertree,
     degree_sequence,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "find_slo_ordering",
     "construct_slo_supertree",
     "relabel",
-    "relabel_ordering",
 ]
 
 # (level, group index within level, position within group), all per the
@@ -209,12 +207,11 @@ def relabel(
         NotAnEigenfunction: f is not positive interior / zero boundary.
     """
     fs = _vertex_values(G, f, NotAnEigenfunction)
-    part = boundary_partition(G)
-    for v in part.boundary:
-        if abs(fs[v]) > 1e-12:
+    for v, d in enumerate(G.degrees):
+        if d == 1 and abs(fs[v]) > 1e-12:
             raise NotAnEigenfunction(f"f({v}) = {fs[v]} nonzero on the boundary")
-    for v in part.interior:
-        if fs[v] <= 0.0:
+    for v, d in enumerate(G.degrees):
+        if d >= 2 and fs[v] <= 0.0:
             raise NotAnEigenfunction(f"f({v}) = {fs[v]} not positive on the interior")
 
     top_value = max(fs)
@@ -252,8 +249,3 @@ def relabel(
             for pp, v in enumerate(arranged, start=1):
                 labels[v] = (lvl, gi, pp)
     return labels
-
-
-def relabel_ordering(labels: dict[VertexId, VertexLabel]) -> tuple[VertexId, ...]:
-    """Vertices sorted by their (s, i, p) labels."""
-    return tuple(sorted(labels, key=labels.get))

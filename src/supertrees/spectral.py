@@ -1,14 +1,14 @@
-"""Laplacian assembly and first Dirichlet eigenpairs.
+"""First Dirichlet eigenpairs.
 
 The Laplacian of a k-uniform supertree has degree on the diagonal and
 -1/(k-1) between adjacent vertices; restricted to the interior it is the
 Dirichlet matrix, whose smallest eigenvalue is simple and positive, with an
 eigenvector positive on the interior. LAPACK (numpy.linalg.eigh) solves that
-dense block. One numpy scatter builds the blocks of a stack of supertrees
-with equal k, n and n0: first_dirichlet_eigenvalues solves each such group in
-one eigh call, and first_dirichlet_eigenpair solves a stack of one. Only this
-module imports numpy; the package, the CLI and enumeration import it on
-first use, so the rest runs without numpy.
+dense block. One numpy scatter builds the interior blocks of a stack of
+supertrees with equal k, n and n0: first_dirichlet_eigenvalues solves each
+such group in one eigh call, and first_dirichlet_eigenpair solves a stack of
+one. Only this module imports numpy; the package, the CLI and enumeration
+import it on first use, so the rest runs without numpy.
 """
 
 import itertools
@@ -19,27 +19,13 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import Supertree
-from .errors import NoInteriorVertices, ZeroFunction
+from .errors import NoInteriorVertices
 
 __all__ = [
-    "DirichletLaplacian",
     "DirichletEigenpair",
-    "assemble_laplacian",
-    "dirichlet_laplacian",
     "first_dirichlet_eigenpair",
     "first_dirichlet_eigenvalues",
-    "rayleigh_quotient",
 ]
-
-
-class DirichletLaplacian(namedtuple("DirichletLaplacian", "matrix interior")):
-    """Interior restriction of the Laplacian.
-
-    ``matrix`` is the dense (n0, n0) block; ``interior[i]`` is the vertex id
-    behind row/column i (ascending).
-    """
-
-    __slots__ = ()
 
 
 class DirichletEigenpair(
@@ -60,18 +46,17 @@ class DirichletEigenpair(
 _PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _laplacian_blocks(trees, interior: bool = True):
-    """Stacked (B, r, r) Laplacian blocks of B supertrees with equal k, n and
-    n0, on the interior (r = n0) or on all vertices (r = n), with the mask of
-    picked vertices of their disjoint union, where vertex v of tree b is
-    vertex b*n + v; a cumulative sum over the mask gives its row in the
-    stack. Two edges share at most one vertex, so no entry is scattered
-    twice. _PAIRS keeps each k's ordered member pairs of an edge. An empty
-    interior raises NoInteriorVertices."""
+def _laplacian_blocks(trees):
+    """Stacked (B, n0, n0) interior Laplacian blocks of B supertrees with
+    equal k, n and n0, with the interior mask of their disjoint union, where
+    vertex v of tree b is vertex b*n + v; a cumulative sum over the mask
+    gives its row in the stack. Two edges share at most one vertex, so no
+    entry is scattered twice. _PAIRS keeps each k's ordered member pairs of
+    an edge. An empty interior raises NoInteriorVertices."""
     k, n, B = trees[0].k, trees[0].n, len(trees)
     flat = itertools.chain.from_iterable
     degrees = np.fromiter(flat(G.degrees for G in trees), np.intp, B * n)
-    picked = degrees >= (2 if interior else 1)
+    picked = degrees >= 2
     row = np.cumsum(picked) - 1
     r = (int(row[-1]) + 1) // B
     if not r:
@@ -88,15 +73,6 @@ def _laplacian_blocks(trees, interior: bool = True):
     both = picked[src] & picked[dst]
     blocks.ravel()[row[src[both]] * r + row[dst[both]] % r] = -1.0 / (k - 1)
     return blocks.reshape(B, r, r), picked
-
-
-def assemble_laplacian(G: Supertree) -> np.ndarray:
-    return _laplacian_blocks([G], interior=False)[0][0]
-
-
-def dirichlet_laplacian(G: Supertree) -> DirichletLaplacian:
-    blocks, picked = _laplacian_blocks([G])
-    return DirichletLaplacian(blocks[0], tuple(np.flatnonzero(picked).tolist()))
 
 
 def first_dirichlet_eigenpair(
@@ -145,28 +121,3 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
         values = np.linalg.eigh(_laplacian_blocks([trees[i] for i in idx])[0])[0]
         lams.update(zip(idx, values[:, 0].tolist()))
     return [lams[i] for i in range(len(trees))]
-
-
-def rayleigh_quotient(G: Supertree, f) -> float:
-    """Edge-pair quadratic form over the squared norm.
-
-    The numerator sums (f(i)-f(j))^2 / (k-1) over each unordered vertex pair
-    inside each edge, once per pair, which equals <Lf, f> exactly. f may be
-    any real vector indexed by vertex id; it does not need to vanish on the
-    boundary (bounds on the first Dirichlet eigenvalue require that, the
-    quotient itself does not).
-    """
-    fs = np.asarray(f, dtype=float)
-    if fs.shape != (G.n,):
-        raise ValueError(f"expected {G.n} values, got shape {fs.shape}")
-    denom = float(fs @ fs)
-    if denom == 0.0:
-        raise ZeroFunction("Rayleigh quotient of the zero function")
-    num = 0.0
-    for e in G.edges:
-        for i_pos in range(G.k):
-            fi = fs[e[i_pos]]
-            for j_pos in range(i_pos + 1, G.k):
-                diff = fi - fs[e[j_pos]]
-                num += diff * diff
-    return num / (G.k - 1) / denom

@@ -24,18 +24,13 @@ from supertrees import (
     Supertree,
     SwitchSpec,
     Tolerances,
-    apply_vertex_permutation,
-    boundary_partition,
     build_supertree,
     canonical_code,
     check_slo,
-    dirichlet_laplacian,
     feasible_degree_sequences,
-    level_structure,
 )
 from supertrees.config import strictly_less
 from supertrees.core import (
-    LevelStructure,
     VertexId,
     _code,
     _incidence_adjacency,
@@ -131,20 +126,21 @@ def reference_laplacian(G: Supertree) -> np.ndarray:
 
 def reference_eigenpair(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
     """(lam, f, gap, degenerate, residual) by the library's earlier single
-    solve: the DirichletLaplacian with its interior tuple, and norms from
-    np.linalg.norm; the library now takes the interior block straight from
-    the scatter and norms from math.sqrt(x @ x)."""
-    dl = dirichlet_laplacian(G)
-    values, vectors = np.linalg.eigh(dl.matrix)
+    solve: the interior block cut from reference_laplacian, and norms from
+    np.linalg.norm; the library takes the interior block straight from the
+    scatter and norms from math.sqrt(x @ x)."""
+    interior = [v for v in range(G.n) if G.degrees[v] >= 2]
+    M = reference_laplacian(G)[np.ix_(interior, interior)]
+    values, vectors = np.linalg.eigh(M)
     lam = float(values[0])
     x = vectors[:, 0].copy()
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     x /= np.linalg.norm(x)
     f = np.zeros(G.n)
-    f[list(dl.interior)] = x
+    f[interior] = x
     gap = float(values[1] - values[0]) if len(values) > 1 else math.inf
-    residual = float(np.linalg.norm(dl.matrix @ x - lam * x))
+    residual = float(np.linalg.norm(M @ x - lam * x))
     degenerate = gap <= tol.degenerate_gap * max(1.0, lam)
     return lam, f, gap, degenerate, residual
 
@@ -298,9 +294,9 @@ def dominated_by(bound):
 
 def _hanging(
     G: Supertree, root: VertexId
-) -> tuple[LevelStructure, list[bytes], list[list[tuple]]]:
-    """Levels seen from root, the code of the structure hanging below each
-    vertex, and the edges reaching down into each level.
+) -> tuple[list[int], list[bytes], list[list[tuple]]]:
+    """Each vertex's level seen from root, the code of the structure hanging
+    below each vertex, and the edges reaching down into each level.
 
     ``blocks[s]`` lists (top, members) for every edge whose k-1 members sit
     at level s, in G.edges order; acyclicity leaves exactly one vertex, the
@@ -308,13 +304,13 @@ def _hanging(
     root: equal codes mean an automorphism of G fixing everything above can
     swap the two subtrees.
     """
-    ls = level_structure(G, root)
+    depth = reference_depths(G, root)
     codes, parent = rooted_codes(_incidence_adjacency(G), root, G.n)[:2]
-    blocks: list[list[tuple]] = [[] for _ in range(ls.height + 1)]
+    blocks: list[list[tuple]] = [[] for _ in range(max(depth) + 1)]
     for ei, e in enumerate(G.edges):
         top = parent[G.n + ei]
-        blocks[ls.depth[top] + 1].append((top, tuple(v for v in e if v != top)))
-    return ls, codes, blocks
+        blocks[depth[top] + 1].append((top, tuple(v for v in e if v != top)))
+    return depth, codes, blocks
 
 
 def _distinct_orders(items: tuple, key):
@@ -333,8 +329,7 @@ def _distinct_orders(items: tuple, key):
 
 
 def _spiral_search(G: Supertree, root: VertexId, interior) -> tuple | None:
-    ls, subkey, blocks_at = _hanging(G, root)
-    depth = ls.depth
+    depth, subkey, blocks_at = _hanging(G, root)
     boundary_depths = [depth[v] for v in range(G.n) if v not in interior]
     interior_depths = [depth[v] for v in interior]
     # S1 forces level-by-level order, so a boundary vertex strictly above the
@@ -369,7 +364,7 @@ def _spiral_search(G: Supertree, root: VertexId, interior) -> tuple | None:
         state["boundary_seen"] = boundary_seen
 
     def place_level(lvl: int) -> bool:
-        if lvl > ls.height:
+        if lvl >= len(blocks_at):
             return True
         blocks = blocks_at[lvl]
         by_top: dict[VertexId, list[tuple]] = {}
@@ -412,14 +407,14 @@ def reference_find_slo_ordering(G: Supertree) -> tuple[VertexId, ...] | None:
     (when any interior vertex exists), so only those roots are searched. Any
     returned ordering is re-verified through check_slo.
     """
-    part = boundary_partition(G)
-    if not part.interior:
+    interior = frozenset(v for v in range(G.n) if G.degrees[v] >= 2)
+    if not interior:
         order = tuple(range(G.n))
         assert not check_slo(G, order)
         return order
-    dmin = min(G.degrees[v] for v in part.interior)
-    for root in sorted(v for v in part.interior if G.degrees[v] == dmin):
-        order = _spiral_search(G, root, part.interior)
+    dmin = min(G.degrees[v] for v in interior)
+    for root in sorted(v for v in interior if G.degrees[v] == dmin):
+        order = _spiral_search(G, root, interior)
         if order is not None:
             violations = check_slo(G, order)
             assert not violations, violations
@@ -525,6 +520,11 @@ def consecutive_witnesses(G: Supertree, order, violations) -> list[SloViolation]
     return [x for x in violations if kept(x)]
 
 
+def apply_vertex_permutation(G: Supertree, perm) -> Supertree:
+    """G with vertex v renamed perm[v]."""
+    return build_supertree(G.k, G.n, [[perm[v] for v in e] for e in G.edges])
+
+
 def random_supertree(rng: random.Random, k: int, m: int) -> Supertree:
     """A uniformly grown supertree with randomly permuted vertex labels."""
     edges = [tuple(range(k))]
@@ -594,7 +594,7 @@ def switch_strict_witness(G, f, spec, tol=None) -> bool:
     exchanged groups. Without a witness the switch can be a relabeling.
     """
     tol = tol or DEFAULT_TOLERANCES
-    interior = set(boundary_partition(G).interior)
+    interior = {v for v in range(G.n) if G.degrees[v] >= 2}
     su1 = sum(float(f[v]) for v in spec.u1)
     sv1 = sum(float(f[v]) for v in spec.v1)
     rest1 = sum(float(f[v]) for v in spec.e1 if v not in spec.u1)

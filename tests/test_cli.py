@@ -21,7 +21,6 @@ from hypothesis import strategies as hs
 import supertrees
 from supertrees import (
     DegreeSequence,
-    apply_vertex_permutation,
     build_supertree,
     check_slo,
     construct_slo_supertree,
@@ -29,6 +28,7 @@ from supertrees import (
     serialize_sht,
 )
 from supertrees.cli import main
+from support import apply_vertex_permutation
 
 STAR_SHT = "k 3\nn 5\ne 0 1 2\ne 0 3 4\n"
 H7_SHT = "k 3\nn 7\ne 0 1 2\ne 0 3 4\ne 1 5 6\n"
@@ -375,6 +375,36 @@ def test_package_all_is_the_union_of_the_module_lists():
     star = {}
     exec("from supertrees import *", star)
     assert [name for name in union if star.get(name) is not getattr(supertrees, name)] == []
+    # the surface is what the CLI, the sweeps and the claims read; growing or
+    # shrinking it is an edit here
+    assert sorted(supertrees.__all__) == [
+        "BadVertexId", "CanonicalCode", "ContainsCycle", "DEFAULT_TOLERANCES",
+        "DegreeSequence", "DegreeTooSmall", "DirichletEigenpair", "Disconnected",
+        "DuplicateEdge", "EdgeOverlapTooLarge", "EmptyFamily", "FamilySpec",
+        "FkCertificate", "HypothesisCheck", "IndexOutOfRange",
+        "InfeasibleDegreeSequence", "InvalidSpec", "LengthMismatch",
+        "NoInteriorVertices", "NotAPermutation", "NotAnEigenfunction",
+        "NotKUniform", "NotMajorized", "ResultNotSupertree", "ShiftSpec",
+        "ShtFormatError", "SloViolation", "Supertree", "SupertreeError",
+        "SwitchSpec", "Tolerances", "VertexId", "VertexLabel", "ZeroFunction",
+        "apply_shift", "apply_switch", "build_supertree", "canonical_code",
+        "check_shift_hypothesis", "check_slo", "check_switch_hypothesis",
+        "construct_slo_supertree", "degree_sequence", "enumerate_family",
+        "enumerate_supertrees", "feasible_degree_sequences", "find_slo_ordering",
+        "first_dirichlet_eigenpair", "first_dirichlet_eigenvalues", "fk1_sweep",
+        "fk2_sweep", "majorizes", "parse_sht", "relabel", "serialize_sht",
+        "unit_transform_chain", "unit_transformation", "verify_fk_theorem1",
+        "verify_fk_theorem2", "verify_majorization_monotonicity",
+    ]
+    for name in (
+        "BoundaryPartition", "boundary_partition", "LevelStructure",
+        "level_structure", "distance", "is_isomorphic", "apply_vertex_permutation",
+        "DirichletLaplacian", "dirichlet_laplacian", "assemble_laplacian",
+        "rayleigh_quotient", "relabel_ordering", "at_least", "at_most",
+        "strictly_less",
+    ):
+        with pytest.raises(AttributeError):
+            getattr(supertrees, name)
 
 
 def test_slo_construct_roundtrip(capsys):
@@ -524,10 +554,13 @@ def test_usage_errors_exit_2(capsys, star, tmp_path):
     assert _run(capsys, "--jobs", "2", "verify-fk1", "--k", "3", "--all")[0] == 2
     huge = tmp_path / "huge.sht"
     huge.write_text("k 2\nn 1000000000000000\ne 0 1\n")
+    twice = tmp_path / "twice.sht"
+    twice.write_text("k 2\nk 3\nn 3\ne 0 1\ne 1 2\n")
     for argv, error in (
         (["verify-fk1", "--k", "1", "--all", "--n-max", "5"], "NotKUniform:"),
         (["verify-fk1", "--k", "0", "--all"], "NotKUniform:"),
         (["validate", str(huge)], "Disconnected:"),
+        (["validate", str(twice)], "ShtFormatError: line 2: second 'k' line"),
     ):
         code, out, err = _run(capsys, *argv)
         assert code == 2

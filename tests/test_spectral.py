@@ -1,4 +1,4 @@
-"""Spectral layer: Laplacian assembly and the first Dirichlet pair."""
+"""Spectral layer: interior Laplacian blocks and the first Dirichlet pair."""
 
 from __future__ import annotations
 
@@ -11,22 +11,19 @@ import pytest
 
 from supertrees import (
     NoInteriorVertices,
-    ZeroFunction,
-    assemble_laplacian,
     build_supertree,
     canonical_code,
-    dirichlet_laplacian,
     enumerate_family,
     enumerate_supertrees,
     first_dirichlet_eigenpair,
     first_dirichlet_eigenvalues,
     fk1_sweep,
     fk2_sweep,
-    rayleigh_quotient,
+    spectral,
 )
-from supertrees import apply_vertex_permutation, spectral
 from supertrees.enumeration import _grow_classes
 from support import (
+    apply_vertex_permutation,
     broom,
     random_boundary_zero,
     random_supertree,
@@ -48,36 +45,23 @@ def star(k: int, d: int):
 
 def test_laplacian_matrix_two_interior():
     G = build_supertree(3, 7, TWO_INTERIOR)
-    lap = assemble_laplacian(G)
-    assert lap.shape == (7, 7)
-    assert list(np.diag(lap)) == [2, 2, 1, 1, 1, 1, 1]
-    assert lap[0, 1] == -0.5 and lap[1, 0] == -0.5
-    assert lap[0, 3] == -0.5
-    assert lap[0, 5] == 0.0 and lap[3, 5] == 0.0
-    assert np.allclose(lap, lap.T)
-    dl = dirichlet_laplacian(G)
-    assert dl.interior == (0, 1)
-    assert np.array_equal(dl.matrix, np.array([[2.0, -0.5], [-0.5, 2.0]]))
-
-
-def test_laplacian_row_sums_vanish():
-    rng = random.Random(314)
-    for _ in range(30):
-        G = random_supertree(rng, rng.choice((2, 3, 4)), rng.randrange(1, 6))
-        lap = assemble_laplacian(G)
-        assert np.allclose(lap @ np.ones(G.n), 0.0, atol=1e-12)
+    blocks, picked = spectral._laplacian_blocks([G])
+    assert np.flatnonzero(picked).tolist() == [0, 1]
+    assert np.array_equal(blocks[0], np.array([[2.0, -0.5], [-0.5, 2.0]]))
 
 
 def test_laplacian_reduces_to_graph_laplacian_for_pairs():
     G = build_supertree(2, 5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-    lap = assemble_laplacian(G)
     expected = np.zeros((5, 5))
     for u, v in G.edges:
         expected[u, u] += 1
         expected[v, v] += 1
         expected[u, v] -= 1
         expected[v, u] -= 1
-    assert np.array_equal(lap, expected)
+    interior = [1, 2]
+    assert np.array_equal(
+        spectral._laplacian_blocks([G])[0][0], expected[np.ix_(interior, interior)]
+    )
 
 
 def test_star_eigenvalue_is_center_degree():
@@ -134,17 +118,8 @@ def test_eigenpair_consistency_random():
         assert min(pair.f[v] for v in interior) > 0.0
         assert np.linalg.norm(pair.f) == pytest.approx(1.0, abs=1e-12)
         # quadratic form agrees with the eigenvalue on the eigenfunction
-        assert rayleigh_quotient(G, pair.f) == pytest.approx(pair.lam, abs=1e-12)
-
-
-def test_quadratic_form_matches_matrix():
-    rng = random.Random(1123)
-    for _ in range(50):
-        G = random_supertree(rng, rng.choice((2, 3, 4)), rng.randrange(1, 6))
-        f = [rng.uniform(-2.0, 2.0) for _ in range(G.n)]
-        fs = np.array(f)
-        direct = float(fs @ assemble_laplacian(G) @ fs) / float(fs @ fs)
-        assert rayleigh_quotient(G, f) == pytest.approx(direct, abs=1e-12)
+        f = pair.f
+        assert f @ reference_laplacian(G) @ f == pytest.approx(pair.lam, abs=1e-12)
 
 
 def test_rayleigh_bounds_first_eigenvalue():
@@ -152,8 +127,8 @@ def test_rayleigh_bounds_first_eigenvalue():
     for _ in range(100):
         G = random_supertree(rng, rng.choice((2, 3, 4)), rng.randrange(2, 7))
         lam = first_dirichlet_eigenpair(G).lam
-        g = random_boundary_zero(rng, G)
-        assert rayleigh_quotient(G, g) >= lam - 1e-10
+        g = np.array(random_boundary_zero(rng, G))
+        assert g @ reference_laplacian(G) @ g / (g @ g) >= lam - 1e-10
 
 
 def test_no_interior_vertices_raises():
@@ -161,7 +136,7 @@ def test_no_interior_vertices_raises():
     with pytest.raises(NoInteriorVertices):
         first_dirichlet_eigenpair(single)
     with pytest.raises(NoInteriorVertices):
-        dirichlet_laplacian(single)
+        spectral._laplacian_blocks([single])
     with pytest.raises(NoInteriorVertices):
         first_dirichlet_eigenvalues([star(3, 2), single])
 
@@ -176,13 +151,12 @@ def test_scatter_assembly_matches_reference():
     for k, m in ((2, 10), (3, 6)):
         trees += [G for layer in _grow_classes(k, m) for _, G in layer]
     for G in trees:
-        lap = reference_laplacian(G)
-        assert np.array_equal(assemble_laplacian(G), lap)
         interior = [v for v in range(G.n) if G.degrees[v] >= 2]
         if interior:
-            dl = dirichlet_laplacian(G)
-            assert dl.interior == tuple(interior)
-            assert np.array_equal(dl.matrix, lap[np.ix_(interior, interior)])
+            blocks, picked = spectral._laplacian_blocks([G])
+            assert np.flatnonzero(picked).tolist() == interior
+            want = reference_laplacian(G)[np.ix_(interior, interior)]
+            assert np.array_equal(blocks[0], want)
 
 
 def _with_interior(rng: random.Random, k: int, n0: int):
@@ -222,27 +196,23 @@ def test_eigenpair_equals_reference_arithmetic_bitwise():
 
 
 def test_cached_member_pairs_serve_every_k_and_stack():
-    # the member-pair index is cached per k; calls interleaving k, interior
-    # and stack size must each match the element-wise reference
+    # the member-pair index is cached per k; calls interleaving k and stack
+    # size must each match the element-wise reference
     rng = random.Random(5150)
     for _ in range(3):
         for k in (2, 3, 4, 5):
             G = random_supertree(rng, k, rng.randrange(2, 9))
             perms = [rng.sample(range(G.n), G.n) for _ in range(3)]
             stack = [G] + [apply_vertex_permutation(G, p) for p in perms]
-            for interior in (True, False):
-                low = 2 if interior else 1
-                for trees in ([G], stack):
-                    picked = [
-                        [v for v in range(H.n) if H.degrees[v] >= low] for H in trees
-                    ]
-                    want = np.array([
-                        reference_laplacian(H)[np.ix_(rows, rows)]
-                        for H, rows in zip(trees, picked)
-                    ])
-                    blocks = spectral._laplacian_blocks(trees, interior)[0]
-                    assert blocks.shape == want.shape
-                    assert np.array_equal(blocks, want)
+            for trees in ([G], stack):
+                picked = [[v for v in range(H.n) if H.degrees[v] >= 2] for H in trees]
+                want = np.array([
+                    reference_laplacian(H)[np.ix_(rows, rows)]
+                    for H, rows in zip(trees, picked)
+                ])
+                blocks = spectral._laplacian_blocks(trees)[0]
+                assert blocks.shape == want.shape
+                assert np.array_equal(blocks, want)
 
 
 def _mixed_groups():
@@ -316,11 +286,3 @@ def test_stacked_eigenvalues_equal_single_solves():
         first_dirichlet_eigenpair(G).lam for G in everyone
     ]
     assert first_dirichlet_eigenvalues([]) == []
-
-
-def test_zero_function_raises():
-    G = build_supertree(3, 7, TWO_INTERIOR)
-    with pytest.raises(ZeroFunction):
-        rayleigh_quotient(G, [0.0] * 7)
-    with pytest.raises(ValueError):
-        rayleigh_quotient(G, [1.0] * 6)
