@@ -218,10 +218,10 @@ def build_supertree(k: int, n: int, edges) -> Supertree:
 def _attach_leaf(G: Supertree, v: VertexId) -> Supertree:
     """G with the pendant edge (v, n, ..., n+k-2) on k-1 new vertices; a
     supertree by construction, so nothing is re-validated."""
-    n, k = G.n, G.k
-    edges = list(G.edges)
+    k, n, edges, degrees = G
+    edges = list(edges)
     bisect.insort(edges, (v,) + tuple(range(n, n + k - 1)))
-    degrees = list(G.degrees)
+    degrees = list(degrees)
     degrees[v] += 1
     degrees.extend([1] * (k - 1))
     return Supertree(k=k, n=n + k - 1, edges=tuple(edges), degrees=tuple(degrees))
@@ -265,11 +265,12 @@ def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
 
 
 def _incidence_adjacency(G: Supertree) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(G.n)]
-    for enode, e in enumerate(G.edges, G.n):
+    _, n, edges, _ = G
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for enode, e in enumerate(edges, n):
         for v in e:
             adj[v].append(enode)
-    adj.extend(list(e) for e in G.edges)
+    adj.extend(list(e) for e in edges)
     return adj
 
 
@@ -313,9 +314,10 @@ class _CentroidTree:
     other callers it is found from subtree sizes seen from node 0."""
 
     def __init__(self, G: Supertree, root: int | None = None):
+        k, n, _, degrees = G
         adj = _incidence_adjacency(G)
-        n, total = G.n, len(adj)
-        self.n, self.k, self.total, self.degrees = n, G.k, total, G.degrees
+        total = len(adj)
+        self.n, self.k, self.total, self.degrees = n, k, total, degrees
         if root is None:
             # the nodes whose subtree seen from node 0 holds more than half
             # the tree form a path down from node 0; it ends at the centroid

@@ -165,12 +165,13 @@ def _grow_classes(k: int, m_target: int, bound=None) -> list:
         grown: dict[CanonicalCode, Supertree] = {}
         centroid: dict[CanonicalCode, int] = {}
         for (_, G), root in zip(layers[-1], roots):
-            fits = None if bound is None else _raisable(G.degrees, bound)
+            _, n, edges, degrees = G
+            fits = None if bound is None else _raisable(degrees, bound)
             for code, v, c in _CentroidTree(G, root).leaf_children(fits):
                 if code not in grown:
                     H = grown[code] = _attach_leaf(G, v)
-                    if c >= G.n:
-                        c = H.n + bisect.bisect_left(H.edges, G.edges[c - G.n])
+                    if c >= n:
+                        c = H.n + bisect.bisect_left(H.edges, edges[c - n])
                     centroid[code] = c
         layers.append(sorted(grown.items()))
         roots = [centroid[code] for code, _ in layers[-1]]

@@ -11,7 +11,6 @@ __all__ = [
     "ShtFormatError",
     "InfeasibleDegreeSequence",
     "NoInteriorVertices",
-    "ZeroFunction",
     "NotAPermutation",
     "NotAnEigenfunction",
     "InvalidSpec",
@@ -66,10 +65,6 @@ class InfeasibleDegreeSequence(SupertreeError):
 
 class NoInteriorVertices(SupertreeError):
     """The Dirichlet problem is empty: every vertex lies on the boundary."""
-
-
-class ZeroFunction(SupertreeError):
-    """A Rayleigh quotient was requested for the identically zero function."""
 
 
 # orderings

@@ -3,12 +3,16 @@
 The Laplacian of a k-uniform supertree has degree on the diagonal and
 -1/(k-1) between adjacent vertices; restricted to the interior it is the
 Dirichlet matrix, whose smallest eigenvalue is simple and positive, with an
-eigenvector positive on the interior. LAPACK (numpy.linalg.eigh) solves that
-dense block. One numpy scatter builds the interior blocks of a stack of
+eigenvector positive on the interior. LAPACK's symmetric eigenvalue driver
+(numpy.linalg.eigvalsh) gives every eigenvalue of that dense block and no
+eigenvector. One numpy scatter builds the interior blocks of a stack of
 supertrees with equal k, n and n0: first_dirichlet_eigenvalues solves each
-such group in one eigh call, and first_dirichlet_eigenpair solves a stack of
-one. Only this module imports numpy; the package, the CLI and enumeration
-import it on first use, so the rest runs without numpy.
+such group in one eigvalsh call, and first_dirichlet_eigenpair solves a
+stack of one, so the two give the same lambda bit for bit. The one
+eigenvector returned comes from one step of inverse iteration from the
+all-ones vector, at a shift just below lambda. Only this module imports
+numpy; the package, the CLI and enumeration import it on first use, so the
+rest runs without numpy.
 """
 
 import itertools
@@ -33,17 +37,28 @@ class DirichletEigenpair(
     """First Dirichlet eigenpair of a supertree.
 
     ``f`` has one entry per vertex, zero on the boundary, positive on the
-    interior, unit Euclidean norm. ``gap`` is the distance to the second
-    Dirichlet eigenvalue (infinite when the interior has one vertex) and
-    ``degenerate`` flags a gap too small to certify simplicity. ``residual``
-    is ||M x - lambda x|| on the interior block, usable as a slack bound for
-    strict comparisons between entries of f.
+    interior, unit Euclidean norm. It is one step of inverse iteration,
+    (M - sigma I) x = (1, ..., 1), with sigma a fixed multiple of
+    eps * 2 * (max degree) below lambda; its angle to the true eigenvector
+    is O(sqrt(r) * eps * ||M|| / gap) for an interior of r vertices, the
+    same order as LAPACK's own eigenvector bound. ``gap`` is the distance to
+    the second Dirichlet eigenvalue (infinite when the interior has one
+    vertex) and ``degenerate`` flags a gap too small to certify simplicity.
+    ``residual`` is ||M x - lambda x|| on the interior block, usable as a
+    slack bound for strict comparisons between entries of f.
     """
 
     __slots__ = ()
 
 
 _PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+# eps * 2 * (max degree) bounds eps * ||M|| (Gershgorin: each row's
+# off-diagonal entries sum to at most its degree). eigvalsh puts lambda
+# within about three such units of the true value on the blocks tested, so
+# a shift of eight keeps M - sigma I positive definite, never exactly
+# singular, even when r = 1 or lambda is an integer.
+_SHIFT = 8 * 2 * float(np.finfo(float).eps)
 
 
 def _laplacian_blocks(trees):
@@ -85,9 +100,13 @@ def first_dirichlet_eigenpair(
     """
     blocks, picked = _laplacian_blocks([G])
     M = blocks[0]
-    values, vectors = np.linalg.eigh(M)
+    values = np.linalg.eigvalsh(M)
     lam = float(values[0])
-    x = vectors[:, 0].copy()
+    shifted = M.copy()
+    shifted.ravel()[:: len(M) + 1] -= lam - _SHIFT * max(G.degrees)
+    # the Perron vector is positive, so the all-ones start is never
+    # orthogonal to it
+    x = np.linalg.solve(shifted, np.ones(len(M)))
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     # math.sqrt(x @ x) is what np.linalg.norm computes for a real 1-D x
@@ -105,7 +124,7 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
     """Smallest Dirichlet eigenvalue of each supertree, in input order.
 
     The supertrees are grouped by (k, n, n0); each group's interior blocks
-    are built as one stack and solved in one numpy.linalg.eigh call, which
+    are built as one stack and solved in one numpy.linalg.eigvalsh call, which
     runs the same LAPACK driver on each block as first_dirichlet_eigenpair,
     so each value equals its ``lam`` exactly.
 
@@ -118,6 +137,6 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
         groups.setdefault((G.k, G.n, G.degrees.count(1)), []).append(i)
     lams: dict[int, float] = {}
     for idx in groups.values():
-        values = np.linalg.eigh(_laplacian_blocks([trees[i] for i in idx])[0])[0]
+        values = np.linalg.eigvalsh(_laplacian_blocks([trees[i] for i in idx])[0])
         lams.update(zip(idx, values[:, 0].tolist()))
     return [lams[i] for i in range(len(trees))]

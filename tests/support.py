@@ -124,16 +124,13 @@ def reference_laplacian(G: Supertree) -> np.ndarray:
     return lap
 
 
-def reference_eigenpair(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
-    """(lam, f, gap, degenerate, residual) by the library's earlier single
-    solve: the interior block cut from reference_laplacian, and norms from
-    np.linalg.norm; the library takes the interior block straight from the
-    scatter and norms from math.sqrt(x @ x)."""
+def _interior_block(G: Supertree):
     interior = [v for v in range(G.n) if G.degrees[v] >= 2]
-    M = reference_laplacian(G)[np.ix_(interior, interior)]
-    values, vectors = np.linalg.eigh(M)
+    return interior, reference_laplacian(G)[np.ix_(interior, interior)]
+
+
+def _eigenpair_from(G, interior, M, values, x, tol):
     lam = float(values[0])
-    x = vectors[:, 0].copy()
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
     x /= np.linalg.norm(x)
@@ -143,6 +140,28 @@ def reference_eigenpair(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
     residual = float(np.linalg.norm(M @ x - lam * x))
     degenerate = gap <= tol.degenerate_gap * max(1.0, lam)
     return lam, f, gap, degenerate, residual
+
+
+def reference_eigenpair(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
+    """(lam, f, gap, degenerate, residual) from every eigenvector of the
+    interior block cut from reference_laplacian (np.linalg.eigh), an
+    independent check on the library's accuracy."""
+    interior, M = _interior_block(G)
+    values, vectors = np.linalg.eigh(M)
+    return _eigenpair_from(G, interior, M, values, vectors[:, 0].copy(), tol)
+
+
+def reference_inverse_iteration(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
+    """(lam, f, gap, degenerate, residual) by the library's arithmetic on the
+    interior block cut from reference_laplacian: eigenvalues alone, then one
+    solve of (M - sigma I) x = 1 with sigma = lam - 16 eps (max degree), and
+    norms from np.linalg.norm; the library takes the block straight from
+    the scatter, shifts its diagonal in place and norms by math.sqrt(x @ x)."""
+    interior, M = _interior_block(G)
+    values = np.linalg.eigvalsh(M)
+    sigma = values[0] - 16 * np.finfo(float).eps * max(G.degrees)
+    x = np.linalg.solve(M - sigma * np.eye(len(M)), np.ones(len(M)))
+    return _eigenpair_from(G, interior, M, values, x, tol)
 
 
 def tree_centroids(adj: list[list[int]]) -> list[int]:

@@ -386,7 +386,7 @@ def test_package_all_is_the_union_of_the_module_lists():
         "NoInteriorVertices", "NotAPermutation", "NotAnEigenfunction",
         "NotKUniform", "NotMajorized", "ResultNotSupertree", "ShiftSpec",
         "ShtFormatError", "SloViolation", "Supertree", "SupertreeError",
-        "SwitchSpec", "Tolerances", "VertexId", "VertexLabel", "ZeroFunction",
+        "SwitchSpec", "Tolerances", "VertexId", "VertexLabel",
         "apply_shift", "apply_switch", "build_supertree", "canonical_code",
         "check_shift_hypothesis", "check_slo", "check_switch_hypothesis",
         "construct_slo_supertree", "degree_sequence", "enumerate_family",
@@ -401,7 +401,7 @@ def test_package_all_is_the_union_of_the_module_lists():
         "level_structure", "distance", "is_isomorphic", "apply_vertex_permutation",
         "DirichletLaplacian", "dirichlet_laplacian", "assemble_laplacian",
         "rayleigh_quotient", "relabel_ordering", "at_least", "at_most",
-        "strictly_less",
+        "strictly_less", "ZeroFunction",
     ):
         with pytest.raises(AttributeError):
             getattr(supertrees, name)

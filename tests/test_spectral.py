@@ -19,8 +19,10 @@ from supertrees import (
     first_dirichlet_eigenvalues,
     fk1_sweep,
     fk2_sweep,
+    serialize_sht,
     spectral,
 )
+from supertrees.cli import main
 from supertrees.enumeration import _grow_classes
 from support import (
     apply_vertex_permutation,
@@ -28,6 +30,7 @@ from support import (
     random_boundary_zero,
     random_supertree,
     reference_eigenpair,
+    reference_inverse_iteration,
     reference_laplacian,
 )
 
@@ -173,7 +176,9 @@ def _with_interior(rng: random.Random, k: int, n0: int):
     return apply_vertex_permutation(build_supertree(k, len(degrees), edges), perm)
 
 
-def test_eigenpair_equals_reference_arithmetic_bitwise():
+def _reference_trees():
+    """Interior sizes 1 to 120 for k = 2..5, k=2 paths up to 200 edges,
+    brooms and stars."""
     rng = random.Random(1729)
     trees = [_with_interior(rng, 2 + n0 % 4, n0) for n0 in range(1, 121)]
     trees += [_with_interior(rng, k, rng.randrange(1, 121)) for k in (2, 3, 4, 5)]
@@ -184,15 +189,56 @@ def test_eigenpair_equals_reference_arithmetic_bitwise():
     trees += [star(k, d) for k in (2, 3, 4, 5) for d in (2, 3, 6)]
     interiors = {sum(d >= 2 for d in G.degrees) for G in trees}
     assert set(range(1, 121)) <= interiors and max(interiors) == 199
-    for G in trees:
+    return trees
+
+
+def test_eigenpair_equals_reference_arithmetic_bitwise():
+    for G in _reference_trees():
         pair = first_dirichlet_eigenpair(G)
-        lam, f, gap, degenerate, residual = reference_eigenpair(G)
+        lam, f, gap, degenerate, residual = reference_inverse_iteration(G)
         assert pair.lam.hex() == lam.hex()
         assert pair.gap.hex() == gap.hex()
         assert pair.residual.hex() == residual.hex()
         assert pair.degenerate == degenerate
         assert [x.hex() for x in pair.f.tolist()] == [x.hex() for x in f.tolist()]
     assert first_dirichlet_eigenpair(star(3, 4)).gap == math.inf
+
+
+def test_eigenpair_within_tolerance_of_eigh_reference():
+    # eigenvalues alone and one inverse-iteration step against LAPACK's
+    # eigenvectors; the worst differences seen are 6.9e-15 (lambda),
+    # 6.4e-15 (gap), 1.3e-12 (f) and residuals up to 1.7e-13
+    for G in _reference_trees():
+        pair = first_dirichlet_eigenpair(G)
+        lam, f, gap, degenerate, _ = reference_eigenpair(G)
+        assert abs(pair.lam - lam) <= 1e-13
+        assert pair.gap == gap == math.inf or abs(pair.gap - gap) <= 1e-13
+        assert np.max(np.abs(pair.f - f)) <= 1e-11
+        assert pair.residual <= 1e-12
+        assert pair.degenerate == degenerate
+
+
+def test_shift_below_exact_eigenvalues_never_singular(capsys, tmp_path):
+    # lambda computed exactly (r = 1, integral lambda) or nearly singular
+    # shifted blocks on long paths: every solve and every CLI run succeeds
+    exact = [(star(k, d), d) for k in (2, 3, 4) for d in (2, 5)]
+    exact.append((build_supertree(2, 4, [(0, 1), (1, 2), (2, 3)]), 1))
+    trees = [G for G, _ in exact]
+    trees.append(build_supertree(3, 9, ((0, 1, 2), (0, 3, 4), (1, 5, 6), (2, 7, 8))))
+    trees += [build_supertree(2, m + 1, [(i, i + 1) for i in range(m)])
+              for m in (4, 50, 100, 200, 399, 400)]
+    for G, lam in exact:
+        assert first_dirichlet_eigenpair(G).lam == lam
+    for G in trees:
+        pair = first_dirichlet_eigenpair(G)
+        assert np.all(np.isfinite(pair.f))
+        assert np.all(pair.f[[v for v in range(G.n) if G.degrees[v] >= 2]] > 0.0)
+        assert pair.residual <= 1e-12
+        path = tmp_path / "tree.sht"
+        path.write_text(serialize_sht(G))
+        assert main(["eigen", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"lambda={pair.lam:.12f}\n") and err == ""
 
 
 def test_cached_member_pairs_serve_every_k_and_stack():
@@ -241,31 +287,39 @@ def test_eigenvalues_of_mixed_groups_in_input_order():
         first_dirichlet_eigenvalues(trees[:7] + [single] + trees[7:])
 
 
-def _count_eigh(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str) -> list:
     calls = []
-    eigh = np.linalg.eigh
+    solver = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
-def test_one_eigh_per_group(monkeypatch):
+def test_one_eigvalsh_per_group_and_never_eigh(monkeypatch):
     trees, keys = _mixed_groups()
-    calls = _count_eigh(monkeypatch)
+    calls = _count_calls(monkeypatch, "eigvalsh")
+    eigh = _count_calls(monkeypatch, "eigh")
     first_dirichlet_eigenvalues(trees)
     assert len(calls) == len(keys)
     assert sum(shape[0] for shape in calls) == len(trees)
+    calls.clear()
+    for G in trees:
+        first_dirichlet_eigenpair(G)
+    assert len(calls) == len(trees)
+    assert eigh == []
 
 
-def test_one_eigh_per_family(monkeypatch):
-    calls = _count_eigh(monkeypatch)
+def test_one_eigvalsh_per_family_and_never_eigh(monkeypatch):
+    calls = _count_calls(monkeypatch, "eigvalsh")
+    eigh = _count_calls(monkeypatch, "eigh")
     certs = fk2_sweep(2, 10, 2)
     assert len(calls) == len(certs)
     assert [shape[0] for shape in calls] == [len(c.all_lambdas) for c in certs]
+    assert eigh == []
 
 
 def test_stacked_eigenvalues_equal_single_solves():
