@@ -314,10 +314,10 @@ class _CentroidTree:
     other callers it is found from subtree sizes seen from node 0."""
 
     def __init__(self, G: Supertree, root: int | None = None):
-        k, n, _, degrees = G
+        k, n, edges, degrees = G
         adj = _incidence_adjacency(G)
         total = len(adj)
-        self.n, self.k, self.total, self.degrees = n, k, total, degrees
+        self.n, self.k, self.total, self.edges, self.degrees = n, k, total, edges, degrees
         if root is None:
             # the nodes whose subtree seen from node 0 holds more than half
             # the tree form a path down from node 0; it ends at the centroid
@@ -347,8 +347,12 @@ class _CentroidTree:
     def leaf_children(self, degrees=None) -> list[tuple[CanonicalCode, VertexId, int]]:
         """(canonical_code(_attach_leaf(G, v)), v, c) for the lowest vertex v
         of every orbit of G's automorphism group, v ascending, with c the
-        child's centroid as a node of G's incidence tree; when degrees is
-        given, only of the orbits whose vertices have a degree in it.
+        child's centroid as a node of the child's incidence tree; when
+        degrees is given, only of the orbits whose vertices have a degree in
+        it. Vertices keep their ids. The pendant edge sorts after every edge
+        whose first vertex is at most v and before the rest, so G's edge
+        node n+i becomes n+k-1+i, plus 1 when edge i's first vertex is above
+        v.
 
         Every automorphism fixes the centroid, so two nodes share an orbit
         iff their parents do and their codes are equal. The pendant edge
@@ -395,6 +399,8 @@ class _CentroidTree:
                     new = _code(u, n, kids)
                     break
                 u = p
+            if u >= n:
+                u += k - 1 + (self.edges[u - n][0] > v)
             out.append((new, v, u))
         return out
 

@@ -1,23 +1,20 @@
 """Exhaustive enumeration of supertree families and extremality checks.
 
-Families come in two flavours: every supertree realizing a fixed degree
-sequence, and every supertree with prescribed size, interior count, and
-minimum interior degree. Every supertree with at least two edges loses a
-leaf edge to a smaller one, so growing classes one pendant edge at a time
-from a single edge reaches them all. One pass over each parent's
-centroid-rooted encoding gives the code of the child at the lowest vertex
-of every automorphism orbit; only a child with a new code is built.
-
-A single family grows alone, under a descending bound on its interior
-degrees. A sweep grows every class up to its size bound once, unbounded,
-buckets the classes by degree sequence, and scores each family (a min-degree
-family joins its buckets) with one stacked eigensolve. The checks: within
-each family the SLO-supertree attains the smallest first Dirichlet
-eigenvalue, strictly below every other class, and that eigenvalue decreases
-strictly along degree-sequence majorization.
+Every supertree with at least two edges loses a leaf edge to a smaller one,
+so growing classes one pendant edge at a time from a single edge reaches
+them all. One pass over each parent's centroid-rooted encoding gives the
+code and centroid of the child at the lowest vertex of every automorphism
+orbit; only a child with a new code is built. One function keys the grown
+classes by (n, n0, ascending interior degrees): a bucket is a
+degree-sequence family, and the min-degree family T_d(n, n0) is the union
+of its (n, n0)'s buckets whose interior degrees are all at least max(2, d).
+A single query grows under a descending bound on its interior degrees, a
+sweep grows once unbounded, and each family is scored with one stacked
+eigensolve. The checks: within each family the SLO-supertree attains the
+smallest first Dirichlet eigenvalue, strictly below every other class, and
+that eigenvalue decreases strictly along degree-sequence majorization.
 """
 
-import bisect
 import math
 from collections import namedtuple
 
@@ -155,8 +152,7 @@ def _grow_classes(k: int, m_target: int, bound=None) -> list:
     bound (when given): layer i lists the classes with i + 1 edges as
     (canonical code, supertree), in code order. Degrees only rise as edges
     are added, so every class that fits grows from classes that fit. A kept
-    child H's encoding starts at the centroid its parent's pass found: a
-    vertex keeps its id, and edge e's node becomes H.n + H.edges.index(e)."""
+    child's encoding starts at the centroid its parent's pass found."""
     if m_target < 1:
         return []
     start = build_supertree(k, k, [tuple(range(k))])
@@ -165,13 +161,10 @@ def _grow_classes(k: int, m_target: int, bound=None) -> list:
         grown: dict[CanonicalCode, Supertree] = {}
         centroid: dict[CanonicalCode, int] = {}
         for (_, G), root in zip(layers[-1], roots):
-            _, n, edges, degrees = G
-            fits = None if bound is None else _raisable(degrees, bound)
+            fits = None if bound is None else _raisable(G.degrees, bound)
             for code, v, c in _CentroidTree(G, root).leaf_children(fits):
                 if code not in grown:
-                    H = grown[code] = _attach_leaf(G, v)
-                    if c >= n:
-                        c = H.n + bisect.bisect_left(H.edges, edges[c - n])
+                    grown[code] = _attach_leaf(G, v)
                     centroid[code] = c
         layers.append(sorted(grown.items()))
         roots = [centroid[code] for code, _ in layers[-1]]
@@ -186,13 +179,34 @@ def _raisable(degrees, bound) -> set[int]:
     return {d for d, i in at.items() if i < len(bound) and d + 1 <= bound[i]}
 
 
+def _buckets(k: int, n_max: int, bound=None) -> dict:
+    """Every class with edge size k, at most n_max vertices and interior
+    degrees under bound (see _grow_classes), keyed by (n, n0, ascending
+    interior degrees), keys ascending: each bucket, in code order, is one
+    degree-sequence family. NotKUniform for k below 2."""
+    if k < 2:
+        raise NotKUniform(f"edge size must be at least 2, got k={k}")
+    buckets: dict[tuple[int, int, tuple[int, ...]], list] = {}
+    for layer in _grow_classes(k, (n_max - 1) // (k - 1), bound):
+        for code, G in layer:
+            interior = tuple(sorted(d for d in G.degrees if d >= 2))
+            buckets.setdefault((G.n, len(interior), interior), []).append((code, G))
+    return dict(sorted(buckets.items()))
+
+
+def _min_degree_families(buckets: dict, d: int) -> dict:
+    """(n, n0) -> the union, in code order, of the buckets of that (n, n0)
+    whose interior degrees are all at least max(2, d): the family T_d(n, n0)
+    for every (n, n0) with a nonempty one, keys ascending."""
+    families: dict[tuple[int, int], list] = {}
+    for (n, n0, interior), members in buckets.items():
+        if not interior or interior[0] >= max(2, d):
+            families.setdefault((n, n0), []).extend(members)
+    return {key: sorted(members) for key, members in families.items()}
+
+
 def _pi_classes(pi: DegreeSequence) -> list[tuple[CanonicalCode, Supertree]]:
-    want = tuple(sorted(pi.entries))
-    return [
-        (code, G)
-        for code, G in _grow_classes(pi.k, pi.m, pi.interior[::-1])[-1]
-        if tuple(sorted(G.degrees)) == want
-    ]
+    return _buckets(pi.k, pi.n, pi.interior[::-1]).get((pi.n, pi.n0, pi.interior), [])
 
 
 def enumerate_supertrees(pi: DegreeSequence) -> list[Supertree]:
@@ -208,13 +222,8 @@ def _family_classes(
     if flattest is None:
         return []
     # the interior degrees are at least max(2, d_min) each, so none exceeds d'
-    cap, dm = max(flattest.entries), max(2, d_min)
-    out = []
-    for code, G in _grow_classes(k, flattest.m, (cap,) * n0)[-1]:
-        interior = [d for d in G.degrees if d >= 2]
-        if len(interior) == n0 and all(d >= dm for d in interior):
-            out.append((code, G))
-    return out
+    buckets = _buckets(k, n, (max(flattest.entries),) * n0)
+    return _min_degree_families(buckets, d_min).get((n, n0), [])
 
 
 def enumerate_family(
@@ -337,19 +346,6 @@ def verify_majorization_monotonicity(
     return _majorization_lambdas(pi, pi_prime, tol)[2]
 
 
-def _sweep_buckets(k: int, n_max: int) -> list:
-    """Every class with edge size k and at most n_max vertices, grown once
-    unbounded, as sorted ((n, n0, ascending interior degrees), classes)."""
-    if k < 2:
-        raise NotKUniform(f"edge size must be at least 2, got k={k}")
-    buckets: dict[tuple[int, int, tuple[int, ...]], list] = {}
-    for layer in _grow_classes(k, (n_max - 1) // (k - 1)):
-        for code, G in layer:
-            interior = tuple(sorted(d for d in G.degrees if d >= 2))
-            buckets.setdefault((G.n, len(interior), interior), []).append((code, G))
-    return sorted(buckets.items())
-
-
 def fk1_sweep(
     k: int,
     n_max: int,
@@ -362,7 +358,7 @@ def fk1_sweep(
         NotKUniform: k is below 2.
     """
     certs = []
-    for (n, n0, interior), members in _sweep_buckets(k, n_max):
+    for (n, n0, interior), members in _buckets(k, n_max).items():
         if n0:
             pi = DegreeSequence(k, interior + (1,) * (n - n0), n0)
             certs.append(_score_family(FamilySpec(kind="pi", k=k, pi=pi), members, tol))
@@ -376,17 +372,14 @@ def fk2_sweep(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[FkCertificate]:
     """Certificates for every nonempty minimum-degree family with edge size
-    k and at most n_max vertices: each joins the fk1_sweep buckets of its
-    (n, n0) whose smallest interior degree is at least max(2, d).
+    k, at most n_max vertices and an interior vertex.
 
     Raises:
         NotKUniform: k is below 2.
     """
-    joined: dict[tuple[int, int], list] = {}
-    for (n, n0, interior), members in _sweep_buckets(k, n_max):
-        if n0 and interior[0] >= max(2, d):
-            joined.setdefault((n, n0), []).extend(members)
+    families = _min_degree_families(_buckets(k, n_max), d)
     return [
         _score_family(FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d), group, tol)
-        for (n, n0), group in joined.items()
+        for (n, n0), group in families.items()
+        if n0
     ]

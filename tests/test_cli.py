@@ -569,6 +569,30 @@ def test_usage_errors_exit_2(capsys, star, tmp_path):
         assert "Traceback" not in err
 
 
+BIG = str(10**29)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify-fk2", "--n", str(10**20), "--n0", str(10**19), "--k", "2", "--d", "2"],
+     "error:"),
+    (["verify-fk1", "--all", "--k", BIG, "--n-max", str(11 * 10**29)], "error:"),
+    (["slo-construct", "--k", BIG, "--pi", "1,1"], "InfeasibleDegreeSequence:"),
+    (["enumerate", "--k", "2", "--pi", f"2,{BIG}"], "InfeasibleDegreeSequence:"),
+    (["unit", "--k", "2", "--pi", "3,3,1,1,1,1", "--p", f"-{BIG}"], "IndexOutOfRange:"),
+    (["verify-fk2", "--n", "21", "--n0", "1", "--k", "2", "--d", BIG], "EmptyFamily:"),
+    (["slo-check", "H7", "--order", BIG], "NotAPermutation:"),
+    (["verify-fk1", "--all", "--k", "2", "--n-max", f"-{BIG}"], "EmptyFamily:"),
+])
+def test_huge_integer_arguments_exit_2(capsys, h7, argv, error):
+    # integers past a machine word; none of these allocates in proportion
+    # to the number, so each fails at once
+    code, out, err = _run(capsys, *(h7 if a == "H7" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(error)
+    assert "Traceback" not in err
+
+
 def test_epsilon_must_be_finite_and_non_negative(capsys):
     argv = ["majorize", "--k", "2", "--pi", "3,3,1,1,1,1",
             "--pi-prime", "4,2,1,1,1,1"]

@@ -302,8 +302,10 @@ def test_leaf_child_codes_match_canonical_code():
         rng.shuffle(perm)
         # a relabeling starts the path update from other orbit members
         for H in (G, apply_vertex_permutation(G, perm)):
-            for code, v, _ in _CentroidTree(H).leaf_children():
-                assert code == canonical_code(_attach_leaf(H, v))
+            for code, v, c in _CentroidTree(H).leaf_children():
+                child = _CentroidTree(_attach_leaf(H, v))
+                # the child's centroid comes numbered as a node of the child
+                assert (code, c) == (child.code, child.order[0])
     # far ends of long paths and brooms: the update walks a long path to the
     # root, and the child's centroid is a node the parent's is not
     for k in (3, 4):
@@ -313,8 +315,9 @@ def test_leaf_child_codes_match_canonical_code():
             assert _centroid_shift(G, far) == 1
             children = _CentroidTree(G).leaf_children()
             assert any(_centroid_shift(G, v) == 1 for _, v, _ in children)
-            for code, v, _ in children:
-                assert code == canonical_code(_attach_leaf(G, v))
+            for code, v, c in children:
+                child = _CentroidTree(_attach_leaf(G, v))
+                assert (code, c) == (child.code, child.order[0])
             far_code = canonical_code(_attach_leaf(G, far))
             assert far_code in [code for code, *_ in children]
 

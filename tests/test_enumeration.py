@@ -30,7 +30,7 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees import enumeration
-from supertrees.core import _CentroidTree
+from supertrees.core import _attach_leaf, _CentroidTree
 from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
 from support import (
     all_feasible,
@@ -346,6 +346,26 @@ def test_fk2_sweep_joins_fk1_buckets():
                 assert cert.slo_code == canonical_code(construct_slo_supertree(pi)[0])
 
 
+def test_min_degree_family_is_the_union_of_its_sequence_families():
+    # T_d(n, n0) is the union of T_pi over the feasible sequences pi of its
+    # (n, n0) with every interior degree at least d, in code order
+    cases = nonempty = 0
+    for k, n_max in ((2, 12), (3, 13), (4, 13)):
+        for n in range(k, n_max + 1, k - 1):
+            for n0 in range(n + 1):
+                for d in range(1, 5):
+                    union = sorted(
+                        (canonical_code(G), G)
+                        for pi in feasible_degree_sequences(n, n0, k, d)
+                        for G in enumerate_supertrees(pi)
+                    )
+                    assert enumerate_family(n, n0, k, d) == [G for _, G in union]
+                    cases += n0 > 0
+                    nonempty += n0 > 0 and bool(union)
+    assert (cases, nonempty) == (636, 204)
+    assert [G.edges for G in enumerate_family(3, 0, 3, 2)] == [((0, 1, 2),)]
+
+
 def _comparable(cert):
     return (
         cert.family,
@@ -412,12 +432,19 @@ def test_growth_carries_each_childs_centroid(monkeypatch):
     class Spy(_CentroidTree):
         def __init__(self, G, root=None):
             super().__init__(G, root)
+            self.G = G
             if root is not None:
                 carried.append((root, _CentroidTree(G).order[0]))
 
         def leaf_children(self, degrees=None):
             out = super().leaf_children(degrees)
-            rerooted.extend(c for *_, c in out if c != self.order[0])
+            G, root = self.G, self.order[0]
+            for _, v, c in out:
+                # the parent's centroid as a node of the child
+                H = _attach_leaf(G, v)
+                kept = root if root < G.n else H.n + H.edges.index(G.edges[root - G.n])
+                if c != kept:
+                    rerooted.append(c)
             return out
 
     calls = [(k, m, None) for k, m in ((2, 9), (3, 6), (4, 5), (5, 4))]
