@@ -4,9 +4,8 @@ orderings, structure rewiring, and exhaustive Faber-Krahn verification.
 Each module's ``__all__`` is the one list of its public names. Importing the
 package imports no module; the first lookup of a name imports the modules in
 dependency order until one lists it, and stores the value, so later lookups
-are plain global reads (PEP 562). Only ``spectral`` imports numpy: it is
-searched last, and until it is imported its ``__all__`` is read from its
-source, so a name it does not list leaves numpy unloaded.
+are plain global reads (PEP 562). No module imports numpy at module level:
+``spectral`` imports it inside the functions that solve.
 """
 
 import importlib
@@ -19,23 +18,12 @@ _MODULES = ("errors", "config", "core", "slo", "transforms", "enumeration", "spe
 
 
 def _names(module: str) -> list[str]:
-    """The module's __all__; spectral's comes from its source until something
-    imports it, since importing it loads numpy."""
-    name = f"{__name__}.{module}"
-    if module != "spectral" or name in sys.modules:
-        return importlib.import_module(name).__all__
-    import ast
-    from importlib.util import find_spec
-    tree = ast.parse(find_spec(name).loader.get_source(name))
-    return next(
-        ast.literal_eval(node.value) for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__"
-    )
+    return importlib.import_module(f".{module}", __name__).__all__
 
 
 def __getattr__(name: str):
     if name == "__all__":
-        value = list(dict.fromkeys(n for module in _MODULES for n in _names(module)))
+        value = [n for module in _MODULES for n in _names(module)]
     elif name in _MODULES:
         value = importlib.import_module(f".{name}", __name__)
     else:

@@ -7,7 +7,7 @@ carry 12 decimal digits. Exit codes: 0 success or verified, 1 verification
 failure, 2 malformed input or usage error.
 
 Each handler imports the modules it runs, so a process loads only its
-subcommand's share of the package; numpy loads only with ``spectral``.
+subcommand's share of the package; numpy loads only with the first solve.
 """
 
 import argparse
@@ -64,7 +64,9 @@ def _cmd_validate(args, tol: Tolerances) -> int:
 
 
 def _eigenpair(args, tol: Tolerances):
-    from .spectral import first_dirichlet_eigenpair  # loads numpy
+    # spectral takes a few ms to compile when bytecode is not cached; only
+    # the subcommands that solve pay it
+    from .spectral import first_dirichlet_eigenpair
     G = _load(args.file)
     return G, first_dirichlet_eigenpair(G, tol)
 

@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import EmptyFamily, NotKUniform, NotMajorized
 from .slo import construct_slo_supertree
-from .transforms import unit_transform_chain
+from .transforms import _require_chain
 
 __all__ = [
     "FamilySpec",
@@ -241,7 +241,9 @@ def _score_family(
 ) -> FkCertificate:
     """The predicted winner is the SLO-supertree of pi, or of the flattest
     sequence of a min-degree family."""
-    from .spectral import first_dirichlet_eigenvalues  # loads numpy
+    # spectral takes a few ms to compile when bytecode is not cached, and
+    # enumerate processes never solve
+    from .spectral import first_dirichlet_eigenvalues
     pi = family.pi or _flattest_sequence(family.n, family.n0, family.k, family.d)
     slo_code = canonical_code(construct_slo_supertree(pi)[0])
     lams = first_dirichlet_eigenvalues([G for _, G in members])
@@ -317,10 +319,10 @@ def _majorization_lambdas(
     pi: DegreeSequence, pi_prime: DegreeSequence, tol: Tolerances
 ) -> tuple[float, float, bool]:
     """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
-    from .spectral import first_dirichlet_eigenvalues
+    from .spectral import first_dirichlet_eigenvalues  # see _score_family
     if pi.entries == pi_prime.entries:
         raise NotMajorized("the sequences are equal; no strict comparison")
-    unit_transform_chain(pi, pi_prime)
+    _require_chain(pi, pi_prime)
     lam, lam_prime = first_dirichlet_eigenvalues(
         [construct_slo_supertree(pi)[0], construct_slo_supertree(pi_prime)[0]]
     )
@@ -335,8 +337,9 @@ def verify_majorization_monotonicity(
     """Whether the eigenvalue drops strictly from SLO(pi) to SLO(pi_prime)
     for a pair with pi_prime majorized by pi.
 
-    The unit-transformation chain connecting the sequences is materialized
-    first as evidence that the pair is comparable.
+    The pair is first checked to be comparable: the preconditions of
+    transforms.unit_transform_chain hold, so a chain of unit transformations
+    connects the sequences. The chain itself is not built.
 
     Raises:
         NotMajorized: pi_prime is not strictly majorized by pi with equal

@@ -10,16 +10,15 @@ supertrees with equal k, n and n0: first_dirichlet_eigenvalues solves each
 such group in one eigvalsh call, and first_dirichlet_eigenpair solves a
 stack of one, so the two give the same lambda bit for bit. The one
 eigenvector returned comes from one step of inverse iteration from the
-all-ones vector, at a shift just below lambda. Only this module imports
-numpy; the package, the CLI and enumeration import it on first use, so the
-rest runs without numpy.
+all-ones vector, at a shift just below lambda. Only this module uses
+numpy, and only inside the functions that compute, so importing it (or the
+package) leaves numpy unloaded until the first solve.
 """
 
 import itertools
 import math
+import sys
 from collections import namedtuple
-
-import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import Supertree
@@ -51,14 +50,14 @@ class DirichletEigenpair(
     __slots__ = ()
 
 
-_PAIRS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_PAIRS: dict[int, tuple] = {}
 
 # eps * 2 * (max degree) bounds eps * ||M|| (Gershgorin: each row's
 # off-diagonal entries sum to at most its degree). eigvalsh puts lambda
 # within about three such units of the true value on the blocks tested, so
 # a shift of eight keeps M - sigma I positive definite, never exactly
 # singular, even when r = 1 or lambda is an integer.
-_SHIFT = 8 * 2 * float(np.finfo(float).eps)
+_SHIFT = 8 * 2 * sys.float_info.epsilon
 
 
 def _laplacian_blocks(trees):
@@ -68,6 +67,7 @@ def _laplacian_blocks(trees):
     gives its row in the stack. Two edges share at most one vertex, so no
     entry is scattered twice. _PAIRS keeps each k's ordered member pairs of
     an edge. An empty interior raises NoInteriorVertices."""
+    import numpy as np
     k, n, B = trees[0].k, trees[0].n, len(trees)
     flat = itertools.chain.from_iterable
     degrees = np.fromiter(flat(G.degrees for G in trees), np.intp, B * n)
@@ -98,6 +98,7 @@ def first_dirichlet_eigenpair(
     The eigenfunction sign is fixed so its largest-magnitude entry is
     positive, which makes it positive throughout the interior.
     """
+    import numpy as np
     blocks, picked = _laplacian_blocks([G])
     M = blocks[0]
     values = np.linalg.eigvalsh(M)
@@ -131,6 +132,7 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
     Raises:
         NoInteriorVertices: a supertree has no interior vertex.
     """
+    import numpy as np
     trees = list(trees)
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, G in enumerate(trees):

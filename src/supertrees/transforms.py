@@ -215,29 +215,39 @@ def unit_transformation(pi: DegreeSequence, p: int) -> DegreeSequence:
 
 
 def majorizes(
-    pi_prime: DegreeSequence, pi: DegreeSequence
+    pi: DegreeSequence, pi_prime: DegreeSequence
 ) -> bool:
-    """Whether pi is majorized by pi_prime.
+    """Whether pi_prime is majorized by pi.
 
     Prefix sums run over the canonical arrangement (interior degrees
-    ascending, then the unit degrees): pi is majorized when every proper
-    prefix sum of pi is at most the matching prefix sum of pi_prime and the
-    totals agree.
+    ascending, then the unit degrees): pi_prime is majorized when every
+    proper prefix sum of pi_prime is at most the matching prefix sum of pi
+    and the totals agree.
 
     Raises:
         LengthMismatch: the sequences differ in length or uniformity.
     """
     if pi.n != pi_prime.n or pi.k != pi_prime.k:
         raise LengthMismatch(
-            f"cannot compare ({pi.k},{pi.n}) with ({pi_prime.k},{pi_prime.n})"
+            f"cannot compare ({pi_prime.k},{pi_prime.n}) with ({pi.k},{pi.n})"
         )
     total = total_p = 0
     for j in range(pi.n - 1):
         total += pi.entries[j]
         total_p += pi_prime.entries[j]
-        if total > total_p:
+        if total_p > total:
             return False
-    return total + pi.entries[-1] == total_p + pi_prime.entries[-1]
+    return total_p + pi_prime.entries[-1] == total + pi.entries[-1]
+
+
+def _require_chain(pi: DegreeSequence, pi_prime: DegreeSequence) -> None:
+    """Raise unless unit transformations can carry pi onto pi_prime."""
+    if not majorizes(pi, pi_prime):
+        raise NotMajorized(f"({pi_prime}) is not majorized by ({pi})")
+    if pi.n0 != pi_prime.n0:
+        raise NotMajorized(
+            f"interior counts differ ({pi.n0} vs {pi_prime.n0}); no chain exists"
+        )
 
 
 def unit_transform_chain(
@@ -256,14 +266,7 @@ def unit_transform_chain(
         NotMajorized: pi_prime is not majorized by pi, or the interior
             counts differ (a unit transformation preserves interior count).
     """
-    if not majorizes(pi, pi_prime):
-        raise NotMajorized(f"({pi_prime}) is not majorized by ({pi})")
-    if pi.entries == pi_prime.entries:
-        return []
-    if pi.n0 != pi_prime.n0:
-        raise NotMajorized(
-            f"interior counts differ ({pi.n0} vs {pi_prime.n0}); no chain exists"
-        )
+    _require_chain(pi, pi_prime)
     chain: list[int] = []
     cur = pi
     while cur.entries != pi_prime.entries:

@@ -344,6 +344,12 @@ def test_eigenvalue_strictly_decreasing_under_majorization():
                     continue
                 if majorizes(pi, pi_prime):
                     assert verify_majorization_monotonicity(pi, pi_prime)
+                    # the pair is comparable: a chain of unit
+                    # transformations carries pi onto pi_prime
+                    replay = pi
+                    for p in unit_transform_chain(pi, pi_prime):
+                        replay = unit_transformation(replay, p)
+                    assert replay.entries == pi_prime.entries
                     pairs += 1
     rng = random.Random(7181)
     starts = [pi for pi in all_feasible(3, 13) if pi.n0 >= 2]

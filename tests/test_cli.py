@@ -328,7 +328,8 @@ def test_only_spectral_imports_numpy_and_no_module_loads_heavy_stdlib():
     assert "spectral.py" in {path.name for path in paths}
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        heavy = {"dataclasses", "pathlib", "typing"} & set(_imported(tree, True))
+        heavy = {"dataclasses", "numpy", "pathlib", "typing"}
+        heavy &= set(_imported(tree, True))
         assert (path.name, heavy) == (path.name, set())
         numpy = "numpy" in set(_imported(tree, False))
         assert (path.name, numpy) == (path.name, path.name == "spectral.py")
@@ -361,6 +362,21 @@ def test_package_surface_binds_spectral_names_on_first_lookup():
                     "before": False, "cached": True, "same": True, "unbound": []}
     with pytest.raises(AttributeError):
         supertrees.no_such_name
+
+
+COLD_SPECTRAL = """
+import json, sys
+import supertrees.spectral
+from supertrees.core import build_supertree
+loaded = ["numpy" in sys.modules]
+supertrees.spectral.first_dirichlet_eigenpair(build_supertree(2, 3, [(0, 1), (1, 2)]))
+loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_spectral_loads_numpy_at_its_first_solve():
+    assert _cold_python(COLD_SPECTRAL) == [False, True]
 
 
 def test_package_all_is_the_union_of_the_module_lists():

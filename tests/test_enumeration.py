@@ -29,7 +29,7 @@ from supertrees import (
     verify_fk_theorem2,
     verify_majorization_monotonicity,
 )
-from supertrees import enumeration
+from supertrees import enumeration, transforms
 from supertrees.core import _attach_leaf, _CentroidTree
 from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
 from support import (
@@ -481,6 +481,17 @@ def test_majorization_monotonicity_examples():
         verify_majorization_monotonicity(
             _seq(3, (2, 1, 1, 1, 1), 1), _seq(3, (2, 2) + (1,) * 5, 2)
         )
+
+
+def test_majorization_checks_comparability_without_building_the_chain(monkeypatch):
+    # a chain costs O(n) per unit step, O(n * chain length) in all
+    def unbuilt(pi, p):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(transforms, "unit_transformation", unbuilt)
+    steep = _seq(3, (3, 3) + (1,) * 9, 2)
+    flat = _seq(3, (2, 4) + (1,) * 9, 2)
+    assert verify_majorization_monotonicity(steep, flat) is True
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
