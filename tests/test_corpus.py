@@ -1,0 +1,67 @@
+"""Certificate corpus: every family of the four benchmark sweeps.
+
+``certificates.json`` holds, per sweep and per family, the SHA-256 digest of
+the family's record: ``describe()``, ``unique``, ``slo_match``, the
+winner's canonical code, and every (canonical code, lambda to 12 decimals)
+row in certificate order. Twelve printed decimals, not ``float.hex()``,
+because LAPACK builds may differ in the last bits. One digest per family
+names the family on a mismatch.
+
+After a change meant to alter certificates, regenerate the corpus from a
+checkout with
+
+    PYTHONPATH=src python3 tests/test_corpus.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from supertrees import fk1_sweep, fk2_sweep
+
+CORPUS = Path(__file__).with_name("certificates.json")
+
+SWEEPS = {
+    "fk1_sweep(3,13)": lambda: fk1_sweep(3, 13),
+    "fk1_sweep(2,10)": lambda: fk1_sweep(2, 10),
+    "fk2_sweep(3,13,2)": lambda: fk2_sweep(3, 13, 2),
+    "fk2_sweep(2,13,2)": lambda: fk2_sweep(2, 13, 2),
+}
+
+
+def record(cert) -> str:
+    """The family's record as text, one row per line."""
+    lines = [
+        cert.family.describe(),
+        f"unique={cert.unique} slo_match={cert.slo_match}",
+        f"winner={cert.all_lambdas[0][0].decode()}",
+    ]
+    lines += [f"{code.decode()} {lam:.12f}" for code, lam in cert.all_lambdas]
+    return "\n".join(lines) + "\n"
+
+
+def corpus() -> dict[str, dict[str, str]]:
+    return {
+        name: {
+            cert.family.describe(): hashlib.sha256(record(cert).encode()).hexdigest()
+            for cert in sweep()
+        }
+        for name, sweep in SWEEPS.items()
+    }
+
+
+def test_sweeps_match_the_certificate_corpus():
+    want = json.loads(CORPUS.read_text())
+    got = corpus()
+    assert list(got) == list(want)
+    for name in want:
+        assert list(got[name]) == list(want[name]), f"{name}: families differ"
+        changed = [fam for fam, digest in want[name].items() if got[name][fam] != digest]
+        assert not changed, f"{name}: records differ for {changed}"
+    assert sum(map(len, want.values())) == 165
+
+
+if __name__ == "__main__":
+    CORPUS.write_text(json.dumps(corpus(), indent=1) + "\n")
