@@ -224,7 +224,7 @@ def _attach_leaf(G: Supertree, v: VertexId) -> Supertree:
     degrees = list(degrees)
     degrees[v] += 1
     degrees.extend([1] * (k - 1))
-    return Supertree(k=k, n=n + k - 1, edges=tuple(edges), degrees=tuple(degrees))
+    return Supertree(k, n + k - 1, tuple(edges), tuple(degrees))
 
 
 def degree_sequence(G: Supertree) -> DegreeSequence:
@@ -298,10 +298,6 @@ def _incidence_walk(G: Supertree, root: VertexId) -> tuple[list[int], list[int]]
     return depth, parent
 
 
-def _code(u: int, n_vertices: int, children: list[bytes]) -> bytes:
-    return (b"v(" if u < n_vertices else b"e(") + b"".join(children) + b")"
-
-
 def canonical_code(G: Supertree) -> CanonicalCode:
     """Byte string equal for two supertrees iff they are isomorphic."""
     return _CentroidTree(G).code
@@ -331,16 +327,17 @@ class _CentroidTree:
         # a node without children is a boundary vertex
         codes = [b"v()"] * total
         size = [1] * total
+        join = b"".join
         for u in reversed(order[1:]):
             kids = below[u]
             if kids:
                 kids.sort()
-                codes[u] = _code(u, n, kids)
+                codes[u] = join([b"v(" if u < n else b"e(", *kids, b")"])
             p = parent[u]
             below[p].append(codes[u])
             size[p] += size[u]
         below[root].sort()
-        codes[root] = self.code = _code(root, n, below[root])
+        codes[root] = self.code = join([b"v(" if root < n else b"e(", *below[root], b")"])
         self.codes, self.parent, self.order = codes, parent, order
         self.below, self.size = below, size
 
@@ -369,38 +366,40 @@ class _CentroidTree:
         edges that puts 2j strictly between m-1 and m; for a vertex x under
         an edge node w holding j edges, strictly between m and m+1.
         """
-        n, k, codes, below, parent, size = (
-            self.n, self.k, self.codes, self.below, self.parent, self.size
+        n, k, total, codes, below, parent, size = (
+            self.n, self.k, self.total, self.codes, self.below, self.parent, self.size
         )
-        orbit = [0] * self.total
+        orbit = [0] * total
         ids: dict[tuple[int, bytes], int] = {}
+        setdefault = ids.setdefault
         for u in self.order[1:]:
-            orbit[u] = ids.setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
+            orbit[u] = setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
         lowest: dict[int, VertexId] = {}
-        for v in range(n):
-            if degrees is None or self.degrees[v] in degrees:
-                lowest.setdefault(orbit[v], v)
-        out = []
+        own = self.degrees
+        for v in range(n) if degrees is None else [v for v in range(n) if own[v] in degrees]:
+            lowest.setdefault(orbit[v], v)
+        join, insort, edges = b"".join, bisect.insort, self.edges
+        leaf, out = b"e(" + b"v()" * (k - 1) + b")", []
         for v in lowest.values():
-            u, old, new = v, b"", b"e(" + b"v()" * (k - 1) + b")"
+            u, old, new = v, b"", leaf
             while True:
                 kids = below[u].copy()
                 if old:
                     kids.remove(old)
-                bisect.insort(kids, new)
-                old, new = codes[u], _code(u, n, kids)
+                insort(kids, new)
+                old, new = codes[u], join([b"v(" if u < n else b"e(", *kids, b")"])
                 p = parent[u]
                 if p < 0:
                     break
-                if parent[p] < 0 and 2 * (size[u] + k) > self.total + k:
+                if parent[p] < 0 and 2 * (size[u] + k) > total + k:
                     rest = below[p].copy()
                     rest.remove(old)
-                    bisect.insort(kids, _code(p, n, rest))
-                    new = _code(u, n, kids)
+                    insort(kids, join([b"v(" if p < n else b"e(", *rest, b")"]))
+                    new = join([b"v(" if u < n else b"e(", *kids, b")"])
                     break
                 u = p
             if u >= n:
-                u += k - 1 + (self.edges[u - n][0] > v)
+                u += k - 1 + (edges[u - n][0] > v)
             out.append((new, v, u))
         return out
 

@@ -9,10 +9,11 @@ classes by (n, n0, ascending interior degrees): a bucket is a
 degree-sequence family, and the min-degree family T_d(n, n0) is the union
 of its (n, n0)'s buckets whose interior degrees are all at least max(2, d).
 A single query grows under a descending bound on its interior degrees, a
-sweep grows once unbounded, and each family is scored with one stacked
-eigensolve. The checks: within each family the SLO-supertree attains the
-smallest first Dirichlet eigenvalue, strictly below every other class, and
-that eigenvalue decreases strictly along degree-sequence majorization.
+sweep grows once unbounded, and a sweep's families are scored through one
+first_dirichlet_eigenvalues call: one eigensolve per interior size. The
+checks: within each family the SLO-supertree attains the smallest first
+Dirichlet eigenvalue, strictly below every other class, and that
+eigenvalue decreases strictly along degree-sequence majorization.
 """
 
 import math
@@ -234,46 +235,51 @@ def enumerate_family(
     return [G for _, G in _family_classes(n, n0, k, d_min)]
 
 
-def _score_family(
-    family: FamilySpec,
-    members: list[tuple[CanonicalCode, Supertree]],
+def _score_families(
+    families: list[tuple[FamilySpec, list[tuple[CanonicalCode, Supertree]]]],
     tol: Tolerances,
-) -> FkCertificate:
-    """The predicted winner is the SLO-supertree of pi, or of the flattest
-    sequence of a min-degree family."""
+) -> list[FkCertificate]:
+    """One certificate per (family, members), with every member of every
+    family solved in one first_dirichlet_eigenvalues call. The predicted
+    winner is the SLO-supertree of pi, or of the flattest sequence of a
+    min-degree family."""
     # spectral takes a few ms to compile when bytecode is not cached, and
     # enumerate processes never solve
     from .spectral import first_dirichlet_eigenvalues
-    pi = family.pi or _flattest_sequence(family.n, family.n0, family.k, family.d)
-    slo_code = canonical_code(construct_slo_supertree(pi)[0])
-    lams = first_dirichlet_eigenvalues([G for _, G in members])
-    rows = sorted(
-        ((code, lam, G) for (code, G), lam in zip(members, lams)),
-        key=lambda item: item[1],
-    )
-    # eigenvalues chained within lambda_tie form one tie group, listed by
-    # canonical code so rounding noise cannot reorder cospectral classes
-    groups: list[list] = []
-    for row in rows:
-        if groups and row[1] - groups[-1][-1][1] <= tol.lambda_tie:
-            groups[-1].append(row)
-        else:
-            groups.append([row])
-    scored = [
-        row for group in groups for row in sorted(group, key=lambda r: r[0])
-    ]
-    winner_code, winner_lambda, winner = scored[0]
-    margin = scored[1][1] - winner_lambda if len(scored) > 1 else math.inf
-    return FkCertificate(
-        family=family,
-        winner=winner,
-        winner_lambda=winner_lambda,
-        slo_code=slo_code,
-        all_lambdas=tuple((code, lam) for code, lam, _ in scored),
-        unique=margin > tol.lambda_tie,
-        slo_match=winner_code == slo_code,
-        margin=margin,
-    )
+    lams = iter(first_dirichlet_eigenvalues(
+        [G for _, members in families for _, G in members]
+    ))
+    certs = []
+    for family, members in families:
+        pi = family.pi or _flattest_sequence(family.n, family.n0, family.k, family.d)
+        slo_code = canonical_code(construct_slo_supertree(pi)[0])
+        rows = sorted(
+            ((code, next(lams), G) for code, G in members), key=lambda item: item[1]
+        )
+        # eigenvalues chained within lambda_tie form one tie group, listed by
+        # canonical code so rounding noise cannot reorder cospectral classes
+        groups: list[list] = []
+        for row in rows:
+            if groups and row[1] - groups[-1][-1][1] <= tol.lambda_tie:
+                groups[-1].append(row)
+            else:
+                groups.append([row])
+        scored = [
+            row for group in groups for row in sorted(group, key=lambda r: r[0])
+        ]
+        winner_code, winner_lambda, winner = scored[0]
+        margin = scored[1][1] - winner_lambda if len(scored) > 1 else math.inf
+        certs.append(FkCertificate(
+            family=family,
+            winner=winner,
+            winner_lambda=winner_lambda,
+            slo_code=slo_code,
+            all_lambdas=tuple((code, lam) for code, lam, _ in scored),
+            unique=margin > tol.lambda_tie,
+            slo_match=winner_code == slo_code,
+            margin=margin,
+        ))
+    return certs
 
 
 def verify_fk_theorem1(
@@ -287,7 +293,7 @@ def verify_fk_theorem1(
     """
     members = _pi_classes(pi)
     assert members, "validated degree sequences are realizable"
-    return _score_family(FamilySpec(kind="pi", k=pi.k, pi=pi), members, tol)
+    return _score_families([(FamilySpec(kind="pi", k=pi.k, pi=pi), members)], tol)[0]
 
 
 def verify_fk_theorem2(
@@ -312,14 +318,14 @@ def verify_fk_theorem2(
     members = _family_classes(n, n0, k, d)
     if not members:
         raise EmptyFamily(f"{family.describe()} is empty")
-    return _score_family(family, members, tol)
+    return _score_families([(family, members)], tol)[0]
 
 
 def _majorization_lambdas(
     pi: DegreeSequence, pi_prime: DegreeSequence, tol: Tolerances
 ) -> tuple[float, float, bool]:
     """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
-    from .spectral import first_dirichlet_eigenvalues  # see _score_family
+    from .spectral import first_dirichlet_eigenvalues  # see _score_families
     if pi.entries == pi_prime.entries:
         raise NotMajorized("the sequences are equal; no strict comparison")
     _require_chain(pi, pi_prime)
@@ -360,12 +366,12 @@ def fk1_sweep(
     Raises:
         NotKUniform: k is below 2.
     """
-    certs = []
-    for (n, n0, interior), members in _buckets(k, n_max).items():
-        if n0:
-            pi = DegreeSequence(k, interior + (1,) * (n - n0), n0)
-            certs.append(_score_family(FamilySpec(kind="pi", k=k, pi=pi), members, tol))
-    return certs
+    return _score_families([
+        (FamilySpec(kind="pi", k=k, pi=DegreeSequence(k, interior + (1,) * (n - n0), n0)),
+         members)
+        for (n, n0, interior), members in _buckets(k, n_max).items()
+        if n0
+    ], tol)
 
 
 def fk2_sweep(
@@ -381,8 +387,8 @@ def fk2_sweep(
         NotKUniform: k is below 2.
     """
     families = _min_degree_families(_buckets(k, n_max), d)
-    return [
-        _score_family(FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d), group, tol)
+    return _score_families([
+        (FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d), group)
         for (n, n0), group in families.items()
         if n0
-    ]
+    ], tol)

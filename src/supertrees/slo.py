@@ -29,7 +29,6 @@ from .core import (
     _incidence_walk,
     _isomorphism,
     _vertex_values,
-    build_supertree,
     degree_sequence,
 )
 from .errors import NotAnEigenfunction, NotAPermutation
@@ -155,6 +154,8 @@ def construct_slo_supertree(
     t-th entry of pi and spawns that many new edges (one fewer off the root,
     whose degree is the minimum interior entry), each edge adding k-1 fresh
     consecutive ids. Creation order 0..n-1 is itself a spiral-like ordering.
+    The edges come out sorted and vertex t gets degree pi.entries[t], so the
+    supertree is built without re-validation.
     """
     k, n = pi.k, pi.n
     edges: list[tuple[int, ...]] = []
@@ -166,9 +167,7 @@ def construct_slo_supertree(
             edges.append((t,) + tuple(range(created, created + k - 1)))
             created += k - 1
     assert created == n and len(edges) == pi.m
-    tree = build_supertree(k, n, edges)
-    assert tree.degrees == pi.entries
-    return tree, tuple(range(n))
+    return Supertree(k, n, tuple(edges), pi.entries), tuple(range(n))
 
 
 # --- relabeling along an eigenfunction --------------------------------------

@@ -6,13 +6,14 @@ Dirichlet matrix, whose smallest eigenvalue is simple and positive, with an
 eigenvector positive on the interior. LAPACK's symmetric eigenvalue driver
 (numpy.linalg.eigvalsh) gives every eigenvalue of that dense block and no
 eigenvector. One numpy scatter builds the interior blocks of a stack of
-supertrees with equal k, n and n0: first_dirichlet_eigenvalues solves each
-such group in one eigvalsh call, and first_dirichlet_eigenpair solves a
-stack of one, so the two give the same lambda bit for bit. The one
-eigenvector returned comes from one step of inverse iteration from the
-all-ones vector, at a shift just below lambda. Only this module uses
-numpy, and only inside the functions that compute, so importing it (or the
-package) leaves numpy unloaded until the first solve.
+supertrees with equal k and n0, of any n: first_dirichlet_eigenvalues solves
+each such group in one eigvalsh call (one per interior size for a sweep's
+classes), and first_dirichlet_eigenpair solves a stack of one, so the two
+give the same lambda bit for bit. The one eigenvector returned comes from
+one step of inverse iteration from the all-ones vector, at a shift just
+below lambda. Only this module uses numpy, and only inside the functions
+that compute, so importing it (or the package) leaves numpy unloaded until
+the first solve.
 """
 
 import itertools
@@ -62,15 +63,15 @@ _SHIFT = 8 * 2 * sys.float_info.epsilon
 
 def _laplacian_blocks(trees):
     """Stacked (B, n0, n0) interior Laplacian blocks of B supertrees with
-    equal k, n and n0, with the interior mask of their disjoint union, where
-    vertex v of tree b is vertex b*n + v; a cumulative sum over the mask
-    gives its row in the stack. Two edges share at most one vertex, so no
-    entry is scattered twice. _PAIRS keeps each k's ordered member pairs of
-    an edge. An empty interior raises NoInteriorVertices."""
+    equal k and n0, with the interior mask of their disjoint union, which
+    numbers each tree's vertices after the earlier trees'; a cumulative sum
+    over the mask gives a vertex's row in the stack. Two edges share at most
+    one vertex, so no entry is scattered twice. _PAIRS keeps each k's ordered
+    member pairs of an edge. An empty interior raises NoInteriorVertices."""
     import numpy as np
-    k, n, B = trees[0].k, trees[0].n, len(trees)
+    k, B = trees[0].k, len(trees)
     flat = itertools.chain.from_iterable
-    degrees = np.fromiter(flat(G.degrees for G in trees), np.intp, B * n)
+    degrees = np.fromiter(flat(G.degrees for G in trees), np.intp)
     picked = degrees >= 2
     row = np.cumsum(picked) - 1
     r = (int(row[-1]) + 1) // B
@@ -83,7 +84,8 @@ def _laplacian_blocks(trees):
     p, q = _PAIRS[k]
     union = np.fromiter(flat(flat(G.edges) for G in trees), np.intp).reshape(-1, k)
     if B > 1:
-        union = (union.reshape(B, -1) + np.arange(0, B * n, n)[:, None]).reshape(-1, k)
+        n = np.fromiter((G.n for G in trees), np.intp, B)
+        union += np.repeat(np.cumsum(n) - n, (n - 1) // (k - 1))[:, None]
     src, dst = union[:, p], union[:, q]
     both = picked[src] & picked[dst]
     blocks.ravel()[row[src[both]] * r + row[dst[both]] % r] = -1.0 / (k - 1)
@@ -124,8 +126,8 @@ def first_dirichlet_eigenpair(
 def first_dirichlet_eigenvalues(trees) -> list[float]:
     """Smallest Dirichlet eigenvalue of each supertree, in input order.
 
-    The supertrees are grouped by (k, n, n0); each group's interior blocks
-    are built as one stack and solved in one numpy.linalg.eigvalsh call, which
+    The supertrees are grouped by (k, n0); each group's interior blocks are
+    built as one stack and solved in one numpy.linalg.eigvalsh call, which
     runs the same LAPACK driver on each block as first_dirichlet_eigenpair,
     so each value equals its ``lam`` exactly.
 
@@ -134,9 +136,9 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
     """
     import numpy as np
     trees = list(trees)
-    groups: dict[tuple[int, int, int], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, G in enumerate(trees):
-        groups.setdefault((G.k, G.n, G.degrees.count(1)), []).append(i)
+        groups.setdefault((G.k, G.n - G.degrees.count(1)), []).append(i)
     lams: dict[int, float] = {}
     for idx in groups.values():
         values = np.linalg.eigvalsh(_laplacian_blocks([trees[i] for i in idx])[0])

@@ -12,6 +12,7 @@ ascending prefix sums. Any majorized pair is connected by a chain of unit
 transformations, built greedily here.
 """
 
+import bisect
 from collections import namedtuple
 
 from .config import DEFAULT_TOLERANCES, Tolerances, at_least, at_most, strictly_less
@@ -259,7 +260,8 @@ def unit_transform_chain(
     through unit_transformation, starting from pi, produces exactly
     pi_prime. Equal sequences give the empty chain. Greedy: each step finds
     the first position where the prefix sums still disagree and moves one
-    unit of degree across it, shrinking the prefix-sum gap.
+    unit of degree across it, shrinking the prefix-sum gap; in place, from
+    where the last step changed the interior, in O(n + length * log n).
 
     Raises:
         LengthMismatch: the sequences differ in length or uniformity.
@@ -268,16 +270,18 @@ def unit_transform_chain(
     """
     _require_chain(pi, pi_prime)
     chain: list[int] = []
-    cur = pi
-    while cur.entries != pi_prime.entries:
-        prefix_cur = prefix_tgt = 0
-        for j in range(pi.n0):
-            prefix_cur += cur.entries[j]
-            prefix_tgt += pi_prime.entries[j]
-            if prefix_cur != prefix_tgt:
-                break
-        assert prefix_tgt < prefix_cur, "majorization bounds the target prefix"
+    cur, want = list(pi.interior), pi_prime.interior
+    j = 0
+    while True:
+        # the prefix sums agree up to the first entry that differs
+        while j < pi.n0 and cur[j] == want[j]:
+            j += 1
+        if j == pi.n0:
+            return chain
         chain.append(j)
-        cur = unit_transformation(cur, j)
-        assert majorizes(cur, pi_prime), "each step keeps the target majorized"
-    return chain
+        # unit_transformation's re-sort: lowering the first entry equal to
+        # cur[j] and raising the last equal to cur[j + 1] keeps cur sorted
+        x, y = cur[j], cur[j + 1]
+        j = bisect.bisect_left(cur, x, 0, j)
+        cur[j] -= 1
+        cur[bisect.bisect_right(cur, y, j + 1) - 1] += 1

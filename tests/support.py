@@ -28,11 +28,12 @@ from supertrees import (
     canonical_code,
     check_slo,
     feasible_degree_sequences,
+    majorizes,
+    unit_transformation,
 )
 from supertrees.config import strictly_less
 from supertrees.core import (
     VertexId,
-    _code,
     _incidence_adjacency,
     _rooted_order,
 )
@@ -200,7 +201,7 @@ def rooted_codes(
     for u in reversed(order):
         children = below[u]
         children.sort()
-        codes[u] = _code(u, n_vertices, children)
+        codes[u] = (b"v(" if u < n_vertices else b"e(") + b"".join(children) + b")"
         if u != root:
             below[parent[u]].append(codes[u])
     return codes, parent, order, below
@@ -589,6 +590,28 @@ def all_feasible(k: int, n_max: int) -> list[DegreeSequence]:
         for n0 in range(1, n + 1):
             out.extend(feasible_degree_sequences(n, n0, k))
     return out
+
+
+def reference_unit_transform_chain(pi: DegreeSequence, pi_prime: DegreeSequence) -> list[int]:
+    """The chain that transforms.unit_transform_chain replaced: each step
+    rescans the prefix sums from position 0 and replays one
+    unit_transformation, O(n) per step. pi_prime must be majorized by pi with
+    the same interior count."""
+    assert majorizes(pi, pi_prime) and pi.n0 == pi_prime.n0
+    chain: list[int] = []
+    cur = pi
+    while cur.entries != pi_prime.entries:
+        prefix_cur = prefix_tgt = 0
+        for j in range(pi.n0):
+            prefix_cur += cur.entries[j]
+            prefix_tgt += pi_prime.entries[j]
+            if prefix_cur != prefix_tgt:
+                break
+        assert prefix_tgt < prefix_cur
+        chain.append(j)
+        cur = unit_transformation(cur, j)
+        assert majorizes(cur, pi_prime)
+    return chain
 
 
 def all_members(k: int, n_max: int) -> list[Supertree]:

@@ -253,7 +253,7 @@ def test_margin_of_a_tied_pair_is_not_unique():
         for G in enumerate_supertrees(pi)
         if canonical_code(G) in tied
     ]
-    scored = enumeration._score_family(cert.family, members, DEFAULT_TOLERANCES)
+    (scored,) = enumeration._score_families([(cert.family, members)], DEFAULT_TOLERANCES)
     assert abs(scored.margin) <= tie and not scored.unique
 
 

@@ -15,6 +15,7 @@ from supertrees import (
     check_slo,
     construct_slo_supertree,
     degree_sequence,
+    feasible_degree_sequences,
     find_slo_ordering,
     first_dirichlet_eigenpair,
     relabel,
@@ -192,6 +193,21 @@ def test_construct_output_is_always_spiral_like():
             G, order = construct_slo_supertree(pi)
             assert degree_sequence(G).entries == pi.entries
             assert check_slo(G, order) == []
+
+
+def test_construct_builds_a_valid_supertree_without_validating():
+    # the construction skips build_supertree: its edges must already be
+    # sorted k-tuples of a supertree whose degrees are pi
+    count = 0
+    for k in (2, 3, 4, 5):
+        for n in range(k, 21, k - 1):
+            for n0 in range(n + 1):
+                for pi in feasible_degree_sequences(n, n0, k):
+                    G = construct_slo_supertree(pi)[0]
+                    assert G == build_supertree(pi.k, pi.n, G.edges)
+                    assert G.degrees == pi.entries
+                    count += 1
+    assert count == 1690
 
 
 def test_find_agrees_with_construct_on_its_own_output():

@@ -262,23 +262,29 @@ def test_cached_member_pairs_serve_every_k_and_stack():
 
 
 def _mixed_groups():
-    """Supertrees from several (k, n, n0) groups, interleaved, and the set
-    of their (k, n, n0) keys."""
+    """Supertrees from several (k, n0) groups, most holding several vertex
+    counts n, interleaved, and the set of their (k, n0) keys."""
     rng = random.Random(99)
     groups = [
         [random_supertree(rng, 2, 6) for _ in range(40)],
         [star(3, d) for d in (2, 3, 4)],
         [build_supertree(3, 7, TWO_INTERIOR), star(3, 3)],
         [random_supertree(rng, 4, 4) for _ in range(10)],
+        [_with_interior(rng, 3, 4) for _ in range(12)],
+        [_with_interior(rng, 2, 5) for _ in range(12)],
     ]
     trees = [G for group in itertools.zip_longest(*groups) for G in group if G]
-    keys = {(G.k, G.n, sum(d >= 2 for d in G.degrees)) for G in trees}
+    keys = {(G.k, sum(d >= 2 for d in G.degrees)) for G in trees}
     return trees, keys
 
 
 def test_eigenvalues_of_mixed_groups_in_input_order():
     trees, keys = _mixed_groups()
     assert len(keys) >= 5
+    sizes: dict[tuple[int, int], set[int]] = {}
+    for G in trees:
+        sizes.setdefault((G.k, sum(d >= 2 for d in G.degrees)), set()).add(G.n)
+    assert sum(len(ns) > 1 for ns in sizes.values()) >= 3
     assert first_dirichlet_eigenvalues(trees) == [
         first_dirichlet_eigenpair(G).lam for G in trees
     ]
@@ -313,12 +319,20 @@ def test_one_eigvalsh_per_group_and_never_eigh(monkeypatch):
     assert eigh == []
 
 
-def test_one_eigvalsh_per_family_and_never_eigh(monkeypatch):
+def test_one_eigvalsh_per_interior_size_per_sweep_and_never_eigh(monkeypatch):
+    # a sweep scores every family through one call, which solves each
+    # (k, n0) stack once, whatever the families and vertex counts in it
     calls = _count_calls(monkeypatch, "eigvalsh")
     eigh = _count_calls(monkeypatch, "eigh")
-    certs = fk2_sweep(2, 10, 2)
-    assert len(calls) == len(certs)
-    assert [shape[0] for shape in calls] == [len(c.all_lambdas) for c in certs]
+    for sweep in (lambda: fk2_sweep(2, 10, 2), lambda: fk1_sweep(3, 13)):
+        calls.clear()
+        certs = sweep()
+        sizes: dict[int, int] = {}
+        for cert in certs:
+            n0 = sum(d >= 2 for d in cert.winner.degrees)
+            sizes[n0] = sizes.get(n0, 0) + len(cert.all_lambdas)
+        assert len(calls) == len(sizes) < len(certs)
+        assert sorted((shape[1], shape[0]) for shape in calls) == sorted(sizes.items())
     assert eigh == []
 
 

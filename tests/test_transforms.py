@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ from supertrees.config import strictly_less
 from support import (
     all_feasible,
     random_shift_spec,
+    reference_unit_transform_chain,
     random_supertree,
     random_switch_spec,
     switch_strict_witness,
@@ -460,3 +462,45 @@ def test_chain_replay_random_walks():
         for p in unit_transform_chain(start, cur):
             replay = unit_transformation(replay, p)
         assert replay.entries == cur.entries
+
+
+def test_chain_matches_the_rescanning_reference_and_replays():
+    # every majorized pair with equal interior count, k=2 n<=18 and k=3
+    # n<=21: the in-place chain gives the reference's positions, and
+    # replaying them through unit_transformation lands on the target
+    pairs = 0
+    for k, n_max in ((2, 18), (3, 21)):
+        groups: dict[tuple[int, int], list] = {}
+        for pi in all_feasible(k, n_max):
+            groups.setdefault((pi.n, pi.n0), []).append(pi)
+        for group in groups.values():
+            for start in group:
+                for end in group:
+                    if not majorizes(start, end):
+                        continue
+                    chain = unit_transform_chain(start, end)
+                    assert chain == reference_unit_transform_chain(start, end)
+                    cur = start
+                    for p in chain:
+                        cur = unit_transformation(cur, p)
+                    assert cur.entries == end.entries
+                    pairs += 1
+    assert pairs == 7440
+
+
+def test_long_chain_is_linear():
+    # 3^1000 down to 2^999,1002 (k=2) takes 6,069 unit steps; rescanning
+    # from position 0 with a re-sorted sequence per step took seconds
+    n0 = 1000
+    start = _seq(2, [3] * n0 + [1] * (n0 + 2))
+    end = _seq(2, [2] * (n0 - 1) + [n0 + 2] + [1] * (n0 + 2))
+    began = time.perf_counter()
+    chain = unit_transform_chain(start, end)
+    assert time.perf_counter() - began < 1.0
+    assert len(chain) == 6069
+    cur = list(start.interior)
+    for p in chain:
+        cur[p] -= 1
+        cur[p + 1] += 1
+        cur.sort()
+    assert tuple(cur) == end.interior
