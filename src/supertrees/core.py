@@ -376,7 +376,8 @@ class _CentroidTree:
             orbit[u] = setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
         lowest: dict[int, VertexId] = {}
         own = self.degrees
-        for v in range(n) if degrees is None else [v for v in range(n) if own[v] in degrees]:
+        for v in (range(n) if degrees is None
+                  else [v for v in range(n) if own[v] in degrees]):
             lowest.setdefault(orbit[v], v)
         join, insort, edges = b"".join, bisect.insort, self.edges
         leaf, out = b"e(" + b"v()" * (k - 1) + b")", []

@@ -247,8 +247,7 @@ def _score_families(
     # enumerate processes never solve
     from .spectral import first_dirichlet_eigenvalues
     lams = iter(first_dirichlet_eigenvalues(
-        [G for _, members in families for _, G in members]
-    ))
+        [G for _, members in families for _, G in members]))
     certs = []
     for family, members in families:
         pi = family.pi or _flattest_sequence(family.n, family.n0, family.k, family.d)

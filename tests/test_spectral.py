@@ -321,10 +321,13 @@ def test_one_eigvalsh_per_group_and_never_eigh(monkeypatch):
 
 def test_one_eigvalsh_per_interior_size_per_sweep_and_never_eigh(monkeypatch):
     # a sweep scores every family through one call, which solves each
-    # (k, n0) stack once, whatever the families and vertex counts in it
+    # (k, n0) stack once, whatever the families and vertex counts in it: the
+    # four benchmark sweeps make 29 calls for 165 families
     calls = _count_calls(monkeypatch, "eigvalsh")
     eigh = _count_calls(monkeypatch, "eigh")
-    for sweep in (lambda: fk2_sweep(2, 10, 2), lambda: fk1_sweep(3, 13)):
+    total = families = 0
+    for sweep in (lambda: fk1_sweep(3, 13), lambda: fk1_sweep(2, 10),
+                  lambda: fk2_sweep(3, 13, 2), lambda: fk2_sweep(2, 13, 2)):
         calls.clear()
         certs = sweep()
         sizes: dict[int, int] = {}
@@ -333,6 +336,9 @@ def test_one_eigvalsh_per_interior_size_per_sweep_and_never_eigh(monkeypatch):
             sizes[n0] = sizes.get(n0, 0) + len(cert.all_lambdas)
         assert len(calls) == len(sizes) < len(certs)
         assert sorted((shape[1], shape[0]) for shape in calls) == sorted(sizes.items())
+        total += len(calls)
+        families += len(certs)
+    assert (total, families) == (29, 165)
     assert eigh == []
 
 
