@@ -63,16 +63,16 @@ def _cmd_validate(args, tol: Tolerances) -> int:
     return 0
 
 
-def _eigenpair(args, tol: Tolerances):
+def _eigenpair(args):
     # spectral takes a few ms to compile when bytecode is not cached; only
     # the subcommands that solve pay it
     from .spectral import first_dirichlet_eigenpair
     G = _load(args.file)
-    return G, first_dirichlet_eigenpair(G, tol)
+    return G, first_dirichlet_eigenpair(G)
 
 
 def _cmd_eigen(args, tol: Tolerances) -> int:
-    G, pair = _eigenpair(args, tol)
+    G, pair = _eigenpair(args)
     print(f"lambda={_fmt(pair.lam)}")
     print(f"gap={_fmt(pair.gap)}")
     print(f"degenerate={_tf(pair.degenerate)}")
@@ -118,7 +118,7 @@ def _cmd_slo_construct(args, tol: Tolerances) -> int:
 
 def _cmd_relabel(args, tol: Tolerances) -> int:
     from .slo import relabel
-    G, pair = _eigenpair(args, tol)
+    G, pair = _eigenpair(args)
     labels = relabel(G, pair.f, tol)
     rows = [
         [str(v), str(s), str(i), str(p), _fmt(float(pair.f[v]))]
@@ -203,21 +203,21 @@ def _sweep_exit(certs: list) -> int:
 def _cmd_verify_fk1(args, tol: Tolerances) -> int:
     from .enumeration import fk1_sweep, verify_fk_theorem1
     if args.all:
-        certs = fk1_sweep(args.k, args.n_max, tol)
+        certs = fk1_sweep(args.k, args.n_max)
         if not certs:
             raise EmptyFamily(f"no degree sequence with k={args.k} and n <= "
                               f"{args.n_max} has an interior vertex")
         return _sweep_exit(certs)
     if args.pi is None:
         raise InvalidSpec("pass --pi, or --all with --n-max")
-    cert = verify_fk_theorem1(_degree_sequence(args.k, args.pi), tol)
+    cert = verify_fk_theorem1(_degree_sequence(args.k, args.pi))
     _print_certificate(args.format, cert)
     return 0 if cert.passed else 1
 
 
 def _cmd_verify_fk2(args, tol: Tolerances) -> int:
     from .enumeration import verify_fk_theorem2
-    cert = verify_fk_theorem2(args.n, args.n0, args.k, args.d, tol)
+    cert = verify_fk_theorem2(args.n, args.n0, args.k, args.d)
     _print_certificate(args.format, cert)
     return 0 if cert.passed else 1
 

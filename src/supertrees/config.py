@@ -1,8 +1,9 @@
 """Numeric tolerances.
 
 Every threshold used by the eigenpair report and by comparison helpers lives
-in one immutable record so the CLI can override them in a single place and
-tests can state them explicitly.
+in this module. The relative comparison slack is the one settable threshold
+(the CLI's --epsilon); the degeneracy floor and the eigenvalue tie window
+are fixed constants.
 """
 
 import math
@@ -16,14 +17,20 @@ __all__ = [
 ]
 
 
-class Tolerances(namedtuple("Tolerances", "rel_eps degenerate_gap lambda_tie",
-                            defaults=(1e-10, 1e-9, 1e-10))):
-    """Comparison thresholds, each finite and non-negative.
+# Fixed, not Tolerances fields: no caller varies them, and --epsilon leaves
+# certificates and the eigen report as they are. _DEGENERATE_GAP is the
+# relative spectral-gap floor below which an eigenpair is flagged
+# degenerate, _LAMBDA_TIE the absolute tie window between eigenvalues of
+# distinct supertrees.
+_DEGENERATE_GAP = 1e-9
+_LAMBDA_TIE = 1e-10
+
+
+class Tolerances(namedtuple("Tolerances", "rel_eps", defaults=(1e-10,))):
+    """Comparison slack, finite and non-negative.
 
     With ``rel_eps``, |x - y| <= rel_eps * max(1, |x|, |y|) counts as equal
-    for computed reals; ``degenerate_gap`` is the relative spectral-gap floor
-    below which an eigenpair is flagged degenerate, and ``lambda_tie`` the
-    absolute tie window between eigenvalues of distinct supertrees.
+    for computed reals.
     """
 
     __slots__ = ()

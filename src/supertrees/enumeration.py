@@ -19,7 +19,7 @@ eigenvalue decreases strictly along degree-sequence majorization.
 import math
 from collections import namedtuple
 
-from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
+from .config import _LAMBDA_TIE, DEFAULT_TOLERANCES, Tolerances, strictly_less
 from .core import (
     CanonicalCode,
     DegreeSequence,
@@ -72,11 +72,11 @@ class FkCertificate(namedtuple(
     ``winner`` is the class listed first, of eigenvalue ``winner_lambda``,
     and ``slo_code`` the canonical code of the predicted SLO-supertree.
     ``all_lambdas`` lists (canonical code, eigenvalue) for every isomorphism
-    class, eigenvalues ascending; classes tied within ``lambda_tie`` are
-    listed by canonical code. ``margin`` is the runner-up's eigenvalue minus
-    the winner's (infinite for a one-class family), and ``unique`` asserts
-    it exceeds the tie tolerance; ``slo_match`` asserts the winner is the
-    predicted SLO-supertree.
+    class, eigenvalues ascending; classes tied within the fixed window
+    config._LAMBDA_TIE are listed by canonical code. ``margin`` is the
+    runner-up's eigenvalue minus the winner's (infinite for a one-class
+    family), and ``unique`` asserts it exceeds that window; ``slo_match``
+    asserts the winner is the predicted SLO-supertree.
     """
 
     __slots__ = ()
@@ -181,14 +181,17 @@ def _raisable(degrees, bound) -> set[int]:
 
 
 def _buckets(k: int, n_max: int, bound=None) -> dict:
-    """Every class with edge size k, at most n_max vertices and interior
-    degrees under bound (see _grow_classes), keyed by (n, n0, ascending
-    interior degrees), keys ascending: each bucket, in code order, is one
-    degree-sequence family. NotKUniform for k below 2."""
+    """Classes with edge size k keyed by (n, n0, ascending interior degrees),
+    keys ascending: each bucket, in code order, is one degree-sequence
+    family. Unbounded (a sweep), every class with at most n_max vertices;
+    under a bound (a single query, see _grow_classes), only the classes of
+    the last layer grown, which have n_max vertices when n_max - 1 is a
+    multiple of k - 1. NotKUniform for k below 2."""
     if k < 2:
         raise NotKUniform(f"edge size must be at least 2, got k={k}")
+    layers = _grow_classes(k, (n_max - 1) // (k - 1), bound)
     buckets: dict[tuple[int, int, tuple[int, ...]], list] = {}
-    for layer in _grow_classes(k, (n_max - 1) // (k - 1), bound):
+    for layer in layers if bound is None else layers[-1:]:
         for code, G in layer:
             interior = tuple(sorted(d for d in G.degrees if d >= 2))
             buckets.setdefault((G.n, len(interior), interior), []).append((code, G))
@@ -237,7 +240,6 @@ def enumerate_family(
 
 def _score_families(
     families: list[tuple[FamilySpec, list[tuple[CanonicalCode, Supertree]]]],
-    tol: Tolerances,
 ) -> list[FkCertificate]:
     """One certificate per (family, members), with every member of every
     family solved in one first_dirichlet_eigenvalues call. The predicted
@@ -255,11 +257,11 @@ def _score_families(
         rows = sorted(
             ((code, next(lams), G) for code, G in members), key=lambda item: item[1]
         )
-        # eigenvalues chained within lambda_tie form one tie group, listed by
+        # eigenvalues chained within _LAMBDA_TIE form one tie group, listed by
         # canonical code so rounding noise cannot reorder cospectral classes
         groups: list[list] = []
         for row in rows:
-            if groups and row[1] - groups[-1][-1][1] <= tol.lambda_tie:
+            if groups and row[1] - groups[-1][-1][1] <= _LAMBDA_TIE:
                 groups[-1].append(row)
             else:
                 groups.append([row])
@@ -274,16 +276,14 @@ def _score_families(
             winner_lambda=winner_lambda,
             slo_code=slo_code,
             all_lambdas=tuple((code, lam) for code, lam, _ in scored),
-            unique=margin > tol.lambda_tie,
+            unique=margin > _LAMBDA_TIE,
             slo_match=winner_code == slo_code,
             margin=margin,
         ))
     return certs
 
 
-def verify_fk_theorem1(
-    pi: DegreeSequence, tol: Tolerances = DEFAULT_TOLERANCES
-) -> FkCertificate:
+def verify_fk_theorem1(pi: DegreeSequence) -> FkCertificate:
     """Check that the SLO-supertree of pi uniquely minimizes the first
     Dirichlet eigenvalue among all supertrees with degree sequence pi.
 
@@ -292,12 +292,10 @@ def verify_fk_theorem1(
     """
     members = _pi_classes(pi)
     assert members, "validated degree sequences are realizable"
-    return _score_families([(FamilySpec(kind="pi", k=pi.k, pi=pi), members)], tol)[0]
+    return _score_families([(FamilySpec(kind="pi", k=pi.k, pi=pi), members)])[0]
 
 
-def verify_fk_theorem2(
-    n: int, n0: int, k: int, d: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> FkCertificate:
+def verify_fk_theorem2(n: int, n0: int, k: int, d: int) -> FkCertificate:
     """Check that one SLO-supertree uniquely minimizes the first Dirichlet
     eigenvalue among all supertrees with n vertices, n0 interior vertices,
     and interior degrees at least d.
@@ -317,7 +315,7 @@ def verify_fk_theorem2(
     members = _family_classes(n, n0, k, d)
     if not members:
         raise EmptyFamily(f"{family.describe()} is empty")
-    return _score_families([(family, members)], tol)[0]
+    return _score_families([(family, members)])[0]
 
 
 def _majorization_lambdas(
@@ -354,11 +352,7 @@ def verify_majorization_monotonicity(
     return _majorization_lambdas(pi, pi_prime, tol)[2]
 
 
-def fk1_sweep(
-    k: int,
-    n_max: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[FkCertificate]:
+def fk1_sweep(k: int, n_max: int) -> list[FkCertificate]:
     """Certificates for every feasible degree sequence with an interior
     vertex, edge size k, and at most n_max vertices.
 
@@ -370,15 +364,10 @@ def fk1_sweep(
          members)
         for (n, n0, interior), members in _buckets(k, n_max).items()
         if n0
-    ], tol)
+    ])
 
 
-def fk2_sweep(
-    k: int,
-    n_max: int,
-    d: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[FkCertificate]:
+def fk2_sweep(k: int, n_max: int, d: int) -> list[FkCertificate]:
     """Certificates for every nonempty minimum-degree family with edge size
     k, at most n_max vertices and an interior vertex.
 
@@ -390,4 +379,4 @@ def fk2_sweep(
         (FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d), group)
         for (n, n0), group in families.items()
         if n0
-    ], tol)
+    ])

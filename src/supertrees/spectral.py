@@ -21,7 +21,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import _DEGENERATE_GAP
 from .core import Supertree
 from .errors import NoInteriorVertices
 
@@ -92,13 +92,13 @@ def _laplacian_blocks(trees):
     return blocks.reshape(B, r, r), picked
 
 
-def first_dirichlet_eigenpair(
-    G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DirichletEigenpair:
+def first_dirichlet_eigenpair(G: Supertree) -> DirichletEigenpair:
     """Smallest Dirichlet eigenvalue with its normalized eigenfunction.
 
     The eigenfunction sign is fixed so its largest-magnitude entry is
-    positive, which makes it positive throughout the interior.
+    positive, which makes it positive throughout the interior. The pair is
+    flagged degenerate when its gap is at most the fixed floor
+    config._DEGENERATE_GAP times max(1, lambda).
     """
     import numpy as np
     blocks, picked = _laplacian_blocks([G])
@@ -119,7 +119,7 @@ def first_dirichlet_eigenpair(
     gap = float(values[1] - values[0]) if len(values) > 1 else math.inf
     r = M @ x - lam * x
     residual = math.sqrt(r @ r)
-    degenerate = gap <= tol.degenerate_gap * max(1.0, lam)
+    degenerate = gap <= _DEGENERATE_GAP * max(1.0, lam)
     return DirichletEigenpair(lam, f, gap, degenerate, residual)
 
 

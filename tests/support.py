@@ -23,7 +23,6 @@ from supertrees import (
     SloViolation,
     Supertree,
     SwitchSpec,
-    Tolerances,
     build_supertree,
     canonical_code,
     check_slo,
@@ -31,7 +30,7 @@ from supertrees import (
     majorizes,
     unit_transformation,
 )
-from supertrees.config import strictly_less
+from supertrees.config import _DEGENERATE_GAP, strictly_less
 from supertrees.core import (
     VertexId,
     _incidence_adjacency,
@@ -130,7 +129,7 @@ def _interior_block(G: Supertree):
     return interior, reference_laplacian(G)[np.ix_(interior, interior)]
 
 
-def _eigenpair_from(G, interior, M, values, x, tol):
+def _eigenpair_from(G, interior, M, values, x):
     lam = float(values[0])
     if x[np.argmax(np.abs(x))] < 0.0:
         x = -x
@@ -139,20 +138,20 @@ def _eigenpair_from(G, interior, M, values, x, tol):
     f[interior] = x
     gap = float(values[1] - values[0]) if len(values) > 1 else math.inf
     residual = float(np.linalg.norm(M @ x - lam * x))
-    degenerate = gap <= tol.degenerate_gap * max(1.0, lam)
+    degenerate = gap <= _DEGENERATE_GAP * max(1.0, lam)
     return lam, f, gap, degenerate, residual
 
 
-def reference_eigenpair(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
+def reference_eigenpair(G: Supertree):
     """(lam, f, gap, degenerate, residual) from every eigenvector of the
     interior block cut from reference_laplacian (np.linalg.eigh), an
     independent check on the library's accuracy."""
     interior, M = _interior_block(G)
     values, vectors = np.linalg.eigh(M)
-    return _eigenpair_from(G, interior, M, values, vectors[:, 0].copy(), tol)
+    return _eigenpair_from(G, interior, M, values, vectors[:, 0].copy())
 
 
-def reference_inverse_iteration(G: Supertree, tol: Tolerances = DEFAULT_TOLERANCES):
+def reference_inverse_iteration(G: Supertree):
     """(lam, f, gap, degenerate, residual) by the library's arithmetic on the
     interior block cut from reference_laplacian: eigenvalues alone, then one
     solve of (M - sigma I) x = 1 with sigma = lam - 16 eps (max degree), and
@@ -162,7 +161,7 @@ def reference_inverse_iteration(G: Supertree, tol: Tolerances = DEFAULT_TOLERANC
     values = np.linalg.eigvalsh(M)
     sigma = values[0] - 16 * np.finfo(float).eps * max(G.degrees)
     x = np.linalg.solve(M - sigma * np.eye(len(M)), np.ones(len(M)))
-    return _eigenpair_from(G, interior, M, values, x, tol)
+    return _eigenpair_from(G, interior, M, values, x)
 
 
 def tree_centroids(adj: list[list[int]]) -> list[int]:

@@ -34,7 +34,7 @@ from supertrees import (
     verify_fk_theorem1,
     verify_majorization_monotonicity,
 )
-from supertrees.config import strictly_less
+from supertrees.config import _LAMBDA_TIE, strictly_less
 from supertrees.enumeration import _grow_classes
 from support import (
     all_feasible,
@@ -169,7 +169,7 @@ def test_tied_classes_listed_in_code_order(fk1_certs, fk2_certs):
     ties = 0
     for cert in certs:
         for (c1, l1), (c2, l2) in zip(cert.all_lambdas, cert.all_lambdas[1:]):
-            if l2 - l1 <= TOL.lambda_tie:
+            if l2 - l1 <= _LAMBDA_TIE:
                 ties += 1
                 if not c1 < c2:
                     out_of_order.append(cert.family.describe())
@@ -186,7 +186,7 @@ def test_certificate_margins_decide_uniqueness(fk1_certs, fk2_certs):
     wrong = [
         cert.family.describe()
         for cert in certs
-        if cert.unique != (cert.margin > TOL.lambda_tie)
+        if cert.unique != (cert.margin > _LAMBDA_TIE)
         or (len(cert.all_lambdas) == 1) != (cert.margin == math.inf)
     ]
     smallest = min(cert.margin for cert in certs)
@@ -220,7 +220,7 @@ def test_switching_never_increases_eigenvalue():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + TOL.lambda_tie
+        assert lam_p <= pair.lam + _LAMBDA_TIE
         weak += 1
         if (
             hc.strict
@@ -255,7 +255,7 @@ def test_shifting_never_increases_eigenvalue():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + TOL.lambda_tie
+        assert lam_p <= pair.lam + _LAMBDA_TIE
         weak += 1
         if hc.strict and not pair.degenerate:
             assert strictly_less(lam_p, pair.lam, TOL)

@@ -624,6 +624,20 @@ def test_epsilon_must_be_finite_and_non_negative(capsys):
     assert _run(capsys, "--epsilon", "0", *argv)[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigen", "H7"],
+    ["verify-fk1", "--k", "2", "--pi", "2,2,2,3,3,1,1,1,1"],
+    ["verify-fk2", "--n", "10", "--n0", "5", "--k", "2", "--d", "2"],
+])
+def test_epsilon_changes_neither_eigen_nor_verify(capsys, h7, argv):
+    # --epsilon sets only the relative slack of relabel and the hypothesis
+    # checks; the degeneracy floor and the eigenvalue tie window are fixed
+    argv = [h7 if a == "H7" else a for a in argv]
+    plain = _run(capsys, *argv)
+    assert plain[0] == 0 and plain[1]
+    assert _run(capsys, "--epsilon", "0.5", *argv) == plain
+
+
 @pytest.fixture(scope="module")
 def h7_module(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "h7.sht"

@@ -5,7 +5,8 @@ the family's record: ``describe()``, ``unique``, ``slo_match``, the
 winner's canonical code, and every (canonical code, lambda to 12 decimals)
 row in certificate order. Twelve printed decimals, not ``float.hex()``,
 because LAPACK builds may differ in the last bits. One digest per family
-names the family on a mismatch.
+names the family on a mismatch, and the failure prints the recomputed
+record of each family that differs.
 
 After a change meant to alter certificates, regenerate the corpus from a
 checkout with
@@ -42,26 +43,32 @@ def record(cert) -> str:
     return "\n".join(lines) + "\n"
 
 
-def corpus() -> dict[str, dict[str, str]]:
+def records() -> dict[str, dict[str, str]]:
+    """sweep name -> family description -> record, in sweep order."""
     return {
-        name: {
-            cert.family.describe(): hashlib.sha256(record(cert).encode()).hexdigest()
-            for cert in sweep()
-        }
+        name: {cert.family.describe(): record(cert) for cert in sweep()}
         for name, sweep in SWEEPS.items()
     }
 
 
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_sweeps_match_the_certificate_corpus():
     want = json.loads(CORPUS.read_text())
-    got = corpus()
+    got = records()
     assert list(got) == list(want)
     for name in want:
         assert list(got[name]) == list(want[name]), f"{name}: families differ"
-        changed = [fam for fam, digest in want[name].items() if got[name][fam] != digest]
-        assert not changed, f"{name}: records differ for {changed}"
+        changed = [fam for fam, d in want[name].items() if digest(got[name][fam]) != d]
+        assert not changed, f"{name}: records differ for {changed}, recomputed:\n" + (
+            "".join(got[name][fam] for fam in changed))
     assert sum(map(len, want.values())) == 165
 
 
 if __name__ == "__main__":
-    CORPUS.write_text(json.dumps(corpus(), indent=1) + "\n")
+    CORPUS.write_text(json.dumps({
+        name: {fam: digest(text) for fam, text in fams.items()}
+        for name, fams in records().items()
+    }, indent=1) + "\n")

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from supertrees import (
-    DEFAULT_TOLERANCES,
     DegreeSequence,
     EmptyFamily,
     InvalidSpec,
@@ -30,6 +29,7 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees import enumeration, transforms
+from supertrees.config import _LAMBDA_TIE
 from supertrees.core import _attach_leaf, _CentroidTree
 from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
 from support import (
@@ -237,33 +237,23 @@ def test_fk1_singleton_family_is_unique():
 
 
 def test_margin_of_a_tied_pair_is_not_unique():
-    tie = DEFAULT_TOLERANCES.lambda_tie
     pi = _seq(2, (2, 2, 2, 3, 3) + (1,) * 4, 5)
     cert = verify_fk_theorem1(pi)
     (l0, l1) = [lam for _, lam in cert.all_lambdas[:2]]
-    assert cert.unique and cert.margin == l1 - l0 > tie
+    assert cert.unique and cert.margin == l1 - l0 > _LAMBDA_TIE
     # two cospectral classes of the family (2 - sqrt(2)) scored alone
     tied = next(
         (a, b)
         for (a, la), (b, lb) in zip(cert.all_lambdas, cert.all_lambdas[1:])
-        if lb - la <= tie
+        if lb - la <= _LAMBDA_TIE
     )
     members = [
         (canonical_code(G), G)
         for G in enumerate_supertrees(pi)
         if canonical_code(G) in tied
     ]
-    (scored,) = enumeration._score_families([(cert.family, members)], DEFAULT_TOLERANCES)
-    assert abs(scored.margin) <= tie and not scored.unique
-
-
-def test_nan_tie_window_is_rejected():
-    # a NaN window would make every margin comparison false, and a
-    # one-class family would read not unique
-    pi = _seq(3, (2, 1, 1, 1, 1), 1)
-    assert verify_fk_theorem1(pi).unique
-    with pytest.raises(InvalidSpec, match="lambda_tie"):
-        verify_fk_theorem1(pi, Tolerances(lambda_tie=math.nan))
+    (scored,) = enumeration._score_families([(cert.family, members)])
+    assert abs(scored.margin) <= _LAMBDA_TIE and not scored.unique
 
 
 def test_fk2_flattest_sequence_wins():
@@ -319,6 +309,21 @@ def test_fk2_sweep_small():
     for k in (1, 0):
         with pytest.raises(NotKUniform):
             fk2_sweep(k, 5, 2)
+
+
+def test_bounded_buckets_key_only_the_last_layer():
+    # a single query reads only the buckets of its own n
+    bound = (4, 3, 2, 2)
+    buckets = enumeration._buckets(2, 9, bound)
+    assert buckets and {n for n, _, _ in buckets} == {9}
+    fits = {
+        key: [code for code, _ in members]
+        for key, members in enumeration._buckets(2, 9).items()
+        if key[0] == 9 and len(key[2]) <= len(bound)
+        and all(d <= b for d, b in zip(key[2][::-1], bound))
+    }
+    assert {key: [code for code, _ in members]
+            for key, members in buckets.items()} == fits
 
 
 def test_fk2_sweep_joins_fk1_buckets():
@@ -499,14 +504,13 @@ def test_majorization_rejects_bad_tolerances(value):
     # a NaN slack would turn the proven decrease of this pair into False
     steep, flat = _seq(2, (3, 3) + (1,) * 4, 2), _seq(2, (2, 4) + (1,) * 4, 2)
     assert verify_majorization_monotonicity(steep, flat) is True
-    for name in ("rel_eps", "degenerate_gap", "lambda_tie"):
-        with pytest.raises(InvalidSpec, match=name):
-            verify_majorization_monotonicity(steep, flat, Tolerances(**{name: value}))
-        with pytest.raises(InvalidSpec, match=name):
-            Tolerances()._replace(**{name: value})
-    assert verify_majorization_monotonicity(
-        steep, flat, Tolerances(rel_eps=0.0, degenerate_gap=0.0, lambda_tie=0.0)
-    )
+    # the comparison slack is the one settable threshold
+    assert Tolerances._fields == ("rel_eps",)
+    with pytest.raises(InvalidSpec, match="rel_eps"):
+        verify_majorization_monotonicity(steep, flat, Tolerances(rel_eps=value))
+    with pytest.raises(InvalidSpec, match="rel_eps"):
+        Tolerances()._replace(rel_eps=value)
+    assert verify_majorization_monotonicity(steep, flat, Tolerances(rel_eps=0.0))
 
 
 def test_majorization_monotonicity_along_chain():

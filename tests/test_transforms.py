@@ -29,7 +29,7 @@ from supertrees import (
     unit_transform_chain,
     unit_transformation,
 )
-from supertrees.config import strictly_less
+from supertrees.config import _LAMBDA_TIE, strictly_less
 
 from support import (
     all_feasible,
@@ -228,7 +228,7 @@ def test_switch_weak_never_increases_small_sample():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + TOL.lambda_tie
+        assert lam_p <= pair.lam + _LAMBDA_TIE
         weak_done += 1
         if (
             hc.strict
@@ -320,7 +320,7 @@ def test_shift_weak_needs_u_to_stay_interior():
     assert hc.weak and hc.strict
     assert G.degrees[spec.u] - len(spec.edges) < 2
     lam_p = first_dirichlet_eigenpair(apply_shift(G, spec)).lam
-    assert lam_p > pair.lam + TOL.lambda_tie
+    assert lam_p > pair.lam + _LAMBDA_TIE
 
 
 def test_shift_strict_data_can_tie_when_u_demoted():
@@ -352,7 +352,7 @@ def test_shift_weak_never_increases_in_scope_small_sample():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + TOL.lambda_tie
+        assert lam_p <= pair.lam + _LAMBDA_TIE
         weak_done += 1
         if hc.strict and not pair.degenerate:
             assert strictly_less(lam_p, pair.lam, TOL)
