@@ -57,7 +57,7 @@ def _edge_at(G: Supertree, index: int) -> tuple[int, ...]:
     return G.edges[index]
 
 
-def _cmd_validate(args, tol: Tolerances) -> int:
+def _cmd_validate(args) -> int:
     G = _load(args.file)
     print(f"ok k={G.k} n={G.n} m={G.m}")
     return 0
@@ -71,7 +71,7 @@ def _eigenpair(args):
     return G, first_dirichlet_eigenpair(G)
 
 
-def _cmd_eigen(args, tol: Tolerances) -> int:
+def _cmd_eigen(args) -> int:
     G, pair = _eigenpair(args)
     print(f"lambda={_fmt(pair.lam)}")
     print(f"gap={_fmt(pair.gap)}")
@@ -84,7 +84,7 @@ def _cmd_eigen(args, tol: Tolerances) -> int:
     return 0
 
 
-def _cmd_slo_check(args, tol: Tolerances) -> int:
+def _cmd_slo_check(args) -> int:
     from .slo import check_slo
     G = _load(args.file)
     violations = check_slo(G, _int_list(args.order))
@@ -96,7 +96,7 @@ def _cmd_slo_check(args, tol: Tolerances) -> int:
     return 1
 
 
-def _cmd_slo_find(args, tol: Tolerances) -> int:
+def _cmd_slo_find(args) -> int:
     from .slo import find_slo_ordering
     G = _load(args.file)
     order = find_slo_ordering(G)
@@ -107,7 +107,7 @@ def _cmd_slo_find(args, tol: Tolerances) -> int:
     return 0
 
 
-def _cmd_slo_construct(args, tol: Tolerances) -> int:
+def _cmd_slo_construct(args) -> int:
     from .slo import construct_slo_supertree
     pi = _degree_sequence(args.k, args.pi)
     G, order = construct_slo_supertree(pi)
@@ -116,10 +116,10 @@ def _cmd_slo_construct(args, tol: Tolerances) -> int:
     return 0
 
 
-def _cmd_relabel(args, tol: Tolerances) -> int:
+def _cmd_relabel(args) -> int:
     from .slo import relabel
     G, pair = _eigenpair(args)
-    labels = relabel(G, pair.f, tol)
+    labels = relabel(G, pair.f, Tolerances(rel_eps=args.epsilon))
     rows = [
         [str(v), str(s), str(i), str(p), _fmt(float(pair.f[v]))]
         for v, (s, i, p) in sorted(labels.items(), key=lambda item: item[1])
@@ -128,7 +128,7 @@ def _cmd_relabel(args, tol: Tolerances) -> int:
     return 0
 
 
-def _cmd_switch(args, tol: Tolerances) -> int:
+def _cmd_switch(args) -> int:
     from .transforms import SwitchSpec, apply_switch
     G = _load(args.file)
     spec = SwitchSpec(
@@ -141,7 +141,7 @@ def _cmd_switch(args, tol: Tolerances) -> int:
     return 0
 
 
-def _cmd_shift(args, tol: Tolerances) -> int:
+def _cmd_shift(args) -> int:
     from .transforms import ShiftSpec, apply_shift
     G = _load(args.file)
     spec = ShiftSpec(
@@ -153,14 +153,14 @@ def _cmd_shift(args, tol: Tolerances) -> int:
     return 0
 
 
-def _cmd_unit(args, tol: Tolerances) -> int:
+def _cmd_unit(args) -> int:
     from .transforms import unit_transformation
     pi = _degree_sequence(args.k, args.pi)
     print(f"pi={unit_transformation(pi, args.p)}")
     return 0
 
 
-def _cmd_enumerate(args, tol: Tolerances) -> int:
+def _cmd_enumerate(args) -> int:
     from .enumeration import _pi_classes
     pi = _degree_sequence(args.k, args.pi)
     members = _pi_classes(pi)
@@ -200,7 +200,7 @@ def _sweep_exit(certs: list) -> int:
     return 0 if passed == len(certs) else 1
 
 
-def _cmd_verify_fk1(args, tol: Tolerances) -> int:
+def _cmd_verify_fk1(args) -> int:
     from .enumeration import fk1_sweep, verify_fk_theorem1
     if args.all:
         certs = fk1_sweep(args.k, args.n_max)
@@ -215,14 +215,14 @@ def _cmd_verify_fk1(args, tol: Tolerances) -> int:
     return 0 if cert.passed else 1
 
 
-def _cmd_verify_fk2(args, tol: Tolerances) -> int:
+def _cmd_verify_fk2(args) -> int:
     from .enumeration import verify_fk_theorem2
     cert = verify_fk_theorem2(args.n, args.n0, args.k, args.d)
     _print_certificate(args.format, cert)
     return 0 if cert.passed else 1
 
 
-def _cmd_majorize(args, tol: Tolerances) -> int:
+def _cmd_majorize(args) -> int:
     from .enumeration import _majorization_lambdas
     from .transforms import majorizes
     pi = _degree_sequence(args.k, args.pi)
@@ -231,7 +231,9 @@ def _cmd_majorize(args, tol: Tolerances) -> int:
     print(f"majorized={_tf(majorized)}")
     if not majorized:
         return 2
-    lam, lam_prime, decreased = _majorization_lambdas(pi, pi_prime, tol)
+    lam, lam_prime, decreased = _majorization_lambdas(
+        pi, pi_prime, Tolerances(rel_eps=args.epsilon)
+    )
     print(f"lambda_pi={_fmt(lam)}")
     print(f"lambda_pi_prime={_fmt(lam_prime)}")
     print(f"strict_decrease={_tf(decreased)}")
@@ -249,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="table output style (default csv)",
     )
     parser.add_argument(
-        "--epsilon", type=float, default=None,
+        "--epsilon", type=float, default=DEFAULT_TOLERANCES.rel_eps,
         help="override the relative comparison tolerance (finite, at least 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -349,15 +351,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.epsilon is not None and not 0.0 <= args.epsilon < float("inf"):
+        if not 0.0 <= args.epsilon < float("inf"):
             parser.error("argument --epsilon: expected a finite non-negative number")
     except SystemExit as exc:
         return int(exc.code or 0)
-    tol = DEFAULT_TOLERANCES
-    if args.epsilon is not None:
-        tol = tol._replace(rel_eps=args.epsilon)
     try:
-        return args.run(args, tol)
+        return args.run(args)
     except SupertreeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -246,28 +246,30 @@ def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
 # --- canonical form -------------------------------------------------------
 #
 # The incidence tree has one node per vertex (ids 0..n-1) and one per edge
-# (ids n..n+m-1), linked by membership. Supertree isomorphism is exactly
-# label-preserving isomorphism of these bipartite trees. One encoder,
-# _CentroidTree, serves every caller: it finds the centroid from subtree
-# sizes seen from node 0, walks the tree breadth-first from there, and
-# bottom-up gives each node the AHU code b"v(" or b"e(", followed by the
+# (ids base..base+m-1, base = n unless given), linked by membership.
+# Supertree isomorphism is exactly label-preserving isomorphism of these
+# bipartite trees. One encoder, _CentroidTree, finds the centroid from
+# subtree sizes seen from node 0, walks the tree breadth-first from there,
+# and bottom-up gives each node the AHU code b"v(" or b"e(", followed by the
 # sorted codes of its children, followed by b")". The root's code is a
 # complete invariant.
 #
 # The centroid is unique: the tree has km+1 nodes and every rooted subtree
 # holds jk of them (below an edge node) or jk+1 (below a vertex), so none
-# holds exactly half. Class growth encodes each parent once, rooted at its
-# centroid, and one pass over that encoding labels the automorphism orbits
-# and derives the code of the child grown by one pendant edge at the lowest
-# vertex of each orbit: the child's codes change only on the path from the
-# attachment vertex to the root, and its centroid, where growth starts the
-# child's encoding, is the root or the root's child on that path.
+# holds exactly half. Class growth encodes only its first edge, with base
+# its largest vertex count, so node ids stay fixed: vertex v is node v and
+# the j-th edge created is node base + j. One pass over a parent's encoding
+# labels the automorphism orbits and gives the code of the child grown by a
+# pendant edge at the lowest vertex of each orbit: only codes on the path
+# from that vertex to the root change, and the child's centroid is the root
+# or the root's child on that path. A kept child's encoding is its parent's,
+# copied, with the k new nodes and that path update written in.
 
 
-def _incidence_adjacency(G: Supertree) -> list[list[int]]:
+def _incidence_adjacency(G: Supertree, base: int | None = None) -> list[list[int]]:
     _, n, edges, _ = G
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for enode, e in enumerate(edges, n):
+    adj: list[list[int]] = [[] for _ in range(n if base is None else base)]
+    for enode, e in enumerate(edges, len(adj)):
         for v in e:
             adj[v].append(enode)
     adj.extend(list(e) for e in edges)
@@ -304,29 +306,29 @@ def canonical_code(G: Supertree) -> CanonicalCode:
 
 
 class _CentroidTree:
-    """G's incidence tree rooted at its centroid: the root's code and every
-    node's code, parent (-1 at the root), breadth-first order, sorted child
-    codes and subtree size. Class growth passes the centroid as root; for
-    other callers it is found from subtree sizes seen from node 0."""
+    """G's incidence tree rooted at its centroid, edge i of G.edges as node
+    base + i: the root's code and every node's code, parent (-1 at the
+    root), top-down order (breadth-first when encoded from scratch), sorted
+    child codes and subtree size, in lists indexed by node. Slots n..base-1
+    hold a boundary vertex's values, so child() can fill them."""
 
-    def __init__(self, G: Supertree, root: int | None = None):
-        k, n, edges, degrees = G
-        adj = _incidence_adjacency(G)
-        total = len(adj)
-        self.n, self.k, self.total, self.edges, self.degrees = n, k, total, edges, degrees
-        if root is None:
-            # the nodes whose subtree seen from node 0 holds more than half
-            # the tree form a path down from node 0; it ends at the centroid
-            order, parent = _rooted_order(adj, 0)
-            size = [1] * total
-            for u in reversed(order[1:]):
-                size[parent[u]] += size[u]
-            root = [u for u in order if 2 * size[u] > total][-1]
+    def __init__(self, G: Supertree, base: int | None = None):
+        k, n, edges, _ = G
+        adj = _incidence_adjacency(G, base)
+        total = n + len(edges)
+        self.n, self.k, self.total = n, k, total
+        # the nodes whose subtree seen from node 0 holds more than half the
+        # tree form a path down from node 0; it ends at the centroid
+        order, parent = _rooted_order(adj, 0)
+        size = [1] * len(adj)
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        root = [u for u in order if 2 * size[u] > total][-1]
         order, parent = _rooted_order(adj, root)
-        below: list[list[bytes]] = [[] for _ in range(total)]
+        below: list[list[bytes]] = [[] for _ in adj]
         # a node without children is a boundary vertex
-        codes = [b"v()"] * total
-        size = [1] * total
+        codes = [b"v()"] * len(adj)
+        size = [1] * len(adj)
         join = b"".join
         for u in reversed(order[1:]):
             kids = below[u]
@@ -341,21 +343,16 @@ class _CentroidTree:
         self.codes, self.parent, self.order = codes, parent, order
         self.below, self.size = below, size
 
-    def leaf_children(self, degrees=None) -> list[tuple[CanonicalCode, VertexId, int]]:
-        """(canonical_code(_attach_leaf(G, v)), v, c) for the lowest vertex v
-        of every orbit of G's automorphism group, v ascending, with c the
-        child's centroid as a node of the child's incidence tree; when
-        degrees is given, only of the orbits whose vertices have a degree in
-        it. Vertices keep their ids. The pendant edge sorts after every edge
-        whose first vertex is at most v and before the rest, so G's edge
-        node n+i becomes n+k-1+i, plus 1 when edge i's first vertex is above
-        v.
+    def _grown_codes(self, vertices, lists=None) -> list[CanonicalCode]:
+        """The code of the child with a pendant edge at v, for each v of
+        vertices. With lists, the child's codes, below, parent and size at
+        its one v (copies of this tree's, new nodes added), also writes the
+        path update there, re-rooted at the child's centroid.
 
-        Every automorphism fixes the centroid, so two nodes share an orbit
-        iff their parents do and their codes are equal. The pendant edge
-        adds k nodes below v, so only codes on the path from v to the root
-        change. The child's centroid c is the root, or the root's child on
-        the path when its grown subtree holds more than half of the child.
+        The pendant edge adds k nodes below v, so only the codes and sizes
+        on the path from v to the root change. The child's centroid is the
+        root, or the root's child on the path when its grown subtree holds
+        more than half of the child; the root then hangs below it.
 
         It is never two steps down. A subtree holding j edges has jk nodes
         below an edge node and jk+1 below a vertex, and each below the root
@@ -369,19 +366,10 @@ class _CentroidTree:
         n, k, total, codes, below, parent, size = (
             self.n, self.k, self.total, self.codes, self.below, self.parent, self.size
         )
-        orbit = [0] * total
-        ids: dict[tuple[int, bytes], int] = {}
-        setdefault = ids.setdefault
-        for u in self.order[1:]:
-            orbit[u] = setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
-        lowest: dict[int, VertexId] = {}
-        own = self.degrees
-        for v in (range(n) if degrees is None
-                  else [v for v in range(n) if own[v] in degrees]):
-            lowest.setdefault(orbit[v], v)
-        join, insort, edges = b"".join, bisect.insort, self.edges
+        join, insort = b"".join, bisect.insort
         leaf, out = b"e(" + b"v()" * (k - 1) + b")", []
-        for v in lowest.values():
+        c_codes, c_below, c_parent, c_size = lists or (None,) * 4
+        for v in vertices:
             u, old, new = v, b"", leaf
             while True:
                 kids = below[u].copy()
@@ -389,20 +377,67 @@ class _CentroidTree:
                     kids.remove(old)
                 insort(kids, new)
                 old, new = codes[u], join([b"v(" if u < n else b"e(", *kids, b")"])
+                if lists:
+                    c_codes[u], c_below[u] = new, kids
+                    c_size[u] += k
                 p = parent[u]
                 if p < 0:
                     break
                 if parent[p] < 0 and 2 * (size[u] + k) > total + k:
                     rest = below[p].copy()
                     rest.remove(old)
-                    insort(kids, join([b"v(" if p < n else b"e(", *rest, b")"]))
+                    top = join([b"v(" if p < n else b"e(", *rest, b")"])
+                    insort(kids, top)
                     new = join([b"v(" if u < n else b"e(", *kids, b")"])
+                    if lists:
+                        c_codes[p], c_below[p], c_codes[u] = top, rest, new
+                        c_parent[p], c_parent[u] = u, -1
+                        c_size[p], c_size[u] = total + k - c_size[u], total + k
                     break
                 u = p
-            if u >= n:
-                u += k - 1 + (edges[u - n][0] > v)
-            out.append((new, v, u))
+            out.append(new)
         return out
+
+    def leaf_children(self, vertices=None) -> list[tuple[CanonicalCode, VertexId]]:
+        """(canonical_code(_attach_leaf(G, v)), v) for the lowest vertex v of
+        every orbit of G's automorphism group, v ascending; when vertices
+        (ascending) is given, only of the orbits that meet it, at their
+        lowest vertex in it.
+
+        Every automorphism fixes the centroid, so two nodes share an orbit
+        iff their parents do and their codes are equal.
+        """
+        codes, parent = self.codes, self.parent
+        orbit = [0] * len(codes)
+        ids: dict[tuple[int, bytes], int] = {}
+        setdefault = ids.setdefault
+        for u in self.order[1:]:
+            orbit[u] = setdefault((orbit[parent[u]], codes[u]), len(ids) + 1)
+        lowest: dict[int, VertexId] = {}
+        for v in (range(self.n) if vertices is None else vertices):
+            lowest.setdefault(orbit[v], v)
+        reps = list(lowest.values())
+        return list(zip(self._grown_codes(reps), reps))
+
+    def child(self, v: VertexId) -> "_CentroidTree":
+        """The encoding of _attach_leaf(G, v), derived from this one: the new
+        edge is node len(codes), its vertices n..n+k-2 must stay below base."""
+        n, k, total, e = self.n, self.k, self.total, len(self.codes)
+        assert n + k - 1 <= e - (total - n), "no free node ids below base"
+        t = object.__new__(_CentroidTree)
+        t.n, t.k, t.total = n + k - 1, k, total + k
+        t.codes = codes = [*self.codes, b"e(" + b"v()" * (k - 1) + b")"]
+        t.below = below = [*self.below, [b"v()"] * (k - 1)]
+        t.parent = parent = [*self.parent, v]
+        t.size = size = [*self.size, k]
+        parent[n:n + k - 1] = [e] * (k - 1)
+        [t.code] = self._grown_codes((v,), (codes, below, parent, size))
+        t.order = order = [*self.order, e, *range(n, n + k - 1)]
+        c = parent[order[0]]
+        if c >= 0:  # the centroid moved to c, now the old root's parent
+            order.remove(c)
+            order.insert(0, c)
+        return t
 
 
 def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:

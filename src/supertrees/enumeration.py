@@ -3,11 +3,12 @@
 Every supertree with at least two edges loses a leaf edge to a smaller one,
 so growing classes one pendant edge at a time from a single edge reaches
 them all. One pass over each parent's centroid-rooted encoding gives the
-code and centroid of the child at the lowest vertex of every automorphism
-orbit; only a child with a new code is built. One function keys the grown
-classes by (n, n0, ascending interior degrees): a bucket is a
-degree-sequence family, and the min-degree family T_d(n, n0) is the union
-of its (n, n0)'s buckets whose interior degrees are all at least max(2, d).
+code of the child at the lowest vertex of every automorphism orbit; only a
+child with a new code is built, and its encoding is derived from its
+parent's when it is grown. One function keys the grown classes by (n, n0,
+ascending interior degrees): a bucket is a degree-sequence family, and the
+min-degree family T_d(n, n0) is the union of its (n, n0)'s buckets whose
+interior degrees are all at least max(2, d).
 A single query grows under a descending bound on its interior degrees, a
 sweep grows once unbounded, and a sweep's families are scored through one
 first_dirichlet_eigenvalues call: one eigensolve per interior size. The
@@ -152,32 +153,37 @@ def _grow_classes(k: int, m_target: int, bound=None) -> list:
     interior degrees, sorted descending, fit pointwise under the descending
     bound (when given): layer i lists the classes with i + 1 edges as
     (canonical code, supertree), in code order. Degrees only rise as edges
-    are added, so every class that fits grows from classes that fit. A kept
-    child's encoding starts at the centroid its parent's pass found."""
+    are added, so every class that fits grows from classes that fit. Only
+    the first edge is encoded from scratch; a kept child is held as its
+    parent's encoding and v, and derived when it is grown itself, so the
+    last layer holds no encoding."""
     if m_target < 1:
         return []
     start = build_supertree(k, k, [tuple(range(k))])
-    layers, roots = [[(canonical_code(start), start)]], [None]
-    for _ in range(m_target - 1):
-        grown: dict[CanonicalCode, Supertree] = {}
-        centroid: dict[CanonicalCode, int] = {}
-        for (_, G), root in zip(layers[-1], roots):
+    first = _CentroidTree(start, k + (m_target - 1) * (k - 1))
+    layers, sources = [[(first.code, start)]], [(first, None)]
+    for m in range(2, m_target + 1):
+        grown: dict[CanonicalCode, tuple] = {}
+        for (_, G), (tree, v) in zip(layers[-1], sources):
+            tree = tree if v is None else tree.child(v)
             fits = None if bound is None else _raisable(G.degrees, bound)
-            for code, v, c in _CentroidTree(G, root).leaf_children(fits):
+            held = tree if m < m_target else None
+            for code, w in tree.leaf_children(fits):
                 if code not in grown:
-                    grown[code] = _attach_leaf(G, v)
-                    centroid[code] = c
-        layers.append(sorted(grown.items()))
-        roots = [centroid[code] for code, _ in layers[-1]]
+                    grown[code] = (_attach_leaf(G, w), held, w)
+        kept = sorted(grown.items())
+        layers.append([(code, H) for code, (H, _, _) in kept])
+        sources = [(tree, w) for _, (_, tree, w) in kept]
     return layers
 
 
-def _raisable(degrees, bound) -> set[int]:
-    """Degrees d at which a pendant edge keeps fitting interior degrees under
+def _raisable(degrees, bound) -> list[int]:
+    """Vertices, ascending, where a pendant edge keeps interior degrees under
     bound: sorted descending, the first d (new last for d = 1) becomes d + 1."""
     desc = sorted((d for d in degrees if d >= 2), reverse=True)
     at = {d: desc.index(d) if d >= 2 else len(desc) for d in set(degrees)}
-    return {d for d, i in at.items() if i < len(bound) and d + 1 <= bound[i]}
+    fits = {d for d, i in at.items() if i < len(bound) and d + 1 <= bound[i]}
+    return [v for v, d in enumerate(degrees) if d in fits]
 
 
 def _buckets(k: int, n_max: int, bound=None) -> dict:

@@ -43,7 +43,7 @@ from supertrees.core import (
     _isomorphism,
     _rooted_order,
 )
-from supertrees.enumeration import _grow_classes
+from supertrees.enumeration import _grow_classes, _raisable
 from support import (
     apply_vertex_permutation,
     broom,
@@ -270,7 +270,7 @@ def test_orbit_representatives_match_brute_force():
     for k, m in ((2, 7), (3, 3)):
         for layer in _grow_classes(k, m):
             for _, G in layer:
-                reps = [v for _, v, _ in _CentroidTree(G).leaf_children()]
+                reps = [v for _, v in _CentroidTree(G).leaf_children()]
                 assert reps == _brute_force_orbit_minima(G)
 
 
@@ -289,6 +289,33 @@ def _centroid_shift(G, v) -> int:
     return depth[c_child]
 
 
+def _assert_child_matches_scratch(tree, G, node, v) -> None:
+    """tree.child(v) against the child encoded from scratch. tree encodes G
+    with node[e] the node of edge e; the derived child keeps every id and
+    adds the new edge as node base + m, while the scratch child numbers edge
+    i of its sorted edges H.n + i. Under that id map the two must agree on
+    the code, the root, and every node's code, parent, size and sorted child
+    codes, and the derived order must list each node once, parents first."""
+    H = _attach_leaf(G, v)
+    base = max(node.values()) - G.m + 1
+    node = {**node, (v, *range(G.n, H.n)): base + G.m}
+    to = {u: u for u in range(H.n)}
+    to.update({node[e]: H.n + i for i, e in enumerate(H.edges)})
+    child, ref = tree.child(v), _CentroidTree(H)
+    assert (child.n, child.k, child.total) == (H.n, H.k, len(ref.codes))
+    assert child.code == ref.code and to[child.order[0]] == ref.order[0]
+    assert sorted(child.order) == sorted(to)
+    seen = set()
+    for u in child.order:
+        p = child.parent[u]
+        assert (p < 0) == (u == child.order[0]) and (p < 0 or p in seen)
+        seen.add(u)
+        assert ref.parent[to[u]] == (-1 if p < 0 else to[p])
+        assert child.codes[u] == ref.codes[to[u]]
+        assert child.size[u] == ref.size[to[u]]
+        assert child.below[u] == ref.below[to[u]]
+
+
 def test_leaf_child_codes_match_canonical_code():
     rng = random.Random(2718)
     trees = []
@@ -302,10 +329,13 @@ def test_leaf_child_codes_match_canonical_code():
         rng.shuffle(perm)
         # a relabeling starts the path update from other orbit members
         for H in (G, apply_vertex_permutation(G, perm)):
-            for code, v, c in _CentroidTree(H).leaf_children():
-                child = _CentroidTree(_attach_leaf(H, v))
-                # the child's centroid comes numbered as a node of the child
-                assert (code, c) == (child.code, child.order[0])
+            # room below base for one child's new vertices
+            base = H.n + H.k - 1
+            tree = _CentroidTree(H, base)
+            node = {e: base + i for i, e in enumerate(H.edges)}
+            for code, v in tree.leaf_children():
+                assert code == canonical_code(_attach_leaf(H, v))
+                _assert_child_matches_scratch(tree, H, node, v)
     # far ends of long paths and brooms: the update walks a long path to the
     # root, and the child's centroid is a node the parent's is not
     for k in (3, 4):
@@ -313,13 +343,43 @@ def test_leaf_child_codes_match_canonical_code():
             G = broom(k, handle, bristles)
             far = G.n - 1 if bristles == 0 else G.edges[-1][0]
             assert _centroid_shift(G, far) == 1
-            children = _CentroidTree(G).leaf_children()
-            assert any(_centroid_shift(G, v) == 1 for _, v, _ in children)
-            for code, v, c in children:
-                child = _CentroidTree(_attach_leaf(G, v))
-                assert (code, c) == (child.code, child.order[0])
+            tree = _CentroidTree(G, G.n + k - 1)
+            node = {e: G.n + k - 1 + i for i, e in enumerate(G.edges)}
+            children = tree.leaf_children()
+            assert any(_centroid_shift(G, v) == 1 for _, v in children)
+            for code, v in children:
+                assert code == canonical_code(_attach_leaf(G, v))
+                _assert_child_matches_scratch(tree, G, node, v)
             far_code = canonical_code(_attach_leaf(G, far))
-            assert far_code in [code for code, *_ in children]
+            assert far_code in [code for code, _ in children]
+
+
+def test_derived_encodings_match_scratch_encodings():
+    # grow as _grow_classes does, deriving every child of every class with
+    # at most m_max edges, kept or not, and carrying each kept child's
+    # derived encoding on, so derivations of derivations are checked too
+    cases = [(2, 9, None), (3, 6, None), (4, 5, None), (5, 4, None),
+             (2, 10, (4, 3, 3, 2, 2)), (3, 6, (4, 4, 4))]
+    for k, m_max, bound in cases:
+        # the vertex count of a child of a class with m_max edges
+        base = k + m_max * (k - 1)
+        start = build_supertree(k, k, [tuple(range(k))])
+        layer = [(_CentroidTree(start, base), start, {start.edges[0]: base})]
+        layers = [[start]]
+        for _ in range(m_max):
+            grown = {}
+            for tree, G, node in layer:
+                fits = None if bound is None else _raisable(G.degrees, bound)
+                for code, v in tree.leaf_children(fits):
+                    _assert_child_matches_scratch(tree, G, node, v)
+                    if code not in grown:
+                        H = _attach_leaf(G, v)
+                        new = {(v, *range(G.n, H.n)): base + G.m}
+                        grown[code] = (tree.child(v), H, {**node, **new})
+            layer = [grown[code] for code in sorted(grown)]
+            layers.append([H for _, H, _ in layer])
+        grown_layers = _grow_classes(k, len(layers), bound)
+        assert layers == [[G for _, G in layer] for layer in grown_layers]
 
 
 def test_pendant_edge_moves_centroid_at_most_one_step():

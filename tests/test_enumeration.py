@@ -30,7 +30,7 @@ from supertrees import (
 )
 from supertrees import enumeration, transforms
 from supertrees.config import _LAMBDA_TIE
-from supertrees.core import _attach_leaf, _CentroidTree
+from supertrees.core import _CentroidTree
 from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
 from support import (
     all_feasible,
@@ -429,49 +429,34 @@ def test_growth_matches_reference_growth(monkeypatch):
         assert sum(map(len, pruned)) < sum(map(len, _grow_classes(k, m)))
 
 
-def test_growth_carries_each_childs_centroid(monkeypatch):
-    # a kept child's encoding starts at the centroid found in its parent's
-    # pass; one layer past m encodes every kept class of layer m
-    carried, rerooted = [], []
+def test_growth_encodes_only_its_first_edge_from_scratch(monkeypatch):
+    cases = [(2, 1, None), (2, 10, None), (3, 6, None), (4, 5, None),
+             (2, 10, (4, 3, 3, 2, 2)), (3, 6, (4, 4, 4))]
+    scratch = []
 
     class Spy(_CentroidTree):
-        def __init__(self, G, root=None):
-            super().__init__(G, root)
-            self.G = G
-            if root is not None:
-                carried.append((root, _CentroidTree(G).order[0]))
-
-        def leaf_children(self, degrees=None):
-            out = super().leaf_children(degrees)
-            G, root = self.G, self.order[0]
-            for _, v, c in out:
-                # the parent's centroid as a node of the child
-                H = _attach_leaf(G, v)
-                kept = root if root < G.n else H.n + H.edges.index(G.edges[root - G.n])
-                if c != kept:
-                    rerooted.append(c)
-            return out
-
-    calls = [(k, m, None) for k, m in ((2, 9), (3, 6), (4, 5), (5, 4))]
-
-    def spy(k, m_target, bound=None):
-        calls.append((k, m_target, bound))
-        return _grow_classes(k, m_target, bound)
+        def __init__(self, G, *args):
+            scratch.append(G)
+            super().__init__(G, *args)
 
     monkeypatch.setattr(enumeration, "_CentroidTree", Spy)
-    monkeypatch.setattr(enumeration, "_grow_classes", spy)
-    for k, n_max in ((2, 10), (3, 11), (4, 10)):
-        for pi in all_feasible(k, n_max):
-            enumerate_supertrees(pi)
-            for d in (1, 2, 3):
-                enumerate_family(pi.n, pi.n0, k, d)
-    assert any(bound for *_, bound in calls)
-    for k, m, bound in set(calls):
-        carried.clear()
-        layers = _grow_classes(k, m + 1, bound)
-        assert len(carried) == sum(map(len, layers[1:-1]))
-        assert all(root == centroid for root, centroid in carried)
-    assert rerooted
+    for case in cases:
+        scratch.clear()
+        _grow_classes(*case)
+        assert [G.m for G in scratch] == [1]
+    # every other encoding is derived from its parent's, once per class that
+    # grows, so the last layer is never encoded
+    derived, child = [], _CentroidTree.child
+
+    def spy_child(self, v):
+        derived.append(v)
+        return child(self, v)
+
+    monkeypatch.setattr(_CentroidTree, "child", spy_child)
+    for case in cases:
+        derived.clear()
+        layers = _grow_classes(*case)
+        assert len(derived) == sum(map(len, layers[1:-1]))
 
 
 def test_majorization_monotonicity_examples():
