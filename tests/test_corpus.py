@@ -2,8 +2,9 @@
 
 ``certificates.json`` holds, per sweep and per family, the SHA-256 digest of
 the family's record: ``describe()``, ``unique``, ``slo_match``, the
-winner's canonical code, and every (canonical code, lambda to 12 decimals)
-row in certificate order. Twelve printed decimals, not ``float.hex()``,
+``margin`` to 12 decimals (``inf`` for a one-class family), the winner's
+canonical code, and every (canonical code, lambda to 12 decimals) row in
+certificate order. Twelve printed decimals, not ``float.hex()``,
 because LAPACK builds may differ in the last bits. One digest per family
 names the family on a mismatch, and the failure prints the recomputed
 record of each family that differs.
@@ -37,6 +38,7 @@ def record(cert) -> str:
     lines = [
         cert.family.describe(),
         f"unique={cert.unique} slo_match={cert.slo_match}",
+        f"margin={cert.margin:.12f}",
         f"winner={cert.all_lambdas[0][0].decode()}",
     ]
     lines += [f"{code.decode()} {lam:.12f}" for code, lam in cert.all_lambdas]
