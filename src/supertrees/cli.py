@@ -202,6 +202,8 @@ def _sweep_exit(certs: list) -> int:
 
 def _cmd_verify_fk1(args) -> int:
     from .enumeration import fk1_sweep, verify_fk_theorem1
+    if args.all and args.pi is not None:
+        raise InvalidSpec("pass --pi or --all, not both")
     if args.all:
         certs = fk1_sweep(args.k, args.n_max)
         if not certs:

@@ -308,15 +308,16 @@ def canonical_code(G: Supertree) -> CanonicalCode:
 class _CentroidTree:
     """G's incidence tree rooted at its centroid, edge i of G.edges as node
     base + i: the root's code and every node's code, parent (-1 at the
-    root), top-down order (breadth-first when encoded from scratch), sorted
-    child codes and subtree size, in lists indexed by node. Slots n..base-1
-    hold a boundary vertex's values, so child() can fill them."""
+    root), top-down order (breadth-first when encoded from scratch) and
+    sorted child codes, in lists indexed by node. Every node adds three bytes
+    to a code, so a subtree holds len(code) // 3 nodes. Slots n..base-1 hold
+    a boundary vertex's values, so child() can fill them."""
 
     def __init__(self, G: Supertree, base: int | None = None):
         k, n, edges, _ = G
         adj = _incidence_adjacency(G, base)
         total = n + len(edges)
-        self.n, self.k, self.total = n, k, total
+        self.n, self.k = n, k
         # the nodes whose subtree seen from node 0 holds more than half the
         # tree form a path down from node 0; it ends at the centroid
         order, parent = _rooted_order(adj, 0)
@@ -328,31 +329,28 @@ class _CentroidTree:
         below: list[list[bytes]] = [[] for _ in adj]
         # a node without children is a boundary vertex
         codes = [b"v()"] * len(adj)
-        size = [1] * len(adj)
         join = b"".join
         for u in reversed(order[1:]):
             kids = below[u]
             if kids:
                 kids.sort()
                 codes[u] = join([b"v(" if u < n else b"e(", *kids, b")"])
-            p = parent[u]
-            below[p].append(codes[u])
-            size[p] += size[u]
+            below[parent[u]].append(codes[u])
         below[root].sort()
         codes[root] = self.code = join([b"v(" if root < n else b"e(", *below[root], b")"])
-        self.codes, self.parent, self.order = codes, parent, order
-        self.below, self.size = below, size
+        self.codes, self.parent, self.order, self.below = codes, parent, order, below
 
     def _grown_codes(self, vertices, lists=None) -> list[CanonicalCode]:
         """The code of the child with a pendant edge at v, for each v of
-        vertices. With lists, the child's codes, below, parent and size at
-        its one v (copies of this tree's, new nodes added), also writes the
-        path update there, re-rooted at the child's centroid.
+        vertices. With lists, the child's codes, below and parent at its
+        one v (copies of this tree's, new nodes added), also writes the path
+        update there, re-rooted at the child's centroid.
 
-        The pendant edge adds k nodes below v, so only the codes and sizes
-        on the path from v to the root change. The child's centroid is the
-        root, or the root's child on the path when its grown subtree holds
-        more than half of the child; the root then hangs below it.
+        The pendant edge adds k nodes below v, so only the codes on the path
+        from v to the root change. The child's centroid is the root, or the
+        root's child u on the path when u's grown subtree, of
+        len(codes[u]) // 3 + k nodes, holds more than half of the child; the
+        root then hangs below it.
 
         It is never two steps down. A subtree holding j edges has jk nodes
         below an edge node and jk+1 below a vertex, and each below the root
@@ -363,12 +361,11 @@ class _CentroidTree:
         edges that puts 2j strictly between m-1 and m; for a vertex x under
         an edge node w holding j edges, strictly between m and m+1.
         """
-        n, k, total, codes, below, parent, size = (
-            self.n, self.k, self.total, self.codes, self.below, self.parent, self.size
-        )
+        n, k, codes, below, parent = self.n, self.k, self.codes, self.below, self.parent
+        total = len(self.code) // 3
         join, insort = b"".join, bisect.insort
         leaf, out = b"e(" + b"v()" * (k - 1) + b")", []
-        c_codes, c_below, c_parent, c_size = lists or (None,) * 4
+        c_codes, c_below, c_parent = lists or (None,) * 3
         for v in vertices:
             u, old, new = v, b"", leaf
             while True:
@@ -379,11 +376,10 @@ class _CentroidTree:
                 old, new = codes[u], join([b"v(" if u < n else b"e(", *kids, b")"])
                 if lists:
                     c_codes[u], c_below[u] = new, kids
-                    c_size[u] += k
                 p = parent[u]
                 if p < 0:
                     break
-                if parent[p] < 0 and 2 * (size[u] + k) > total + k:
+                if parent[p] < 0 and 2 * (len(old) // 3 + k) > total + k:
                     rest = below[p].copy()
                     rest.remove(old)
                     top = join([b"v(" if p < n else b"e(", *rest, b")"])
@@ -392,7 +388,6 @@ class _CentroidTree:
                     if lists:
                         c_codes[p], c_below[p], c_codes[u] = top, rest, new
                         c_parent[p], c_parent[u] = u, -1
-                        c_size[p], c_size[u] = total + k - c_size[u], total + k
                     break
                 u = p
             out.append(new)
@@ -422,16 +417,15 @@ class _CentroidTree:
     def child(self, v: VertexId) -> "_CentroidTree":
         """The encoding of _attach_leaf(G, v), derived from this one: the new
         edge is node len(codes), its vertices n..n+k-2 must stay below base."""
-        n, k, total, e = self.n, self.k, self.total, len(self.codes)
-        assert n + k - 1 <= e - (total - n), "no free node ids below base"
+        n, k, e = self.n, self.k, len(self.codes)
+        assert n + k - 1 <= e - (len(self.code) // 3 - n), "no free node ids below base"
         t = object.__new__(_CentroidTree)
-        t.n, t.k, t.total = n + k - 1, k, total + k
+        t.n, t.k = n + k - 1, k
         t.codes = codes = [*self.codes, b"e(" + b"v()" * (k - 1) + b")"]
         t.below = below = [*self.below, [b"v()"] * (k - 1)]
         t.parent = parent = [*self.parent, v]
-        t.size = size = [*self.size, k]
         parent[n:n + k - 1] = [e] * (k - 1)
-        [t.code] = self._grown_codes((v,), (codes, below, parent, size))
+        [t.code] = self._grown_codes((v,), (codes, below, parent))
         t.order = order = [*self.order, e, *range(n, n + k - 1)]
         c = parent[order[0]]
         if c >= 0:  # the centroid moved to c, now the old root's parent
@@ -455,7 +449,7 @@ def _isomorphism(G: Supertree, H: Supertree) -> list[VertexId] | None:
     free: dict[tuple[int, bytes], list[int]] = {}
     for y in reversed(b.order[1:]):
         free.setdefault((b.parent[y], b.codes[y]), []).append(y)
-    match = [0] * a.total
+    match = [0] * len(a.codes)
     match[a.order[0]] = b.order[0]
     for x in a.order[1:]:
         match[x] = free[match[a.parent[x]], a.codes[x]].pop()

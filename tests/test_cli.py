@@ -525,6 +525,14 @@ def test_verify_fk1_requires_pi_or_all(capsys):
     assert err == "InvalidSpec: pass --pi, or --all with --n-max\n"
 
 
+def test_verify_fk1_rejects_pi_with_all(capsys):
+    # the sweep never reads --pi, so an infeasible one would go unnoticed
+    code, out, err = _run(capsys, "verify-fk1", "--k", "2", "--all",
+                          "--n-max", "5", "--pi", "9,9")
+    assert (code, out) == (2, "")
+    assert err == "InvalidSpec: pass --pi or --all, not both\n"
+
+
 def test_verify_fk2(capsys):
     code, out, _ = _run(capsys, "verify-fk2", "--n", "7", "--n0", "2",
                         "--k", "3", "--d", "2")
