@@ -119,7 +119,7 @@ def _cmd_slo_construct(args) -> int:
 def _cmd_relabel(args) -> int:
     from .slo import relabel
     G, pair = _eigenpair(args)
-    labels = relabel(G, pair.f, Tolerances(rel_eps=args.epsilon))
+    labels = relabel(G, pair.f, args.tol)
     rows = [
         [str(v), str(s), str(i), str(p), _fmt(float(pair.f[v]))]
         for v, (s, i, p) in sorted(labels.items(), key=lambda item: item[1])
@@ -233,9 +233,7 @@ def _cmd_majorize(args) -> int:
     print(f"majorized={_tf(majorized)}")
     if not majorized:
         return 2
-    lam, lam_prime, decreased = _majorization_lambdas(
-        pi, pi_prime, Tolerances(rel_eps=args.epsilon)
-    )
+    lam, lam_prime, decreased = _majorization_lambdas(pi, pi_prime, args.tol)
     print(f"lambda_pi={_fmt(lam)}")
     print(f"lambda_pi_prime={_fmt(lam_prime)}")
     print(f"strict_decrease={_tf(decreased)}")
@@ -353,7 +351,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not 0.0 <= args.epsilon < float("inf"):
+        try:
+            args.tol = Tolerances(rel_eps=args.epsilon)
+        except InvalidSpec:
             parser.error("argument --epsilon: expected a finite non-negative number")
     except SystemExit as exc:
         return int(exc.code or 0)

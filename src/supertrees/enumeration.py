@@ -20,7 +20,7 @@ eigenvalue decreases strictly along degree-sequence majorization.
 import math
 from collections import namedtuple
 
-from .config import _LAMBDA_TIE, DEFAULT_TOLERANCES, Tolerances, strictly_less
+from .config import _LAMBDA_TIE, DEFAULT_TOLERANCES, Tolerances, strictly_less, tie_runs
 from .core import (
     CanonicalCode,
     DegreeSequence,
@@ -265,12 +265,7 @@ def _score_families(
         )
         # eigenvalues chained within _LAMBDA_TIE form one tie group, listed by
         # canonical code so rounding noise cannot reorder cospectral classes
-        groups: list[list] = []
-        for row in rows:
-            if groups and row[1] - groups[-1][-1][1] <= _LAMBDA_TIE:
-                groups[-1].append(row)
-            else:
-                groups.append([row])
+        groups = tie_runs(rows, lambda r: r[1], lambda a, b: b - a <= _LAMBDA_TIE)
         scored = [
             row for group in groups for row in sorted(group, key=lambda r: r[0])
         ]

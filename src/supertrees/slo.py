@@ -21,7 +21,9 @@ first Dirichlet eigenfunction.
 
 from collections import namedtuple
 
-from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
+from .config import (
+    _BOUNDARY_ZERO, DEFAULT_TOLERANCES, Tolerances, strictly_less, tie_runs,
+)
 from .core import (
     DegreeSequence,
     Supertree,
@@ -177,17 +179,8 @@ def _ranked(entries, value_of, tiebreak_of, tol: Tolerances):
     """Sort by descending value; runs of values equal within tolerance are
     reordered by the tiebreak key."""
     by_value = sorted(entries, key=lambda x: -value_of(x))
-    out = []
-    i = 0
-    while i < len(by_value):
-        j = i + 1
-        while j < len(by_value) and not strictly_less(
-            value_of(by_value[j]), value_of(by_value[j - 1]), tol
-        ):
-            j += 1
-        out.extend(sorted(by_value[i:j], key=tiebreak_of))
-        i = j
-    return out
+    runs = tie_runs(by_value, value_of, lambda a, b: not strictly_less(b, a, tol))
+    return [x for run in runs for x in sorted(run, key=tiebreak_of)]
 
 
 def relabel(
@@ -207,7 +200,7 @@ def relabel(
     """
     fs = _vertex_values(G, f, NotAnEigenfunction)
     for v, d in enumerate(G.degrees):
-        if d == 1 and abs(fs[v]) > 1e-12:
+        if d == 1 and abs(fs[v]) > _BOUNDARY_ZERO:
             raise NotAnEigenfunction(f"f({v}) = {fs[v]} nonzero on the boundary")
     for v, d in enumerate(G.degrees):
         if d >= 2 and fs[v] <= 0.0:

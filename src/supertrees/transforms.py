@@ -15,7 +15,7 @@ transformations, built greedily here.
 import bisect
 from collections import namedtuple
 
-from .config import DEFAULT_TOLERANCES, Tolerances, at_least, at_most, strictly_less
+from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
 from .core import DegreeSequence, Supertree, _vertex_values, build_supertree
 from .errors import (
     DegreeTooSmall,
@@ -110,8 +110,8 @@ def check_switch_hypothesis(
     """Test the eigenfunction hypothesis for a switch.
 
     Weak form: sum f over u1 >= sum f over v1 and sum f over e1 - u1 <=
-    sum f over e2 - v1 (within tolerance). Strict form: weak with one of
-    the two inequalities strict beyond tolerance.
+    sum f over e2 - v1, neither reversed beyond tolerance. Strict form: weak
+    with one of the two inequalities strict beyond tolerance.
     """
     _validate_switch(G, spec)
     fs = _vertex_values(G, f, InvalidSpec)
@@ -119,7 +119,7 @@ def check_switch_hypothesis(
     sv1 = float(sum(fs[v] for v in spec.v1))
     rest1 = float(sum(fs[v] for v in spec.e1 if v not in spec.u1))
     rest2 = float(sum(fs[v] for v in spec.e2 if v not in spec.v1))
-    weak = at_least(su1, sv1, tol) and at_most(rest1, rest2, tol)
+    weak = not (strictly_less(su1, sv1, tol) or strictly_less(rest2, rest1, tol))
     strict = weak and (
         strictly_less(sv1, su1, tol) or strictly_less(rest1, rest2, tol)
     )
@@ -175,15 +175,15 @@ def check_shift_hypothesis(
     """Test the eigenfunction hypothesis for a shift.
 
     Weak form: f(u) >= f(v) and f(v) >= f(w) for every other vertex w of the
-    bundle. Strict form: weak with at least one of those inequalities strict
-    beyond tolerance.
+    bundle, none reversed beyond tolerance. Strict form: weak with at least
+    one of those inequalities strict beyond tolerance.
     """
     _validate_shift(G, spec)
     fs = _vertex_values(G, f, InvalidSpec)
     fu, fv = fs[spec.u], fs[spec.v]
     others = {w for e in spec.edges for w in e} - {spec.u}
-    weak = at_least(fu, fv, tol) and all(
-        at_least(fv, fs[w], tol) for w in others
+    weak = not (
+        strictly_less(fu, fv, tol) or any(strictly_less(fv, fs[w], tol) for w in others)
     )
     strict = weak and (
         strictly_less(fv, fu, tol)

@@ -375,6 +375,31 @@ print(json.dumps(loaded))
 """
 
 
+COLD_LAZY = """
+import json, sys
+import supertrees
+before = "core" in vars(supertrees)
+core = supertrees.core
+resolved = core is sys.modules["supertrees.core"] and vars(supertrees)["core"] is core
+print(json.dumps({"before": before, "resolved": resolved, "dir": dir(supertrees),
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_package_resolves_modules_and_lists_names_lazily():
+    # a module attribute resolves through the package's __getattr__, and
+    # dir() lists every public name and module, without loading numpy
+    modules = sorted(
+        path.stem for path in Path(supertrees.__file__).parent.glob("*.py")
+        if path.stem not in ("__init__", "cli")
+    )
+    public = {name for module in modules
+              for name in importlib.import_module(f"supertrees.{module}").__all__}
+    cold = _cold_python(COLD_LAZY)
+    assert (cold["before"], cold["resolved"], cold["numpy"]) == (False, True, False)
+    assert sorted((public | set(modules)) - set(cold["dir"])) == []
+
+
 def test_spectral_loads_numpy_at_its_first_solve():
     assert _cold_python(COLD_SPECTRAL) == [False, True]
 
@@ -458,6 +483,26 @@ def test_shift_bad_edge_index(capsys, h7):
                         "--v", "3")
     assert code == 2
     assert err == "InvalidSpec: edge index 9 outside 0..2\n"
+
+
+def test_shift_onto_itself_exits_2(capsys, h7):
+    # an empty bundle passes every per-edge check, so only u == v is left
+    code, out, err = _run(capsys, "shift", h7, "--u", "1", "--edges", "",
+                          "--v", "1")
+    assert (code, out) == (2, "")
+    assert err == "InvalidSpec: u and v must differ\n"
+
+
+def test_handler_out_of_memory_exits_2(capsys, monkeypatch):
+    # in process; test_out_of_memory_exits_2_without_traceback runs a child
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("supertrees.cli._cmd_unit", exhausted)
+    code, out, err = _run(capsys, "unit", "--k", "3", "--pi",
+                          "3,3,1,1,1,1,1,1,1,1,1", "--p", "0")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_unit_subcommand(capsys):

@@ -147,6 +147,10 @@ def test_degree_sequence_validation():
     # two edges force an interior vertex
     with pytest.raises(InfeasibleDegreeSequence):
         DegreeSequence(2, (1, 1, 1), 0)
+    with pytest.raises(InfeasibleDegreeSequence, match="edge size must be at least 2"):
+        DegreeSequence(1, (1, 1), 0)
+    with pytest.raises(InfeasibleDegreeSequence, match="entry 2 at position 2 should"):
+        DegreeSequence(2, (2, 1, 2, 1), 1)  # a non-1 entry after the interior
     # keyword construction and _replace validate too
     with pytest.raises(InfeasibleDegreeSequence):
         DegreeSequence(k=3, entries=(2, 1, 1, 1, 1), n0=2)

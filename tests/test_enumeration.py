@@ -29,7 +29,7 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees import enumeration, transforms
-from supertrees.config import _LAMBDA_TIE
+from supertrees.config import _LAMBDA_TIE, tie_runs
 from supertrees.core import _CentroidTree
 from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
 from support import (
@@ -254,6 +254,19 @@ def test_margin_of_a_tied_pair_is_not_unique():
     ]
     (scored,) = enumeration._score_families([(cert.family, members)])
     assert abs(scored.margin) <= _LAMBDA_TIE and not scored.unique
+
+
+def test_tie_runs_chain_close_neighbours():
+    # each value is within the window of the one before it, so the first
+    # run spans 2.7 windows; a run anchored at its first value would split
+    values = [0.0, 0.9e-10, 1.8e-10, 2.7e-10, 1.0, 1.0, 2.0]
+
+    def close(a, b):
+        return b - a <= _LAMBDA_TIE
+
+    runs = tie_runs([(v, i) for i, v in enumerate(values)], lambda r: r[0], close)
+    assert [[i for _, i in run] for run in runs] == [[0, 1, 2, 3], [4, 5], [6]]
+    assert tie_runs([], abs, close) == []
 
 
 def test_fk2_flattest_sequence_wins():

@@ -335,6 +335,22 @@ def test_shift_strict_data_can_tie_when_u_demoted():
     assert abs(first_dirichlet_eigenpair(Gp).lam - pair.lam) <= 1e-10
 
 
+def test_hypothesis_checks_decide_weak_by_the_strict_comparison():
+    # 0.02 - 0.0199999999 rounds just above the default slack, so
+    # strictly_less calls the pair apart; the weak form reads the negation of
+    # that one comparison, so the reversed pair fails it (an inequality of
+    # its own, x >= y - slack, rounded the other way and passed both forms)
+    lo, hi = 0.0199999999, 0.02
+    assert strictly_less(lo, hi, TOL)
+    G = _tree(2, 5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    f = [0.0, lo, hi, 0.5, 0.0]
+    shift = check_shift_hypothesis(G, f, ShiftSpec(u=1, edges=((0, 1),), v=2))
+    assert tuple(shift) == (False, False)
+    f = [hi, 0.5, 0.0, lo, 0.0]
+    spec = SwitchSpec(e1=(0, 1), e2=(3, 4), u1=frozenset({1}), v1=frozenset({4}))
+    assert tuple(check_switch_hypothesis(G, f, spec)) == (False, False)
+
+
 def test_shift_weak_never_increases_in_scope_small_sample():
     rng = random.Random(60902)
     weak_done = strict_done = 0
