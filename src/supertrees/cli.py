@@ -13,7 +13,6 @@ subcommand's share of the package; numpy loads only with the first solve.
 import argparse
 import sys
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import DegreeSequence, Supertree, parse_sht, serialize_sht
 from .errors import EmptyFamily, InvalidSpec, SupertreeError
 
@@ -119,7 +118,7 @@ def _cmd_slo_construct(args) -> int:
 def _cmd_relabel(args) -> int:
     from .slo import relabel
     G, pair = _eigenpair(args)
-    labels = relabel(G, pair.f, args.tol)
+    labels = relabel(G, pair.f)
     rows = [
         [str(v), str(s), str(i), str(p), _fmt(float(pair.f[v]))]
         for v, (s, i, p) in sorted(labels.items(), key=lambda item: item[1])
@@ -233,7 +232,7 @@ def _cmd_majorize(args) -> int:
     print(f"majorized={_tf(majorized)}")
     if not majorized:
         return 2
-    lam, lam_prime, decreased = _majorization_lambdas(pi, pi_prime, args.tol)
+    lam, lam_prime, decreased = _majorization_lambdas(pi, pi_prime)
     print(f"lambda_pi={_fmt(lam)}")
     print(f"lambda_pi_prime={_fmt(lam_prime)}")
     print(f"strict_decrease={_tf(decreased)}")
@@ -249,10 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("csv", "plain"), default="csv",
         help="table output style (default csv)",
-    )
-    parser.add_argument(
-        "--epsilon", type=float, default=DEFAULT_TOLERANCES.rel_eps,
-        help="override the relative comparison tolerance (finite, at least 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -351,10 +346,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        try:
-            args.tol = Tolerances(rel_eps=args.epsilon)
-        except InvalidSpec:
-            parser.error("argument --epsilon: expected a finite non-negative number")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,6 +10,7 @@ and reads/writes the .sht text format.
 
 import bisect
 import itertools
+import math
 from collections import namedtuple
 
 from .errors import (
@@ -57,40 +58,39 @@ class Supertree(namedtuple("Supertree", "k n edges degrees")):
         return len(self.edges)
 
 
-class DegreeSequence(namedtuple("DegreeSequence", "k entries n0")):
+class DegreeSequence(namedtuple("DegreeSequence", "k entries")):
     """Degree multiset of a supertree in canonical arrangement.
 
-    ``entries`` holds the n0 interior degrees first, non-decreasing and each
-    at least 2, followed by the unit degrees of the boundary vertices.
-    Validation enforces the supertree counting identities: (n-1) must be a
-    multiple of (k-1) and the entries must sum to k*(n-1)/(k-1). Sequences
-    passing validation are exactly the ones realized by some supertree.
+    ``entries`` holds the interior degrees first, non-decreasing and each
+    at least 2, followed by the unit degrees of the boundary vertices; n0,
+    the interior count, is the number of entries other than 1. Validation
+    enforces the supertree counting identities: (n-1) must be a multiple of
+    (k-1) and the entries must sum to k*(n-1)/(k-1). Sequences passing
+    validation are exactly the ones realized by some supertree.
     """
 
     __slots__ = ()
 
-    def __new__(cls, k: int, entries: tuple[int, ...], n0: int):
+    def __new__(cls, k: int, entries: tuple[int, ...]):
         if k < 2:
             raise InfeasibleDegreeSequence(f"edge size must be at least 2, got k={k}")
         n = len(entries)
         if n == 0:
             raise InfeasibleDegreeSequence("empty degree sequence")
-        if not 0 <= n0 <= n:
-            raise InfeasibleDegreeSequence(f"interior count n0={n0} outside 0..{n}")
-        for i, d in enumerate(entries):
-            if i < n0:
-                if d < 2:
-                    raise InfeasibleDegreeSequence(
-                        f"interior entry {d} at position {i} is below 2"
-                    )
-                if i and entries[i - 1] > d:
-                    raise InfeasibleDegreeSequence(
-                        "interior entries must be non-decreasing"
-                    )
-            elif d != 1:
+        n0 = n - entries.count(1)
+        for i in range(n0, n):
+            if entries[i] != 1:
                 raise InfeasibleDegreeSequence(
-                    f"entry {d} at position {i} should be a pendant degree 1"
+                    f"entry {entries[i]} at position {i} follows a pendant degree 1"
                 )
+        # the first n0 entries hold no 1 now, so one below 2 is below 1
+        for i in range(n0):
+            if entries[i] < 1:
+                raise InfeasibleDegreeSequence(
+                    f"entry {entries[i]} at position {i} is below 1"
+                )
+            if i and entries[i - 1] > entries[i]:
+                raise InfeasibleDegreeSequence("interior entries must be non-decreasing")
         if (n - 1) % (k - 1) != 0:
             raise InfeasibleDegreeSequence(
                 f"(n-1) = {n - 1} is not a multiple of (k-1) = {k - 1}"
@@ -100,11 +100,7 @@ class DegreeSequence(namedtuple("DegreeSequence", "k entries n0")):
             raise InfeasibleDegreeSequence(
                 f"degree sum {sum(entries)} != k*m = {k * m}"
             )
-        if m >= 2 and n0 < 1:
-            raise InfeasibleDegreeSequence(
-                "a supertree with two or more edges has an interior vertex"
-            )
-        return super().__new__(cls, k, entries, n0)
+        return super().__new__(cls, k, entries)
 
     # _replace builds through _make, which would skip the check in __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -115,9 +111,12 @@ class DegreeSequence(namedtuple("DegreeSequence", "k entries n0")):
         ds = sorted(degrees)
         if ds and ds[0] < 1:
             raise InfeasibleDegreeSequence(f"degree {ds[0]} is below 1")
-        ones = [d for d in ds if d == 1]
-        interior = [d for d in ds if d >= 2]
-        return cls(k, tuple(interior) + tuple(ones), len(interior))
+        ones = ds.count(1)
+        return cls(k, tuple(ds[ones:]) + tuple(ds[:ones]))
+
+    @property
+    def n0(self) -> int:
+        return len(self.entries) - self.entries.count(1)
 
     @property
     def n(self) -> int:
@@ -233,13 +232,17 @@ def degree_sequence(G: Supertree) -> DegreeSequence:
 
 def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
     """f, a flat sequence of G.n reals or a numpy array of them, as a list of
-    floats; error for a scalar, a nested or a wrong-length f."""
+    floats; error for a scalar, a nested or a wrong-length f, or one with a
+    NaN or an infinity, which no comparison can rank."""
     fs = f.tolist() if hasattr(f, "tolist") else f
     if not hasattr(fs, "__len__") or any(isinstance(x, (list, tuple)) for x in fs):
         raise error(f"expected {G.n} function values, got a {type(f).__name__}")
     fs = [float(x) for x in fs]
     if len(fs) != G.n:
         raise error(f"expected {G.n} function values, got {len(fs)}")
+    for v, x in enumerate(fs):
+        if not math.isfinite(x):
+            raise error(f"f({v}) = {x} is not finite")
     return fs
 
 

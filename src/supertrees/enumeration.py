@@ -20,7 +20,7 @@ eigenvalue decreases strictly along degree-sequence majorization.
 import math
 from collections import namedtuple
 
-from .config import _LAMBDA_TIE, DEFAULT_TOLERANCES, Tolerances, strictly_less, tie_runs
+from .config import _LAMBDA_TIE, strictly_less, tie_runs
 from .core import (
     CanonicalCode,
     DegreeSequence,
@@ -121,13 +121,13 @@ def _flattest_sequence(n: int, n0: int, k: int, d: int) -> DegreeSequence | None
     if k < 2 or not 0 <= n0 <= n or (n - 1) % (k - 1) != 0:
         return None
     if n0 == 0:
-        return DegreeSequence(k, (1,) * n, 0) if n == k else None
+        return DegreeSequence(k, (1,) * n) if n == k else None
     m = (n - 1) // (k - 1)
     dm = max(2, d)
     dprime = (k * m - (n - n0)) - (n0 - 1) * dm
     if dprime < dm:
         return None
-    return DegreeSequence(k, (dm,) * (n0 - 1) + (dprime,) + (1,) * (n - n0), n0)
+    return DegreeSequence(k, (dm,) * (n0 - 1) + (dprime,) + (1,) * (n - n0))
 
 
 def feasible_degree_sequences(
@@ -143,7 +143,7 @@ def feasible_degree_sequences(
     if flattest is None:
         return []
     return [
-        DegreeSequence(k, part + flattest.entries[n0:], n0)
+        DegreeSequence(k, part + flattest.entries[n0:])
         for part in _ascending_partitions(sum(flattest.interior), n0, max(2, d_min))
     ]
 
@@ -320,7 +320,7 @@ def verify_fk_theorem2(n: int, n0: int, k: int, d: int) -> FkCertificate:
 
 
 def _majorization_lambdas(
-    pi: DegreeSequence, pi_prime: DegreeSequence, tol: Tolerances
+    pi: DegreeSequence, pi_prime: DegreeSequence
 ) -> tuple[float, float, bool]:
     """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
     from .spectral import first_dirichlet_eigenvalues  # see _score_families
@@ -330,14 +330,10 @@ def _majorization_lambdas(
     lam, lam_prime = first_dirichlet_eigenvalues(
         [construct_slo_supertree(pi)[0], construct_slo_supertree(pi_prime)[0]]
     )
-    return lam, lam_prime, strictly_less(lam_prime, lam, tol)
+    return lam, lam_prime, strictly_less(lam_prime, lam)
 
 
-def verify_majorization_monotonicity(
-    pi: DegreeSequence,
-    pi_prime: DegreeSequence,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def verify_majorization_monotonicity(pi: DegreeSequence, pi_prime: DegreeSequence) -> bool:
     """Whether the eigenvalue drops strictly from SLO(pi) to SLO(pi_prime)
     for a pair with pi_prime majorized by pi.
 
@@ -350,7 +346,7 @@ def verify_majorization_monotonicity(
             interior counts.
         LengthMismatch: the sequences differ in length or uniformity.
     """
-    return _majorization_lambdas(pi, pi_prime, tol)[2]
+    return _majorization_lambdas(pi, pi_prime)[2]
 
 
 def fk1_sweep(k: int, n_max: int) -> list[FkCertificate]:
@@ -361,7 +357,7 @@ def fk1_sweep(k: int, n_max: int) -> list[FkCertificate]:
         NotKUniform: k is below 2.
     """
     return _score_families([
-        (FamilySpec(kind="pi", k=k, pi=DegreeSequence(k, interior + (1,) * (n - n0), n0)),
+        (FamilySpec(kind="pi", k=k, pi=DegreeSequence(k, interior + (1,) * (n - n0))),
          members)
         for (n, n0, interior), members in _buckets(k, n_max).items()
         if n0

@@ -81,8 +81,8 @@ class NotAnEigenfunction(SupertreeError):
 # transformations
 
 class InvalidSpec(SupertreeError):
-    """A switch or shift spec, or another argument such as a tolerance,
-    violates its preconditions."""
+    """A switch or shift spec, the function values tested against it, or a
+    command-line argument violates its preconditions."""
 
 
 class ResultNotSupertree(SupertreeError):

@@ -19,11 +19,10 @@ class with k=2 m<=11, k=3 m<=6 and k=4 m<=5), and relabels vertices along a
 first Dirichlet eigenfunction.
 """
 
+import math
 from collections import namedtuple
 
-from .config import (
-    _BOUNDARY_ZERO, DEFAULT_TOLERANCES, Tolerances, strictly_less, tie_runs,
-)
+from .config import _BOUNDARY_ZERO, strictly_less, tie_runs
 from .core import (
     DegreeSequence,
     Supertree,
@@ -175,17 +174,15 @@ def construct_slo_supertree(
 # --- relabeling along an eigenfunction --------------------------------------
 
 
-def _ranked(entries, value_of, tiebreak_of, tol: Tolerances):
-    """Sort by descending value; runs of values equal within tolerance are
+def _ranked(entries, value_of, tiebreak_of):
+    """Sort by descending value; runs of values equal within the slack are
     reordered by the tiebreak key."""
     by_value = sorted(entries, key=lambda x: -value_of(x))
-    runs = tie_runs(by_value, value_of, lambda a, b: not strictly_less(b, a, tol))
+    runs = tie_runs(by_value, value_of, lambda a, b: not strictly_less(b, a))
     return [x for run in runs for x in sorted(run, key=tiebreak_of)]
 
 
-def relabel(
-    G: Supertree, f, tol: Tolerances = DEFAULT_TOLERANCES
-) -> dict[VertexId, VertexLabel]:
+def relabel(G: Supertree, f) -> dict[VertexId, VertexLabel]:
     """Label each vertex (s, i, p) by level, group, and in-group position.
 
     The root is the vertex maximizing f. At each level the groups are the
@@ -196,7 +193,8 @@ def relabel(
     labels sorts f non-increasingly on extremal supertrees.
 
     Raises:
-        NotAnEigenfunction: f is not positive interior / zero boundary.
+        NotAnEigenfunction: f is not finite, positive interior and zero
+            boundary.
     """
     fs = _vertex_values(G, f, NotAnEigenfunction)
     for v, d in enumerate(G.degrees):
@@ -207,9 +205,7 @@ def relabel(
             raise NotAnEigenfunction(f"f({v}) = {fs[v]} not positive on the interior")
 
     top_value = max(fs)
-    root = min(
-        v for v in range(G.n) if not strictly_less(fs[v], top_value, tol)
-    )
+    root = min(v for v in range(G.n) if not strictly_less(fs[v], top_value))
     # blocks_at[s] lists (top, members) for every edge whose k-1 members sit
     # at level s, in G.edges order; the top is the edge's vertex one level up
     depth, parent = _incidence_walk(G, root)
@@ -225,19 +221,18 @@ def relabel(
         blocks = blocks_at[lvl]
 
         def group_sum(block):
-            # Python floats: from 3.12 sum() compensates rounding, numpy's did not
-            return sum(fs[v] for v in block[1])
+            # exactly rounded: from 3.12 sum() compensates rounding, before it
+            # did not, so near the slack the group order would hang on it
+            return math.fsum(fs[v] for v in block[1])
 
         def group_tiebreak(block):
             top, members = block
             _, pi_, pp = labels[top]
             return (pi_, pp, min(members))
 
-        ordered = _ranked(blocks, group_sum, group_tiebreak, tol)
+        ordered = _ranked(blocks, group_sum, group_tiebreak)
         for gi, (_, members) in enumerate(ordered, start=1):
-            arranged = _ranked(
-                list(members), fs.__getitem__, lambda v: v, tol
-            )
+            arranged = _ranked(list(members), fs.__getitem__, lambda v: v)
             for pp, v in enumerate(arranged, start=1):
                 labels[v] = (lvl, gi, pp)
     return labels

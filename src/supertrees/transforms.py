@@ -15,7 +15,7 @@ transformations, built greedily here.
 import bisect
 from collections import namedtuple
 
-from .config import DEFAULT_TOLERANCES, Tolerances, strictly_less
+from .config import strictly_less
 from .core import DegreeSequence, Supertree, _vertex_values, build_supertree
 from .errors import (
     DegreeTooSmall,
@@ -104,14 +104,15 @@ def apply_switch(G: Supertree, spec: SwitchSpec) -> Supertree:
         raise ResultNotSupertree(f"switched edge set is invalid: {exc}") from exc
 
 
-def check_switch_hypothesis(
-    G: Supertree, f, spec: SwitchSpec, tol: Tolerances = DEFAULT_TOLERANCES
-) -> HypothesisCheck:
+def check_switch_hypothesis(G: Supertree, f, spec: SwitchSpec) -> HypothesisCheck:
     """Test the eigenfunction hypothesis for a switch.
 
     Weak form: sum f over u1 >= sum f over v1 and sum f over e1 - u1 <=
-    sum f over e2 - v1, neither reversed beyond tolerance. Strict form: weak
-    with one of the two inequalities strict beyond tolerance.
+    sum f over e2 - v1, neither reversed beyond the slack. Strict form: weak
+    with one of the two inequalities strict beyond the slack.
+
+    Raises:
+        InvalidSpec: the spec does not fit G, or f is not G.n finite reals.
     """
     _validate_switch(G, spec)
     fs = _vertex_values(G, f, InvalidSpec)
@@ -119,10 +120,8 @@ def check_switch_hypothesis(
     sv1 = float(sum(fs[v] for v in spec.v1))
     rest1 = float(sum(fs[v] for v in spec.e1 if v not in spec.u1))
     rest2 = float(sum(fs[v] for v in spec.e2 if v not in spec.v1))
-    weak = not (strictly_less(su1, sv1, tol) or strictly_less(rest2, rest1, tol))
-    strict = weak and (
-        strictly_less(sv1, su1, tol) or strictly_less(rest1, rest2, tol)
-    )
+    weak = not (strictly_less(su1, sv1) or strictly_less(rest2, rest1))
+    strict = weak and (strictly_less(sv1, su1) or strictly_less(rest1, rest2))
     return HypothesisCheck(weak=weak, strict=strict)
 
 
@@ -169,25 +168,23 @@ def apply_shift(G: Supertree, spec: ShiftSpec) -> Supertree:
         raise ResultNotSupertree(f"shifted edge set is invalid: {exc}") from exc
 
 
-def check_shift_hypothesis(
-    G: Supertree, f, spec: ShiftSpec, tol: Tolerances = DEFAULT_TOLERANCES
-) -> HypothesisCheck:
+def check_shift_hypothesis(G: Supertree, f, spec: ShiftSpec) -> HypothesisCheck:
     """Test the eigenfunction hypothesis for a shift.
 
     Weak form: f(u) >= f(v) and f(v) >= f(w) for every other vertex w of the
-    bundle, none reversed beyond tolerance. Strict form: weak with at least
-    one of those inequalities strict beyond tolerance.
+    bundle, none reversed beyond the slack. Strict form: weak with at least
+    one of those inequalities strict beyond the slack.
+
+    Raises:
+        InvalidSpec: the spec does not fit G, or f is not G.n finite reals.
     """
     _validate_shift(G, spec)
     fs = _vertex_values(G, f, InvalidSpec)
     fu, fv = fs[spec.u], fs[spec.v]
     others = {w for e in spec.edges for w in e} - {spec.u}
-    weak = not (
-        strictly_less(fu, fv, tol) or any(strictly_less(fv, fs[w], tol) for w in others)
-    )
+    weak = not (strictly_less(fu, fv) or any(strictly_less(fv, fs[w]) for w in others))
     strict = weak and (
-        strictly_less(fv, fu, tol)
-        or any(strictly_less(fs[w], fv, tol) for w in others)
+        strictly_less(fv, fu) or any(strictly_less(fs[w], fv) for w in others)
     )
     return HypothesisCheck(weak=weak, strict=strict)
 
@@ -202,17 +199,16 @@ def unit_transformation(pi: DegreeSequence, p: int) -> DegreeSequence:
         IndexOutOfRange: p is not an interior position with a successor.
         DegreeTooSmall: entry p is below 3.
     """
-    if not 0 <= p <= pi.n0 - 2:
+    interior = list(pi.interior)
+    if not 0 <= p <= len(interior) - 2:
         raise IndexOutOfRange(
-            f"p={p} is not an interior position below {pi.n0 - 1}"
+            f"p={p} is not an interior position below {len(interior) - 1}"
         )
-    if pi.entries[p] < 3:
-        raise DegreeTooSmall(f"entry {p} has degree {pi.entries[p]} < 3")
-    interior = list(pi.entries[: pi.n0])
+    if interior[p] < 3:
+        raise DegreeTooSmall(f"entry {p} has degree {interior[p]} < 3")
     interior[p] -= 1
     interior[p + 1] += 1
-    degrees = sorted(interior) + [1] * (pi.n - pi.n0)
-    return DegreeSequence.from_degrees(pi.k, degrees)
+    return DegreeSequence(pi.k, tuple(sorted(interior)) + pi.entries[len(interior):])
 
 
 def majorizes(
@@ -271,12 +267,12 @@ def unit_transform_chain(
     _require_chain(pi, pi_prime)
     chain: list[int] = []
     cur, want = list(pi.interior), pi_prime.interior
-    j = 0
+    n0, j = len(cur), 0
     while True:
         # the prefix sums agree up to the first entry that differs
-        while j < pi.n0 and cur[j] == want[j]:
+        while j < n0 and cur[j] == want[j]:
             j += 1
-        if j == pi.n0:
+        if j == n0:
             return chain
         chain.append(j)
         # unit_transformation's re-sort: lowering the first entry equal to

@@ -16,7 +16,6 @@ from collections import deque
 import numpy as np
 
 from supertrees import (
-    DEFAULT_TOLERANCES,
     DegreeSequence,
     NotAPermutation,
     ShiftSpec,
@@ -624,7 +623,7 @@ def all_members(k: int, n_max: int) -> list[Supertree]:
     ]
 
 
-def switch_strict_witness(G, f, spec, tol=None) -> bool:
+def switch_strict_witness(G, f, spec) -> bool:
     """Whether a strict switch inequality admits an interior witness vertex.
 
     A strict eigenvalue decrease follows from a strict hypothesis only when
@@ -634,7 +633,6 @@ def switch_strict_witness(G, f, spec, tol=None) -> bool:
     the other; for unbalanced kept-group sums, an interior vertex inside the
     exchanged groups. Without a witness the switch can be a relabeling.
     """
-    tol = tol or DEFAULT_TOLERANCES
     interior = {v for v in range(G.n) if G.degrees[v] >= 2}
     su1 = sum(float(f[v]) for v in spec.u1)
     sv1 = sum(float(f[v]) for v in spec.v1)
@@ -642,9 +640,9 @@ def switch_strict_witness(G, f, spec, tol=None) -> bool:
     rest2 = sum(float(f[v]) for v in spec.e2 if v not in spec.v1)
     kept1 = set(spec.e1) - spec.u1 - set(spec.e2)
     kept2 = set(spec.e2) - spec.v1 - set(spec.e1)
-    if strictly_less(sv1, su1, tol) and interior & (kept1 | kept2):
+    if strictly_less(sv1, su1) and interior & (kept1 | kept2):
         return True
-    return strictly_less(rest1, rest2, tol) and bool(
+    return strictly_less(rest1, rest2) and bool(
         interior & (spec.u1 | spec.v1)
     )
 

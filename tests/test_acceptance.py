@@ -9,7 +9,6 @@ import time
 import pytest
 
 from supertrees import (
-    DEFAULT_TOLERANCES,
     DegreeSequence,
     ResultNotSupertree,
     SwitchSpec,
@@ -46,8 +45,6 @@ from support import (
     switch_strict_witness,
     targeted_switch_spec,
 )
-
-TOL = DEFAULT_TOLERANCES
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -144,9 +141,7 @@ def test_flattest_slo_minimizes_at_fixed_counts(fk1_certs, fk2_certs):
         dm = max(2, fam.d)
         dprime = (fam.k * m - (fam.n - fam.n0)) - (fam.n0 - 1) * dm
         pi_star = DegreeSequence(
-            fam.k,
-            (dm,) * (fam.n0 - 1) + (dprime,) + (1,) * (fam.n - fam.n0),
-            fam.n0,
+            fam.k, (dm,) * (fam.n0 - 1) + (dprime,) + (1,) * (fam.n - fam.n0)
         )
         ref = fk1_by_entries.get((fam.k, pi_star.entries))
         if ref is None:
@@ -227,7 +222,7 @@ def test_switching_never_increases_eigenvalue():
             and not pair.degenerate
             and switch_strict_witness(G, pair.f, spec)
         ):
-            assert strictly_less(lam_p, pair.lam, TOL)
+            assert strictly_less(lam_p, pair.lam)
             strict += 1
     _report(
         "switching never increases the eigenvalue",
@@ -258,7 +253,7 @@ def test_shifting_never_increases_eigenvalue():
         assert lam_p <= pair.lam + _LAMBDA_TIE
         weak += 1
         if hc.strict and not pair.degenerate:
-            assert strictly_less(lam_p, pair.lam, TOL)
+            assert strictly_less(lam_p, pair.lam)
             strict += 1
     _report(
         "shifting never increases the eigenvalue",

@@ -103,12 +103,6 @@ def test_eigen_plain_format(capsys, star):
     assert lines[4] == "vertex_id=1 is_interior=false f_value=0.000000000000"
 
 
-def test_eigen_tolerance_overrides(capsys, star):
-    code, out, _ = _run(capsys, "--epsilon", "1e-8", "eigen", star)
-    assert code == 0
-    assert out.startswith("lambda=2.000000000000\n")
-
-
 def test_relabel_two_interior(capsys, h7):
     code, out, _ = _run(capsys, "relabel", h7)
     assert code == 0
@@ -252,20 +246,20 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"before": before, "runs": runs}))
 """
 
-ENUMERATION = {"enumeration", "slo", "transforms"}
-# the modules of the package a subcommand runs beyond cli, config, core and
-# errors, which every process loads
+ENUMERATION = {"config", "enumeration", "slo", "transforms"}
+# the modules of the package a subcommand runs beyond cli, core and errors,
+# which every process loads
 RUNS = {
     "validate": set(),
-    "slo-check": {"slo"},
-    "slo-find": {"slo"},
-    "slo-construct": {"slo"},
-    "switch": {"transforms"},
-    "shift": {"transforms"},
-    "unit": {"transforms"},
+    "slo-check": {"config", "slo"},
+    "slo-find": {"config", "slo"},
+    "slo-construct": {"config", "slo"},
+    "switch": {"config", "transforms"},
+    "shift": {"config", "transforms"},
+    "unit": {"config", "transforms"},
     "enumerate": ENUMERATION,
-    "eigen": {"spectral"},
-    "relabel": {"slo", "spectral"},
+    "eigen": {"config", "spectral"},
+    "relabel": {"config", "slo", "spectral"},
     "verify-fk1": ENUMERATION | {"spectral"},
     "verify-fk2": ENUMERATION | {"spectral"},
     "majorize": ENUMERATION | {"spectral"},
@@ -293,7 +287,7 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
     ]
     assert [argv[0] for argv in combinatorial + spectral] == list(RUNS)
     cold = _cold_python(COLD_CLI, json.dumps(combinatorial + spectral))
-    base = ["cli", "config", "core", "errors"]
+    base = ["cli", "core", "errors"]
     assert cold["before"] == [[[], False, False], [base, False, False]]
     runs = cold["runs"]
     # modules stay loaded, so each run adds what it runs to what ran before
@@ -333,6 +327,18 @@ def test_only_spectral_imports_numpy_and_no_module_loads_heavy_stdlib():
         assert (path.name, heavy) == (path.name, set())
         numpy = "numpy" in set(_imported(tree, False))
         assert (path.name, numpy) == (path.name, path.name == "spectral.py")
+
+
+def test_no_file_imports_packages_outside_the_declared_dependencies():
+    # scipy, mpmath and sympy may be installed locally, but the package
+    # depends on numpy alone and the tests on pytest, hypothesis and networkx
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")])
+    assert Path(__file__).resolve() in paths and len(paths) > 10
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        banned = {"scipy", "mpmath", "sympy"} & set(_imported(tree, False))
+        assert (path.name, banned) == (path.name, set())
 
 
 COLD_SURFACE = """
@@ -419,7 +425,7 @@ def test_package_all_is_the_union_of_the_module_lists():
     # the surface is what the CLI, the sweeps and the claims read; growing or
     # shrinking it is an edit here
     assert sorted(supertrees.__all__) == [
-        "BadVertexId", "CanonicalCode", "ContainsCycle", "DEFAULT_TOLERANCES",
+        "BadVertexId", "CanonicalCode", "ContainsCycle",
         "DegreeSequence", "DegreeTooSmall", "DirichletEigenpair", "Disconnected",
         "DuplicateEdge", "EdgeOverlapTooLarge", "EmptyFamily", "FamilySpec",
         "FkCertificate", "HypothesisCheck", "IndexOutOfRange",
@@ -427,7 +433,7 @@ def test_package_all_is_the_union_of_the_module_lists():
         "NoInteriorVertices", "NotAPermutation", "NotAnEigenfunction",
         "NotKUniform", "NotMajorized", "ResultNotSupertree", "ShiftSpec",
         "ShtFormatError", "SloViolation", "Supertree", "SupertreeError",
-        "SwitchSpec", "Tolerances", "VertexId", "VertexLabel",
+        "SwitchSpec", "VertexId", "VertexLabel",
         "apply_shift", "apply_switch", "build_supertree", "canonical_code",
         "check_shift_hypothesis", "check_slo", "check_switch_hypothesis",
         "construct_slo_supertree", "degree_sequence", "enumerate_family",
@@ -662,33 +668,18 @@ def test_huge_integer_arguments_exit_2(capsys, h7, argv, error):
     assert "Traceback" not in err
 
 
-def test_epsilon_must_be_finite_and_non_negative(capsys):
+def test_epsilon_flag_is_gone(capsys):
+    # the comparison slack is a fixed constant; the flag is a usage error
     argv = ["majorize", "--k", "2", "--pi", "3,3,1,1,1,1",
             "--pi-prime", "4,2,1,1,1,1"]
-    code, out, _ = _run(capsys, *argv)
-    assert code == 0
-    assert "strict_decrease=true" in out
-    for value in ("nan", "-1", "inf", "-inf"):
-        code, out, err = _run(capsys, f"--epsilon={value}", *argv)
-        assert code == 2
-        assert out == ""
-        assert "argument --epsilon: expected a finite non-negative number" in err
-        assert "Traceback" not in err
-    assert _run(capsys, "--epsilon", "0", *argv)[0] == 0
-
-
-@pytest.mark.parametrize("argv", [
-    ["eigen", "H7"],
-    ["verify-fk1", "--k", "2", "--pi", "2,2,2,3,3,1,1,1,1"],
-    ["verify-fk2", "--n", "10", "--n0", "5", "--k", "2", "--d", "2"],
-])
-def test_epsilon_changes_neither_eigen_nor_verify(capsys, h7, argv):
-    # --epsilon sets only the relative slack of relabel and the hypothesis
-    # checks; the degeneracy floor and the eigenvalue tie window are fixed
-    argv = [h7 if a == "H7" else a for a in argv]
-    plain = _run(capsys, *argv)
-    assert plain[0] == 0 and plain[1]
-    assert _run(capsys, "--epsilon", "0.5", *argv) == plain
+    assert _run(capsys, *argv)[:2] == (0, "majorized=true\n"
+                                       "lambda_pi=2.000000000000\n"
+                                       "lambda_pi_prime=1.585786437627\n"
+                                       "strict_decrease=true\n")
+    for flag in (["--epsilon", "0.5"], ["--epsilon=0.5"]):
+        code, out, err = _run(capsys, *flag, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

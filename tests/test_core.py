@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from supertrees import (
-    DEFAULT_TOLERANCES,
     BadVertexId,
     ContainsCycle,
     DegreeSequence,
@@ -134,36 +133,55 @@ def test_degree_sequence_arrangement():
 
 
 def test_degree_sequence_validation():
-    with pytest.raises(InfeasibleDegreeSequence):
-        DegreeSequence(3, (1, 2, 1, 1, 1), 1)  # not in canonical arrangement
-    with pytest.raises(InfeasibleDegreeSequence):
-        DegreeSequence(3, (3, 2, 1, 1, 1, 1, 1), 2)  # interior not ascending
-    with pytest.raises(InfeasibleDegreeSequence):
-        DegreeSequence(3, (2, 1, 1, 1), 1)  # (n-1) not divisible by (k-1)
-    with pytest.raises(InfeasibleDegreeSequence):
-        DegreeSequence(3, (3, 1, 1, 1, 1), 1)  # sum != k*m
-    with pytest.raises(InfeasibleDegreeSequence):
+    with pytest.raises(InfeasibleDegreeSequence, match="entry 2 at position 1 follows"):
+        DegreeSequence(3, (1, 2, 1, 1, 1))  # not in canonical arrangement
+    with pytest.raises(InfeasibleDegreeSequence, match="non-decreasing"):
+        DegreeSequence(3, (3, 2, 1, 1, 1, 1, 1))  # interior not ascending
+    with pytest.raises(InfeasibleDegreeSequence, match="not a multiple"):
+        DegreeSequence(3, (2, 1, 1, 1))
+    with pytest.raises(InfeasibleDegreeSequence, match="degree sum 7"):
+        DegreeSequence(3, (3, 1, 1, 1, 1))
+    with pytest.raises(InfeasibleDegreeSequence, match="degree 0 is below 1"):
         DegreeSequence.from_degrees(3, (0, 2, 1, 1, 1))
-    # two edges force an interior vertex
-    with pytest.raises(InfeasibleDegreeSequence):
-        DegreeSequence(2, (1, 1, 1), 0)
+    with pytest.raises(InfeasibleDegreeSequence, match="entry 0 at position 0 is below 1"):
+        DegreeSequence(3, (0, 2, 1, 1, 1))
+    with pytest.raises(InfeasibleDegreeSequence, match="empty"):
+        DegreeSequence(3, ())
+    # two edges force an interior vertex: all ones fail the degree sum
+    with pytest.raises(InfeasibleDegreeSequence, match="degree sum 3 != k\\*m = 4"):
+        DegreeSequence(2, (1, 1, 1))
     with pytest.raises(InfeasibleDegreeSequence, match="edge size must be at least 2"):
-        DegreeSequence(1, (1, 1), 0)
-    with pytest.raises(InfeasibleDegreeSequence, match="entry 2 at position 2 should"):
-        DegreeSequence(2, (2, 1, 2, 1), 1)  # a non-1 entry after the interior
+        DegreeSequence(1, (1, 1))
+    with pytest.raises(InfeasibleDegreeSequence, match="entry 2 at position 2 follows"):
+        DegreeSequence(2, (2, 1, 2, 1))  # a non-1 entry after a unit degree
     # keyword construction and _replace validate too
     with pytest.raises(InfeasibleDegreeSequence):
-        DegreeSequence(k=3, entries=(2, 1, 1, 1, 1), n0=2)
-    with pytest.raises(InfeasibleDegreeSequence):
-        DegreeSequence(3, (2, 1, 1, 1, 1), 1)._replace(n0=-1)
+        DegreeSequence(k=3, entries=(2, 2, 1, 1, 1))
+    with pytest.raises(InfeasibleDegreeSequence, match="degree sum"):
+        DegreeSequence(3, (2, 1, 1, 1, 1))._replace(entries=(3, 1, 1, 1, 1))
+    with pytest.raises(TypeError):
+        DegreeSequence(3, (2, 1, 1, 1, 1), 1)  # n0 is derived, not passed
+
+
+def test_degree_sequence_derives_n0_from_its_entries():
+    for k, entries, n0 in (
+        (3, (1, 1, 1), 0),
+        (3, (2, 1, 1, 1, 1), 1),
+        (2, (2, 2, 3, 3) + (1,) * 4, 4),
+    ):
+        pi = DegreeSequence(k, entries)
+        assert (pi.n0, pi.interior, tuple(pi)) == (n0, entries[:n0], (k, entries))
+    pi = DegreeSequence(3, (2, 1, 1, 1, 1))._replace(entries=(2, 2) + (1,) * 5)
+    assert (pi.n0, pi.n, pi.m) == (2, 7, 3)
+    with pytest.raises(ValueError, match="n0"):
+        pi._replace(n0=1)  # not a field
 
 
 def test_records_are_immutable_named_tuples():
     G = build_supertree(3, 9, CHAIN9)
     pi = degree_sequence(G)
     records = [
-        G, pi, DEFAULT_TOLERANCES,
-        FamilySpec("pi", 3, pi), verify_fk_theorem1(pi),
+        G, pi, FamilySpec("pi", 3, pi), verify_fk_theorem1(pi),
         check_slo(G, range(8, -1, -1))[0],
         SwitchSpec((0, 1, 2), (2, 3, 4), frozenset({0}), frozenset({3})),
         ShiftSpec(2, ((2, 3, 4),), 0), HypothesisCheck(True, False),

@@ -9,11 +9,9 @@ import pytest
 from supertrees import (
     DegreeSequence,
     EmptyFamily,
-    InvalidSpec,
     LengthMismatch,
     NotKUniform,
     NotMajorized,
-    Tolerances,
     canonical_code,
     construct_slo_supertree,
     enumerate_family,
@@ -44,8 +42,8 @@ BOUQUET9_CODE = b"e(v(e(v()v()))v(e(v()v()))v(e(v()v())))"
 CHAIN9_CODE = b"v(e(v()v(e(v()v())))e(v()v(e(v()v()))))"
 
 
-def _seq(k, entries, n0):
-    return DegreeSequence(k, tuple(entries), n0)
+def _seq(k, entries):
+    return DegreeSequence(k, tuple(entries))
 
 
 def _classes(k, n):
@@ -113,10 +111,10 @@ def test_feasible_sequences_of_a_long_path():
 
 def test_enumerate_single_class_sequences():
     for pi in (
-        _seq(3, (2, 1, 1, 1, 1), 1),
-        _seq(3, (2, 2, 1, 1, 1, 1, 1), 2),
-        _seq(3, (2, 3) + (1,) * 7, 2),
-        _seq(2, (2, 2, 1, 1), 2),
+        _seq(3, (2, 1, 1, 1, 1)),
+        _seq(3, (2, 2, 1, 1, 1, 1, 1)),
+        _seq(3, (2, 3) + (1,) * 7),
+        _seq(2, (2, 2, 1, 1)),
     ):
         members = enumerate_supertrees(pi)
         assert len(members) == 1
@@ -124,7 +122,7 @@ def test_enumerate_single_class_sequences():
 
 
 def test_enumerate_two_classes_for_flat_three_interior():
-    members = enumerate_supertrees(_seq(3, (2, 2, 2) + (1,) * 6, 3))
+    members = enumerate_supertrees(_seq(3, (2, 2, 2) + (1,) * 6))
     assert [canonical_code(G) for G in members] == [
         BOUQUET9_CODE,
         CHAIN9_CODE,
@@ -203,7 +201,7 @@ def test_family_emptiness_without_listing_sequences(monkeypatch):
 
 
 def test_family_spec_describe():
-    pi = _seq(3, (2, 2, 1, 1, 1, 1, 1), 2)
+    pi = _seq(3, (2, 2, 1, 1, 1, 1, 1))
     assert (
         FamilySpec(kind="pi", k=3, pi=pi).describe()
         == "T_pi(k=3,pi=2,2,1,1,1,1,1)"
@@ -214,7 +212,7 @@ def test_family_spec_describe():
 
 
 def test_fk1_certificate_small_family():
-    cert = verify_fk_theorem1(_seq(3, (2, 2, 2) + (1,) * 6, 3))
+    cert = verify_fk_theorem1(_seq(3, (2, 2, 2) + (1,) * 6))
     assert cert.unique and cert.slo_match and cert.passed
     assert canonical_code(cert.winner) == BOUQUET9_CODE
     assert cert.slo_code == BOUQUET9_CODE
@@ -229,7 +227,7 @@ def test_fk1_certificate_small_family():
 
 
 def test_fk1_singleton_family_is_unique():
-    cert = verify_fk_theorem1(_seq(3, (2, 1, 1, 1, 1), 1))
+    cert = verify_fk_theorem1(_seq(3, (2, 1, 1, 1, 1)))
     assert cert.unique and cert.slo_match and cert.passed
     assert len(cert.all_lambdas) == 1
     assert cert.winner_lambda == pytest.approx(2.0, abs=1e-12)
@@ -237,7 +235,7 @@ def test_fk1_singleton_family_is_unique():
 
 
 def test_margin_of_a_tied_pair_is_not_unique():
-    pi = _seq(2, (2, 2, 2, 3, 3) + (1,) * 4, 5)
+    pi = _seq(2, (2, 2, 2, 3, 3) + (1,) * 4)
     cert = verify_fk_theorem1(pi)
     (l0, l1) = [lam for _, lam in cert.all_lambdas[:2]]
     assert cert.unique and cert.margin == l1 - l0 > _LAMBDA_TIE
@@ -279,8 +277,8 @@ def test_fk2_flattest_sequence_wins():
 
 def test_fk2_agrees_with_fk1_on_flattest_sequence():
     flattest = {
-        (7, 2): _seq(3, (2, 2) + (1,) * 5, 2),
-        (9, 3): _seq(3, (2, 2, 2) + (1,) * 6, 3),
+        (7, 2): _seq(3, (2, 2) + (1,) * 5),
+        (9, 3): _seq(3, (2, 2, 2) + (1,) * 6),
     }
     for (n, n0), pi in flattest.items():
         cert2 = verify_fk_theorem2(n, n0, 3, 2)
@@ -360,7 +358,7 @@ def test_fk2_sweep_joins_fk1_buckets():
                 assert rows == want[n, n0]
                 # (d, ..., d, d'): the interior degrees sum to k*m - (n - n0)
                 last = k * (n - 1) // (k - 1) - (n - n0) - (n0 - 1) * dm
-                pi = _seq(k, (dm,) * (n0 - 1) + (last,) + (1,) * (n - n0), n0)
+                pi = _seq(k, (dm,) * (n0 - 1) + (last,) + (1,) * (n - n0))
                 assert cert.slo_code == canonical_code(construct_slo_supertree(pi)[0])
 
 
@@ -429,8 +427,8 @@ def test_growth_matches_reference_growth(monkeypatch):
         return _grow_classes(k, m_target, bound)
 
     monkeypatch.setattr(enumeration, "_grow_classes", spy)
-    assert enumerate_supertrees(_seq(2, (2, 2, 3, 3, 4) + (1,) * 6, 5))
-    assert enumerate_supertrees(_seq(3, (2, 2, 3) + (1,) * 8, 3))
+    assert enumerate_supertrees(_seq(2, (2, 2, 3, 3, 4) + (1,) * 6))
+    assert enumerate_supertrees(_seq(3, (2, 2, 3) + (1,) * 8))
     assert enumerate_family(11, 4, 2, 2)
     assert enumerate_family(13, 3, 3, 2)
     assert [bound for *_, bound in calls] == [
@@ -473,8 +471,8 @@ def test_growth_encodes_only_its_first_edge_from_scratch(monkeypatch):
 
 
 def test_majorization_monotonicity_examples():
-    steep = _seq(3, (3, 3) + (1,) * 9, 2)
-    flat = _seq(3, (2, 4) + (1,) * 9, 2)
+    steep = _seq(3, (3, 3) + (1,) * 9)
+    flat = _seq(3, (2, 4) + (1,) * 9)
     assert verify_majorization_monotonicity(steep, flat) is True
     with pytest.raises(NotMajorized, match="equal"):
         verify_majorization_monotonicity(steep, steep)
@@ -482,7 +480,7 @@ def test_majorization_monotonicity_examples():
         verify_majorization_monotonicity(flat, steep)
     with pytest.raises(LengthMismatch):
         verify_majorization_monotonicity(
-            _seq(3, (2, 1, 1, 1, 1), 1), _seq(3, (2, 2) + (1,) * 5, 2)
+            _seq(3, (2, 1, 1, 1, 1)), _seq(3, (2, 2) + (1,) * 5)
         )
 
 
@@ -492,28 +490,14 @@ def test_majorization_checks_comparability_without_building_the_chain(monkeypatc
         raise AssertionError("the chain was built")
 
     monkeypatch.setattr(transforms, "unit_transformation", unbuilt)
-    steep = _seq(3, (3, 3) + (1,) * 9, 2)
-    flat = _seq(3, (2, 4) + (1,) * 9, 2)
+    steep = _seq(3, (3, 3) + (1,) * 9)
+    flat = _seq(3, (2, 4) + (1,) * 9)
     assert verify_majorization_monotonicity(steep, flat) is True
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-12])
-def test_majorization_rejects_bad_tolerances(value):
-    # a NaN slack would turn the proven decrease of this pair into False
-    steep, flat = _seq(2, (3, 3) + (1,) * 4, 2), _seq(2, (2, 4) + (1,) * 4, 2)
-    assert verify_majorization_monotonicity(steep, flat) is True
-    # the comparison slack is the one settable threshold
-    assert Tolerances._fields == ("rel_eps",)
-    with pytest.raises(InvalidSpec, match="rel_eps"):
-        verify_majorization_monotonicity(steep, flat, Tolerances(rel_eps=value))
-    with pytest.raises(InvalidSpec, match="rel_eps"):
-        Tolerances()._replace(rel_eps=value)
-    assert verify_majorization_monotonicity(steep, flat, Tolerances(rel_eps=0.0))
 
 
 def test_majorization_monotonicity_along_chain():
-    start = _seq(3, (4, 4, 4) + (1,) * 18, 3)
-    end = _seq(3, (2, 3, 7) + (1,) * 18, 3)
+    start = _seq(3, (4, 4, 4) + (1,) * 18)
+    end = _seq(3, (2, 3, 7) + (1,) * 18)
     chain = unit_transform_chain(start, end)
     assert len(chain) >= 2
     lams = [first_dirichlet_eigenpair(construct_slo_supertree(start)[0]).lam]

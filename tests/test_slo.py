@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -315,6 +316,28 @@ def test_relabel_rejects_non_eigenfunctions():
         relabel(G, bad)
     with pytest.raises(NotAnEigenfunction):
         relabel(G, np.zeros(7))
+    # NaN passes both sign checks, since every comparison with it is false
+    for x in (math.nan, math.inf, -math.inf):
+        for v in (1, 2):  # interior, boundary
+            bad = good.copy()
+            bad[v] = x
+            with pytest.raises(NotAnEigenfunction, match=f"f\\({v}\\) = {x} is not finite"):
+                relabel(G, bad)
+
+
+def test_relabel_ranks_groups_by_exactly_rounded_sums():
+    # root 0 with groups {1, 2, 3} (boundary, sum 0) and {4, 5, 6}, whose
+    # sum is the slack 1e-10 exactly but rounds above it left to right, as
+    # sum() does before Python 3.12; a tie, so the group of lower id leads
+    G = build_supertree(4, 16, ((0, 1, 2, 3), (0, 4, 5, 6), (4, 7, 8, 9),
+                                (5, 10, 11, 12), (6, 13, 14, 15)))
+    f = [1.0, 0.0, 0.0, 0.0, 1e-12, 33e-12, 66e-12] + [0.0] * 9
+    assert math.fsum(f[4:7]) == 1e-10 < (f[4] + f[5]) + f[6]
+    labels = relabel(G, f)
+    assert [labels[v] for v in range(7)] == [
+        (0, 1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+    ]
+    assert [labels[v] for v in (7, 10, 13)] == [(2, 1, 1), (2, 2, 1), (2, 3, 1)]
 
 
 def test_relabel_rejects_wrong_shape():

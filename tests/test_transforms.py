@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
 import pytest
 
 from supertrees import (
-    DEFAULT_TOLERANCES,
     DegreeSequence,
     DegreeTooSmall,
     IndexOutOfRange,
@@ -40,8 +40,6 @@ from support import (
     switch_strict_witness,
     targeted_switch_spec,
 )
-
-TOL = DEFAULT_TOLERANCES
 
 H_EDGES = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
 T9_EDGES = ((0, 1, 2), (0, 3, 4), (1, 5, 6), (1, 7, 8))
@@ -87,6 +85,9 @@ def test_hypothesis_checks_reject_malformed_functions():
         ([0.0] * 6, InvalidSpec),
         (f.reshape(-1, 1), InvalidSpec),
         (1.0, InvalidSpec),
+        # an all-NaN f passed the weak form of both checks
+        ([math.nan] * 7, InvalidSpec),
+        (list(f[:3]) + [math.inf] + list(f[4:]), InvalidSpec),
         (["a"] * 7, ValueError),
         ([object()] * 7, TypeError),
     ):
@@ -235,7 +236,7 @@ def test_switch_weak_never_increases_small_sample():
             and not pair.degenerate
             and switch_strict_witness(G, pair.f, spec)
         ):
-            assert strictly_less(lam_p, pair.lam, TOL)
+            assert strictly_less(lam_p, pair.lam)
             strict_done += 1
     assert weak_done >= 300 and strict_done >= 30
 
@@ -341,7 +342,7 @@ def test_hypothesis_checks_decide_weak_by_the_strict_comparison():
     # that one comparison, so the reversed pair fails it (an inequality of
     # its own, x >= y - slack, rounded the other way and passed both forms)
     lo, hi = 0.0199999999, 0.02
-    assert strictly_less(lo, hi, TOL)
+    assert strictly_less(lo, hi)
     G = _tree(2, 5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     f = [0.0, lo, hi, 0.5, 0.0]
     shift = check_shift_hypothesis(G, f, ShiftSpec(u=1, edges=((0, 1),), v=2))
@@ -371,7 +372,7 @@ def test_shift_weak_never_increases_in_scope_small_sample():
         assert lam_p <= pair.lam + _LAMBDA_TIE
         weak_done += 1
         if hc.strict and not pair.degenerate:
-            assert strictly_less(lam_p, pair.lam, TOL)
+            assert strictly_less(lam_p, pair.lam)
             strict_done += 1
     assert strict_done >= 30
 
