@@ -11,6 +11,7 @@ and reads/writes the .sht text format.
 import bisect
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from .errors import (
@@ -38,6 +39,24 @@ __all__ = [
 
 VertexId = int
 CanonicalCode = bytes
+
+
+def _index(x, error: type[Exception], what: str) -> int:
+    """x as a Python int, numpy integers and bools included; error when x
+    is not an integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {x!r}") from None
+
+
+def _indices(xs, error: type[Exception], what: str) -> tuple[int, ...]:
+    """xs as a tuple of Python ints, as _index reads each; error when xs is
+    not a collection of integers."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError:
+        raise error(f"{what} must hold integers, got {xs!r}") from None
 
 
 class Supertree(namedtuple("Supertree", "k n edges degrees")):
@@ -72,6 +91,8 @@ class DegreeSequence(namedtuple("DegreeSequence", "k entries")):
     __slots__ = ()
 
     def __new__(cls, k: int, entries: tuple[int, ...]):
+        k = _index(k, InfeasibleDegreeSequence, "edge size")
+        entries = _indices(entries, InfeasibleDegreeSequence, "a degree sequence")
         if k < 2:
             raise InfeasibleDegreeSequence(f"edge size must be at least 2, got k={k}")
         n = len(entries)
@@ -108,7 +129,7 @@ class DegreeSequence(namedtuple("DegreeSequence", "k entries")):
     @classmethod
     def from_degrees(cls, k: int, degrees) -> "DegreeSequence":
         """Sort a raw degree multiset into canonical arrangement."""
-        ds = sorted(degrees)
+        ds = sorted(_indices(degrees, InfeasibleDegreeSequence, "a degree multiset"))
         if ds and ds[0] < 1:
             raise InfeasibleDegreeSequence(f"degree {ds[0]} is below 1")
         ones = ds.count(1)
@@ -134,49 +155,44 @@ class DegreeSequence(namedtuple("DegreeSequence", "k entries")):
         return ",".join(str(d) for d in self.entries)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-
 def build_supertree(k: int, n: int, edges) -> Supertree:
     """Validate and construct a supertree.
 
+    Each edge, in sorted order, must join k components (one root find per
+    member), so the result has n - m*(k-1). Of several defects, the first
+    listed below is the one reported.
+
     Args:
-        k: edge size, at least 2.
-        n: number of vertices; ids are 0..n-1.
-        edges: iterable of k-sets of vertex ids.
+        k: edge size, an integer at least 2.
+        n: number of vertices, a positive integer; ids are 0..n-1.
+        edges: iterable of k-sets of integer vertex ids.
 
     Raises:
-        NotKUniform: an edge does not have exactly k distinct vertices.
-        BadVertexId: a vertex id falls outside [0, n).
+        NotKUniform: k is not an integer at least 2, or an edge does not
+            have exactly k distinct vertices.
+        BadVertexId: n is not a positive integer, or an id is not an
+            integer or falls outside [0, n).
         DuplicateEdge: the same k-set appears twice.
         EdgeOverlapTooLarge: two edges share two or more vertices.
         ContainsCycle: the incidence graph contains a cycle.
         Disconnected: the hypergraph is not one component covering all ids.
     """
+    k = _index(k, NotKUniform, "edge size")
     if k < 2:
         raise NotKUniform(f"edge size must be at least 2, got k={k}")
+    n = _index(n, BadVertexId, "vertex count")
     if n < 1:
         raise BadVertexId(f"vertex count must be positive, got n={n}")
     normalized = []
     for e in edges:
-        t = tuple(sorted(e))
+        t = tuple(sorted(_indices(e, BadVertexId, "an edge")))
         if len(t) != k or len(set(t)) != k:
             raise NotKUniform(f"edge {t} does not have exactly {k} distinct vertices")
         if t[0] < 0 or t[-1] >= n:
             raise BadVertexId(f"edge {t} uses ids outside 0..{n - 1}")
         normalized.append(t)
+    if not normalized:
+        raise Disconnected("a supertree contains at least one edge")
     normalized.sort()
     for prev, cur in zip(normalized, normalized[1:]):
         if prev == cur:
@@ -189,28 +205,26 @@ def build_supertree(k: int, n: int, edges) -> Supertree:
                     f"vertices {pair[0]} and {pair[1]} share two edges"
                 )
             seen_pairs.add(pair)
-    # only vertices on some edge enter the union-find, so a huge declared n
-    # costs nothing: ids outside every edge are isolated components
-    touched = {v for e in normalized for v in e}
-    uf = _UnionFind(touched)
+    parent = {v: v for e in normalized for v in e}
     for e in normalized:
-        roots = {uf.find(v) for v in e}
+        roots = set()
+        for v in e:
+            while parent[v] != v:  # path halving
+                parent[v] = v = parent[parent[v]]
+            roots.add(v)
         if len(roots) < k:
             # overlap-size-2 cases were caught above, so this is a longer cycle
             raise ContainsCycle(f"edge {e} closes a cycle")
-        for v in e[1:]:
-            uf.union(e[0], v)
-    if not normalized:
-        raise Disconnected("a supertree contains at least one edge")
-    components = len({uf.find(v) for v in touched}) + n - len(touched)
+        top = roots.pop()
+        for r in roots:
+            parent[r] = top
+    components = n - len(normalized) * (k - 1)
     if components > 1:
         raise Disconnected(f"{components} components, expected 1")
     degrees = [0] * n
     for e in normalized:
         for v in e:
             degrees[v] += 1
-    m = len(normalized)
-    assert m * (k - 1) == n - 1, "connected acyclic counts are forced"
     return Supertree(k=k, n=n, edges=tuple(normalized), degrees=tuple(degrees))
 
 

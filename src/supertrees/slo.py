@@ -28,6 +28,7 @@ from .core import (
     Supertree,
     VertexId,
     _incidence_walk,
+    _indices,
     _isomorphism,
     _vertex_values,
     degree_sequence,
@@ -79,7 +80,7 @@ def check_slo(G: Supertree, order) -> list[SloViolation]:
     Raises:
         NotAPermutation: order is not a permutation of 0..n-1.
     """
-    ord_tuple = tuple(order)
+    ord_tuple = _indices(order, NotAPermutation, "an ordering")
     if sorted(ord_tuple) != list(range(G.n)):
         raise NotAPermutation("ordering is not a permutation of 0..n-1")
     pos = [0] * G.n

@@ -13,6 +13,7 @@ transformations, built greedily here.
 """
 
 import bisect
+import math
 from collections import namedtuple
 
 from .config import strictly_less
@@ -116,10 +117,12 @@ def check_switch_hypothesis(G: Supertree, f, spec: SwitchSpec) -> HypothesisChec
     """
     _validate_switch(G, spec)
     fs = _vertex_values(G, f, InvalidSpec)
-    su1 = float(sum(fs[v] for v in spec.u1))
-    sv1 = float(sum(fs[v] for v in spec.v1))
-    rest1 = float(sum(fs[v] for v in spec.e1 if v not in spec.u1))
-    rest2 = float(sum(fs[v] for v in spec.e2 if v not in spec.v1))
+    # exactly rounded, as in relabel: 3.10 and 3.11's sum() does not
+    # compensate rounding, so near the slack the answer would hang on it
+    su1 = math.fsum(fs[v] for v in spec.u1)
+    sv1 = math.fsum(fs[v] for v in spec.v1)
+    rest1 = math.fsum(fs[v] for v in spec.e1 if v not in spec.u1)
+    rest2 = math.fsum(fs[v] for v in spec.e2 if v not in spec.v1)
     weak = not (strictly_less(su1, sv1) or strictly_less(rest2, rest1))
     strict = weak and (strictly_less(sv1, su1) or strictly_less(rest1, rest2))
     return HypothesisCheck(weak=weak, strict=strict)

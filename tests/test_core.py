@@ -44,6 +44,7 @@ from supertrees.core import (
 )
 from supertrees.enumeration import _grow_classes, _raisable
 from support import (
+    _connected,
     apply_vertex_permutation,
     broom,
     random_supertree,
@@ -122,6 +123,70 @@ def test_rejects_disconnected():
         build_supertree(2, 10**15, [(0, 1)])
 
 
+def test_first_defect_in_check_order_is_reported():
+    # the cycle closes at (2, 3, 4), the first closing edge in sorted order
+    # (in the given order it would be (0, 1, 2)); ids 8 and 9 are isolated
+    with pytest.raises(ContainsCycle, match=r"^edge \(2, 3, 4\) closes a cycle$"):
+        build_supertree(3, 10, [(5, 6, 7), (4, 5, 0), (2, 3, 4), (0, 1, 2)])
+    # (0, 1, 2) and (0, 1, 3) share two vertices, and 2-4-5-3 closes a cycle
+    with pytest.raises(EdgeOverlapTooLarge, match="^vertices 0 and 1 share two edges$"):
+        build_supertree(3, 7, [(3, 5, 6), (2, 4, 5), (0, 1, 3), (0, 1, 2)])
+    # a forest has n - m*(k-1) components: {0..4}, {5, 6, 7} and 8..11
+    with pytest.raises(Disconnected, match="^6 components, expected 1$"):
+        build_supertree(3, 12, [(0, 1, 2), (2, 3, 4), (5, 6, 7)])
+
+
+def test_build_accepts_exactly_connected_lists_meeting_the_counting_identity():
+    # a list is a supertree iff it has an edge, every edge holds k distinct
+    # ids in range, m*(k-1) = n-1 and the incidence graph is connected: a
+    # connected incidence graph with n + m nodes and k*m = n + m - 1 links
+    # is a tree, so no cycle, repeated edge or double overlap remains
+    rng = random.Random(2727)
+    accepted = 0
+    for _ in range(4000):
+        k, n = rng.randint(2, 4), rng.randint(1, 10)
+        m = max(1, (n - 1) // (k - 1) + rng.choice((-1, 0, 0, 0, 1)))
+        edges: list[tuple[int, ...]] = []
+        for _ in range(m):
+            if edges and rng.random() < 0.05:
+                edges.append(rng.choice(edges)[::-1])  # a repeated edge
+            else:
+                ids = range(n + (rng.random() < 0.05))  # maybe id n
+                edges.append(tuple(rng.sample(ids, min(k, len(ids)))))
+        valid = (
+            all(len(set(e)) == k and max(e) < n for e in edges)
+            and len(edges) * (k - 1) == n - 1
+            and _connected(edges, n)
+        )
+        try:
+            G = build_supertree(k, n, edges)
+        except SupertreeError:
+            assert not valid, (k, n, edges)
+            continue
+        assert valid, (k, n, edges)
+        accepted += 1
+        assert G.degrees == tuple(sum(v in e for e in edges) for v in range(n))
+    assert accepted > 400
+
+
+def test_build_reads_integers_only_and_stores_python_ints():
+    import numpy as np
+
+    # bools and numpy integers are integers; they are stored as ints, so
+    # the .sht text round-trips
+    G = build_supertree(np.int64(2), np.int32(3), [(True, 0), (np.int64(1), 2)])
+    assert G == (2, 3, ((0, 1), (1, 2)), (1, 2, 1))
+    assert {type(x) for x in (G.k, G.n, *G.edges[0], *G.edges[1])} == {int}
+    assert serialize_sht(G) == "k 2\nn 3\ne 0 1\ne 1 2\n"
+    assert parse_sht(serialize_sht(G)) == G
+    with pytest.raises(BadVertexId, match="an edge must hold integers"):
+        build_supertree(2, 3, [(0.0, 1), (1, 2)])
+    with pytest.raises(BadVertexId, match="vertex count must be an integer"):
+        build_supertree(2, 3.0, [(0, 1), (1, 2)])
+    with pytest.raises(NotKUniform, match="edge size must be an integer"):
+        build_supertree(2.0, 3, [(0, 1), (1, 2)])
+
+
 def test_degree_sequence_arrangement():
     pi = degree_sequence(build_supertree(3, 9, CHAIN9))
     assert pi.entries == (2, 2, 2, 1, 1, 1, 1, 1, 1)
@@ -161,6 +226,19 @@ def test_degree_sequence_validation():
         DegreeSequence(3, (2, 1, 1, 1, 1))._replace(entries=(3, 1, 1, 1, 1))
     with pytest.raises(TypeError):
         DegreeSequence(3, (2, 1, 1, 1, 1), 1)  # n0 is derived, not passed
+
+
+def test_degree_sequence_reads_integers_only():
+    import numpy as np
+
+    pi = DegreeSequence(np.int64(2), [np.int64(2), True, 1])
+    assert pi == (2, (2, 1, 1)) and {type(x) for x in (pi.k, *pi.entries)} == {int}
+    with pytest.raises(InfeasibleDegreeSequence, match="edge size must be an integer"):
+        DegreeSequence(2.0, (2, 1, 1))
+    with pytest.raises(InfeasibleDegreeSequence, match="must hold integers"):
+        DegreeSequence(2, (2.0, 1, 1))
+    with pytest.raises(InfeasibleDegreeSequence, match="must hold integers"):
+        DegreeSequence.from_degrees(2, (1, 2.0, 1))
 
 
 def test_degree_sequence_derives_n0_from_its_entries():

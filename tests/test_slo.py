@@ -136,6 +136,9 @@ def test_non_permutations_rejected():
         check_slo(G, (0, 1, 2, 3, 4, 5, 5))
     with pytest.raises(NotAPermutation):
         check_slo(G, (0, 1, 2, 3, 4, 5, 7))
+    # entries compare equal to 0..n-1 but are not integers
+    with pytest.raises(NotAPermutation, match="must hold integers"):
+        check_slo(G, [0.0, 1, 2, 3, 4, 5, 6])
 
 
 def test_find_accepts_spiral_like_trees():

@@ -135,6 +135,20 @@ def test_switch_weak_fails_when_group_sums_reverse():
     assert not hc.weak and not hc.strict
 
 
+def test_switch_hypothesis_sums_groups_exactly():
+    # u1 = {4, 5, 6} sums to the slack 1e-10 exactly but rounds above it
+    # left to right, as sum() does before Python 3.12; v1 = {1, 2, 3} sums
+    # to 0 and the rests to f(0), so the weak form holds and the strict not
+    G = build_supertree(4, 16, ((0, 1, 2, 3), (0, 4, 5, 6), (4, 7, 8, 9),
+                                (5, 10, 11, 12), (6, 13, 14, 15)))
+    f = [1.0, 0.0, 0.0, 0.0, 1e-12, 33e-12, 66e-12] + [0.0] * 9
+    assert math.fsum(f[4:7]) == 1e-10 < (f[4] + f[5]) + f[6]
+    spec = SwitchSpec(
+        e1=(0, 4, 5, 6), e2=(0, 1, 2, 3), u1=frozenset({4, 5, 6}), v1=frozenset({1, 2, 3})
+    )
+    assert check_switch_hypothesis(G, f, spec) == (True, False)
+
+
 def test_switch_duplicate_edge_rejected():
     G = _tree(2, 4, ((0, 1), (1, 2), (2, 3)))
     spec = SwitchSpec(e1=(0, 1), e2=(2, 3), u1=frozenset({1}), v1=frozenset({3}))
