@@ -38,16 +38,17 @@ def _print_rows(fmt: str, header: list[str], rows) -> None:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    """argparse type of a comma-separated integer list; empty parts skipped."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _load(path: str) -> Supertree:
     with open(path, encoding="utf-8") as fh:
         return parse_sht(fh.read())
-
-
-def _degree_sequence(k: int, text: str) -> DegreeSequence:
-    return DegreeSequence.from_degrees(k, _int_list(text))
 
 
 def _edge_at(G: Supertree, index: int) -> tuple[int, ...]:
@@ -86,7 +87,7 @@ def _cmd_eigen(args) -> int:
 def _cmd_slo_check(args) -> int:
     from .slo import check_slo
     G = _load(args.file)
-    violations = check_slo(G, _int_list(args.order))
+    violations = check_slo(G, args.order)
     if not violations:
         print("ok")
         return 0
@@ -108,7 +109,7 @@ def _cmd_slo_find(args) -> int:
 
 def _cmd_slo_construct(args) -> int:
     from .slo import construct_slo_supertree
-    pi = _degree_sequence(args.k, args.pi)
+    pi = DegreeSequence.from_degrees(args.k, args.pi)
     G, order = construct_slo_supertree(pi)
     sys.stdout.write(serialize_sht(G))
     print("order " + " ".join(str(v) for v in order))
@@ -133,8 +134,8 @@ def _cmd_switch(args) -> int:
     spec = SwitchSpec(
         e1=_edge_at(G, args.e1),
         e2=_edge_at(G, args.e2),
-        u1=frozenset(_int_list(args.u1)),
-        v1=frozenset(_int_list(args.v1)),
+        u1=frozenset(args.u1),
+        v1=frozenset(args.v1),
     )
     sys.stdout.write(serialize_sht(apply_switch(G, spec)))
     return 0
@@ -145,7 +146,7 @@ def _cmd_shift(args) -> int:
     G = _load(args.file)
     spec = ShiftSpec(
         u=args.u,
-        edges=tuple(_edge_at(G, i) for i in _int_list(args.edges)),
+        edges=tuple(_edge_at(G, i) for i in args.edges),
         v=args.v,
     )
     sys.stdout.write(serialize_sht(apply_shift(G, spec)))
@@ -154,14 +155,14 @@ def _cmd_shift(args) -> int:
 
 def _cmd_unit(args) -> int:
     from .transforms import unit_transformation
-    pi = _degree_sequence(args.k, args.pi)
+    pi = DegreeSequence.from_degrees(args.k, args.pi)
     print(f"pi={unit_transformation(pi, args.p)}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     from .enumeration import _pi_classes
-    pi = _degree_sequence(args.k, args.pi)
+    pi = DegreeSequence.from_degrees(args.k, args.pi)
     members = _pi_classes(pi)
     print(f"count={len(members)}")
     rows = [[code.decode("ascii")] for code, _ in members]
@@ -191,29 +192,21 @@ def _print_certificate(fmt: str, cert) -> None:
     _print_rows(fmt, ["canonical_code", "lambda", "is_winner", "is_slo"], rows)
 
 
-def _sweep_exit(certs: list) -> int:
+def _cmd_verify_fk1(args) -> int:
+    from .enumeration import fk1_sweep, verify_fk_theorem1
+    if args.pi is not None:
+        cert = verify_fk_theorem1(DegreeSequence.from_degrees(args.k, args.pi))
+        _print_certificate(args.format, cert)
+        return 0 if cert.passed else 1
+    certs = fk1_sweep(args.k, args.n_max)
+    if not certs:
+        raise EmptyFamily(f"no degree sequence with k={args.k} and n <= "
+                          f"{args.n_max} has an interior vertex")
     passed = sum(1 for cert in certs if cert.passed)
     for cert in certs:
         print(_certificate_line(cert))
     print(f"families={len(certs)} passed={passed} failed={len(certs) - passed}")
     return 0 if passed == len(certs) else 1
-
-
-def _cmd_verify_fk1(args) -> int:
-    from .enumeration import fk1_sweep, verify_fk_theorem1
-    if args.all and args.pi is not None:
-        raise InvalidSpec("pass --pi or --all, not both")
-    if args.all:
-        certs = fk1_sweep(args.k, args.n_max)
-        if not certs:
-            raise EmptyFamily(f"no degree sequence with k={args.k} and n <= "
-                              f"{args.n_max} has an interior vertex")
-        return _sweep_exit(certs)
-    if args.pi is None:
-        raise InvalidSpec("pass --pi, or --all with --n-max")
-    cert = verify_fk_theorem1(_degree_sequence(args.k, args.pi))
-    _print_certificate(args.format, cert)
-    return 0 if cert.passed else 1
 
 
 def _cmd_verify_fk2(args) -> int:
@@ -226,8 +219,8 @@ def _cmd_verify_fk2(args) -> int:
 def _cmd_majorize(args) -> int:
     from .enumeration import _majorization_lambdas
     from .transforms import majorizes
-    pi = _degree_sequence(args.k, args.pi)
-    pi_prime = _degree_sequence(args.k, args.pi_prime)
+    pi = DegreeSequence.from_degrees(args.k, args.pi)
+    pi_prime = DegreeSequence.from_degrees(args.k, args.pi_prime)
     majorized = majorizes(pi, pi_prime)
     print(f"majorized={_tf(majorized)}")
     if not majorized:
@@ -261,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slo-check", help="check an ordering against S1-S5")
     p.add_argument("file")
-    p.add_argument("--order", required=True, help="comma-separated vertex ids")
+    p.add_argument("--order", type=_int_list, required=True,
+                   help="comma-separated vertex ids")
     p.set_defaults(run=_cmd_slo_check)
 
     p = sub.add_parser("slo-find", help="find a spiral-like ordering")
@@ -272,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "slo-construct", help="build the SLO-supertree of a degree sequence"
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", required=True, help="comma-separated degrees")
+    p.add_argument("--pi", type=_int_list, required=True,
+                   help="comma-separated degrees")
     p.set_defaults(run=_cmd_slo_construct)
 
     p = sub.add_parser(
@@ -285,14 +280,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--e1", type=int, required=True, help="edge index")
     p.add_argument("--e2", type=int, required=True, help="edge index")
-    p.add_argument("--u1", default="", help="comma-separated vertex ids")
-    p.add_argument("--v1", default="", help="comma-separated vertex ids")
+    for flag in ("--u1", "--v1"):
+        p.add_argument(flag, type=_int_list, default=(),
+                       help="comma-separated vertex ids")
     p.set_defaults(run=_cmd_switch)
 
     p = sub.add_parser("shift", help="re-hang a bundle of edges from u onto v")
     p.add_argument("file")
     p.add_argument("--u", type=int, required=True)
-    p.add_argument("--edges", default="", help="comma-separated edge indices")
+    p.add_argument("--edges", type=_int_list, default=(),
+                   help="comma-separated edge indices")
     p.add_argument("--v", type=int, required=True)
     p.set_defaults(run=_cmd_shift)
 
@@ -300,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "unit", help="unit transformation on a degree sequence"
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", required=True)
+    p.add_argument("--pi", type=_int_list, required=True)
     p.add_argument("--p", type=int, required=True, help="interior position")
     p.set_defaults(run=_cmd_unit)
 
@@ -308,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate", help="all isomorphism classes with a degree sequence"
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", required=True)
+    p.add_argument("--pi", type=_int_list, required=True)
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser(
@@ -316,9 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="SLO-supertree minimizes lambda among its degree sequence class",
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", help="comma-separated degrees")
-    p.add_argument("--all", action="store_true", help="sweep all sequences")
-    p.add_argument("--n-max", type=int, default=9, help="sweep size bound")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pi", type=_int_list, help="comma-separated degrees")
+    mode.add_argument("--n-max", type=int, help="sweep every sequence with at "
+                      "most this many vertices")
     p.set_defaults(run=_cmd_verify_fk1)
 
     p = sub.add_parser(
@@ -335,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "majorize", help="eigenvalue monotonicity along majorization"
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", required=True)
-    p.add_argument("--pi-prime", required=True)
+    p.add_argument("--pi", type=_int_list, required=True)
+    p.add_argument("--pi-prime", type=_int_list, required=True)
     p.set_defaults(run=_cmd_majorize)
 
     return parser

@@ -168,8 +168,8 @@ def build_supertree(k: int, n: int, edges) -> Supertree:
         edges: iterable of k-sets of integer vertex ids.
 
     Raises:
-        NotKUniform: k is not an integer at least 2, or an edge does not
-            have exactly k distinct vertices.
+        NotKUniform: k is not an integer at least 2, edges is not iterable,
+            or an edge does not have exactly k distinct vertices.
         BadVertexId: n is not a positive integer, or an id is not an
             integer or falls outside [0, n).
         DuplicateEdge: the same k-set appears twice.
@@ -183,6 +183,11 @@ def build_supertree(k: int, n: int, edges) -> Supertree:
     n = _index(n, BadVertexId, "vertex count")
     if n < 1:
         raise BadVertexId(f"vertex count must be positive, got n={n}")
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise NotKUniform(
+            f"edges must be an iterable of k-sets, got {edges!r}") from None
     normalized = []
     for e in edges:
         t = tuple(sorted(_indices(e, BadVertexId, "an edge")))

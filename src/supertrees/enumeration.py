@@ -27,10 +27,17 @@ from .core import (
     Supertree,
     _attach_leaf,
     _CentroidTree,
+    _index,
     build_supertree,
     canonical_code,
 )
-from .errors import EmptyFamily, NotKUniform, NotMajorized
+from .errors import (
+    BadVertexId,
+    EmptyFamily,
+    InfeasibleDegreeSequence,
+    NotKUniform,
+    NotMajorized,
+)
 from .slo import construct_slo_supertree
 from .transforms import _require_chain
 
@@ -112,12 +119,26 @@ def _ascending_partitions(total: int, count: int, low: int):
         parts[i:] = [x] * tail + [rest - x * tail]
 
 
-def _flattest_sequence(n: int, n0: int, k: int, d: int) -> DegreeSequence | None:
+def _min_degree_family(n, n0, k, d) -> FamilySpec:
+    """The spec of T_d(n, n0) with edge size k, each parameter read as an
+    integer before anything else looks at it: NotKUniform for k,
+    BadVertexId for n, InfeasibleDegreeSequence for n0 and d."""
+    return FamilySpec(
+        kind="min_degree",
+        k=_index(k, NotKUniform, "edge size"),
+        n=_index(n, BadVertexId, "vertex count"),
+        n0=_index(n0, InfeasibleDegreeSequence, "interior count"),
+        d=_index(d, InfeasibleDegreeSequence, "minimum degree"),
+    )
+
+
+def _flattest_sequence(family: FamilySpec) -> DegreeSequence | None:
     """(d, ..., d, d') with n0 interior entries, d' taking the remainder, or
     all ones for the single edge (n0 = 0, n = k); None when no supertree has
     n vertices, n0 interior ones and interior degrees at least d: k < 2, n0
     outside 0..n, (n-1) not a multiple of (k-1), n0 = 0 with n != k, or
     d' < max(2, d)."""
+    _, k, _, n, n0, d = family
     if k < 2 or not 0 <= n0 <= n or (n - 1) % (k - 1) != 0:
         return None
     if n0 == 0:
@@ -139,12 +160,14 @@ def feasible_degree_sequences(
     Every returned sequence is realizable (the greedy SLO construction
     realizes it); infeasible parameters give the empty list.
     """
-    flattest = _flattest_sequence(n, n0, k, d_min)
+    family = _min_degree_family(n, n0, k, d_min)
+    flattest = _flattest_sequence(family)
     if flattest is None:
         return []
     return [
-        DegreeSequence(k, part + flattest.entries[n0:])
-        for part in _ascending_partitions(sum(flattest.interior), n0, max(2, d_min))
+        DegreeSequence(flattest.k, part + flattest.entries[flattest.n0:])
+        for part in _ascending_partitions(
+            sum(flattest.interior), flattest.n0, max(2, family.d))
     ]
 
 
@@ -192,7 +215,10 @@ def _buckets(k: int, n_max: int, bound=None) -> dict:
     family. Unbounded (a sweep), every class with at most n_max vertices;
     under a bound (a single query, see _grow_classes), only the classes of
     the last layer grown, which have n_max vertices when n_max - 1 is a
-    multiple of k - 1. NotKUniform for k below 2."""
+    multiple of k - 1. NotKUniform for k not an integer or below 2,
+    BadVertexId for n_max not an integer."""
+    k = _index(k, NotKUniform, "edge size")
+    n_max = _index(n_max, BadVertexId, "vertex bound")
     if k < 2:
         raise NotKUniform(f"edge size must be at least 2, got k={k}")
     layers = _grow_classes(k, (n_max - 1) // (k - 1), bound)
@@ -225,15 +251,14 @@ def enumerate_supertrees(pi: DegreeSequence) -> list[Supertree]:
     return [G for _, G in _pi_classes(pi)]
 
 
-def _family_classes(
-    n: int, n0: int, k: int, d_min: int
-) -> list[tuple[CanonicalCode, Supertree]]:
-    flattest = _flattest_sequence(n, n0, k, d_min)
+def _family_classes(family: FamilySpec) -> list[tuple[CanonicalCode, Supertree]]:
+    flattest = _flattest_sequence(family)
     if flattest is None:
         return []
-    # the interior degrees are at least max(2, d_min) each, so none exceeds d'
+    _, k, _, n, n0, d = family
+    # the interior degrees are at least max(2, d) each, so none exceeds d'
     buckets = _buckets(k, n, (max(flattest.entries),) * n0)
-    return _min_degree_families(buckets, d_min).get((n, n0), [])
+    return _min_degree_families(buckets, d).get((n, n0), [])
 
 
 def enumerate_family(
@@ -241,7 +266,7 @@ def enumerate_family(
 ) -> list[Supertree]:
     """Every isomorphism class with n vertices, n0 interior vertices, and
     all interior degrees at least d_min, sorted by canonical code."""
-    return [G for _, G in _family_classes(n, n0, k, d_min)]
+    return [G for _, G in _family_classes(_min_degree_family(n, n0, k, d_min))]
 
 
 def _score_families(
@@ -258,7 +283,7 @@ def _score_families(
         [G for _, members in families for _, G in members]))
     certs = []
     for family, members in families:
-        pi = family.pi or _flattest_sequence(family.n, family.n0, family.k, family.d)
+        pi = family.pi or _flattest_sequence(family)
         slo_code = canonical_code(construct_slo_supertree(pi)[0])
         rows = sorted(
             ((code, next(lams), G) for code, G in members), key=lambda item: item[1]
@@ -306,14 +331,17 @@ def verify_fk_theorem2(n: int, n0: int, k: int, d: int) -> FkCertificate:
 
     Raises:
         EmptyFamily: no such supertree has an interior vertex.
+        NotKUniform: k is not an integer.
+        BadVertexId: n is not an integer.
+        InfeasibleDegreeSequence: n0 or d is not an integer.
     """
-    family = FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d)
-    if n0 < 1:
+    family = _min_degree_family(n, n0, k, d)
+    if family.n0 < 1:
         raise EmptyFamily(
             f"{family.describe()} has no interior vertex to apply the "
             "eigenvalue problem to"
         )
-    members = _family_classes(n, n0, k, d)
+    members = _family_classes(family)
     if not members:
         raise EmptyFamily(f"{family.describe()} is empty")
     return _score_families([(family, members)])[0]
@@ -354,7 +382,8 @@ def fk1_sweep(k: int, n_max: int) -> list[FkCertificate]:
     vertex, edge size k, and at most n_max vertices.
 
     Raises:
-        NotKUniform: k is below 2.
+        NotKUniform: k is not an integer or below 2.
+        BadVertexId: n_max is not an integer.
     """
     return _score_families([
         (FamilySpec(kind="pi", k=k, pi=DegreeSequence(k, interior + (1,) * (n - n0))),
@@ -369,8 +398,11 @@ def fk2_sweep(k: int, n_max: int, d: int) -> list[FkCertificate]:
     k, at most n_max vertices and an interior vertex.
 
     Raises:
-        NotKUniform: k is below 2.
+        InfeasibleDegreeSequence: d is not an integer.
+        NotKUniform: k is not an integer or below 2.
+        BadVertexId: n_max is not an integer.
     """
+    d = _index(d, InfeasibleDegreeSequence, "minimum degree")
     families = _min_degree_families(_buckets(k, n_max), d)
     return _score_families([
         (FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d), group)

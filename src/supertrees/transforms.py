@@ -17,7 +17,14 @@ import math
 from collections import namedtuple
 
 from .config import strictly_less
-from .core import DegreeSequence, Supertree, _vertex_values, build_supertree
+from .core import (
+    DegreeSequence,
+    Supertree,
+    _index,
+    _indices,
+    _vertex_values,
+    build_supertree,
+)
 from .errors import (
     DegreeTooSmall,
     IndexOutOfRange,
@@ -44,13 +51,17 @@ __all__ = [
 
 class SwitchSpec(namedtuple("SwitchSpec", "e1 e2 u1 v1")):
     """Exchange u1 (a subset of e1) with v1 (a subset of e2, same size): e1
-    and e2 are edges, u1 and v1 frozensets of vertices."""
+    and e2 are edges, u1 and v1 sets of vertices. Each may be given as any
+    collection of integers (a list, tuple or frozenset; an edge in any
+    order)."""
 
     __slots__ = ()
 
 
 class ShiftSpec(namedtuple("ShiftSpec", "u edges v")):
-    """Replace u by v in every edge of the bundle (all containing u)."""
+    """Replace u by v in every edge of the bundle (all containing u). The
+    bundle may be any collection of edges, each any collection of integers
+    in any order."""
 
     __slots__ = ()
 
@@ -65,7 +76,18 @@ class HypothesisCheck(namedtuple("HypothesisCheck", "weak strict")):
     __slots__ = ()
 
 
-def _validate_switch(G: Supertree, spec: SwitchSpec) -> None:
+def _edge(e) -> tuple[int, ...]:
+    return tuple(sorted(_indices(e, InvalidSpec, "an edge")))
+
+
+def _validate_switch(G: Supertree, spec: SwitchSpec) -> SwitchSpec:
+    """spec with sorted int-tuple edges and frozenset groups, once it fits G."""
+    spec = SwitchSpec(
+        e1=_edge(spec.e1),
+        e2=_edge(spec.e2),
+        u1=frozenset(_indices(spec.u1, InvalidSpec, "u1")),
+        v1=frozenset(_indices(spec.v1, InvalidSpec, "v1")),
+    )
     edges = set(G.edges)
     if spec.e1 not in edges or spec.e2 not in edges:
         raise InvalidSpec("e1 and e2 must be edges of the supertree")
@@ -79,6 +101,7 @@ def _validate_switch(G: Supertree, spec: SwitchSpec) -> None:
         raise InvalidSpec("u1 and v1 must have the same size")
     if spec.u1 & spec.v1:
         raise InvalidSpec("u1 and v1 must be disjoint")
+    return spec
 
 
 def apply_switch(G: Supertree, spec: SwitchSpec) -> Supertree:
@@ -92,7 +115,7 @@ def apply_switch(G: Supertree, spec: SwitchSpec) -> Supertree:
             e2, or an exchanged edge loses a vertex to overlap.
         ResultNotSupertree: the rewired edge set is not a supertree.
     """
-    _validate_switch(G, spec)
+    spec = _validate_switch(G, spec)
     e1p = tuple(sorted((set(spec.e1) - spec.u1) | spec.v1))
     e2p = tuple(sorted((set(spec.e2) - spec.v1) | spec.u1))
     if len(e1p) != G.k or len(e2p) != G.k:
@@ -115,7 +138,7 @@ def check_switch_hypothesis(G: Supertree, f, spec: SwitchSpec) -> HypothesisChec
     Raises:
         InvalidSpec: the spec does not fit G, or f is not G.n finite reals.
     """
-    _validate_switch(G, spec)
+    spec = _validate_switch(G, spec)
     fs = _vertex_values(G, f, InvalidSpec)
     # exactly rounded, as in relabel: 3.10 and 3.11's sum() does not
     # compensate rounding, so near the slack the answer would hang on it
@@ -128,7 +151,16 @@ def check_switch_hypothesis(G: Supertree, f, spec: SwitchSpec) -> HypothesisChec
     return HypothesisCheck(weak=weak, strict=strict)
 
 
-def _validate_shift(G: Supertree, spec: ShiftSpec) -> None:
+def _validate_shift(G: Supertree, spec: ShiftSpec) -> ShiftSpec:
+    """spec with int u and v and a tuple of sorted int-tuple edges, once it
+    fits G."""
+    try:
+        bundle = tuple(map(_edge, spec.edges))
+    except TypeError:
+        raise InvalidSpec(f"the shifted bundle must be a collection of edges, "
+                          f"got {spec.edges!r}") from None
+    spec = ShiftSpec(u=_index(spec.u, InvalidSpec, "u"), edges=bundle,
+                     v=_index(spec.v, InvalidSpec, "v"))
     edges = set(G.edges)
     if len(set(spec.edges)) != len(spec.edges):
         raise InvalidSpec("the shifted bundle repeats an edge")
@@ -145,6 +177,7 @@ def _validate_shift(G: Supertree, spec: ShiftSpec) -> None:
         raise InvalidSpec(f"v={spec.v} is not a vertex")
     if spec.v == spec.u:
         raise InvalidSpec("u and v must differ")
+    return spec
 
 
 def apply_shift(G: Supertree, spec: ShiftSpec) -> Supertree:
@@ -157,7 +190,7 @@ def apply_shift(G: Supertree, spec: ShiftSpec) -> Supertree:
         InvalidSpec: the bundle is not a set of edges through u avoiding v.
         ResultNotSupertree: the rewired edge set is not a supertree.
     """
-    _validate_shift(G, spec)
+    spec = _validate_shift(G, spec)
     bundle = set(spec.edges)
     new_edges = []
     for e in G.edges:
@@ -181,7 +214,7 @@ def check_shift_hypothesis(G: Supertree, f, spec: ShiftSpec) -> HypothesisCheck:
     Raises:
         InvalidSpec: the spec does not fit G, or f is not G.n finite reals.
     """
-    _validate_shift(G, spec)
+    spec = _validate_shift(G, spec)
     fs = _vertex_values(G, f, InvalidSpec)
     fu, fv = fs[spec.u], fs[spec.v]
     others = {w for e in spec.edges for w in e} - {spec.u}
@@ -199,9 +232,11 @@ def unit_transformation(pi: DegreeSequence, p: int) -> DegreeSequence:
     least 3 so the result keeps every interior degree at least 2.
 
     Raises:
-        IndexOutOfRange: p is not an interior position with a successor.
+        IndexOutOfRange: p is not an integer, or not an interior position
+            with a successor.
         DegreeTooSmall: entry p is below 3.
     """
+    p = _index(p, IndexOutOfRange, "position")
     interior = list(pi.interior)
     if not 0 <= p <= len(interior) - 2:
         raise IndexOutOfRange(

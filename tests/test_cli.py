@@ -549,8 +549,7 @@ def test_verify_fk1_single_family(capsys):
 
 
 def test_verify_fk1_sweep(capsys):
-    code, out, _ = _run(capsys, "verify-fk1", "--k", "3", "--all",
-                        "--n-max", "7")
+    code, out, _ = _run(capsys, "verify-fk1", "--k", "3", "--n-max", "7")
     assert code == 0
     assert out == (
         "family=T_pi(k=3,pi=2,1,1,1,1) unique=true slo_match=true\n"
@@ -563,25 +562,30 @@ def test_verify_fk1_sweep(capsys):
 def test_verify_fk1_empty_sweep_exits_2(capsys):
     # with k=3 the first sequence with an interior vertex has n=5
     for n_max in ("2", "4"):
-        code, out, err = _run(capsys, "verify-fk1", "--k", "3", "--all",
-                              "--n-max", n_max)
+        code, out, err = _run(capsys, "verify-fk1", "--k", "3", "--n-max", n_max)
         assert (code, out) == (2, "")
         assert err == (f"EmptyFamily: no degree sequence with k=3 and n <= {n_max} "
                        "has an interior vertex\n")
 
 
-def test_verify_fk1_requires_pi_or_all(capsys):
-    code, _, err = _run(capsys, "verify-fk1", "--k", "3")
-    assert code == 2
-    assert err == "InvalidSpec: pass --pi, or --all with --n-max\n"
+def test_verify_fk1_requires_pi_or_n_max(capsys):
+    # the mode is read off which of the two flags is given; --all is gone
+    for argv in (["--k", "3"], ["--k", "3", "--all"]):
+        code, out, err = _run(capsys, "verify-fk1", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: supertrees verify-fk1")
+        assert "--pi" in err and "--n-max" in err
+        assert "Traceback" not in err
 
 
-def test_verify_fk1_rejects_pi_with_all(capsys):
+def test_verify_fk1_rejects_pi_with_n_max(capsys):
     # the sweep never reads --pi, so an infeasible one would go unnoticed
-    code, out, err = _run(capsys, "verify-fk1", "--k", "2", "--all",
-                          "--n-max", "5", "--pi", "9,9")
+    code, out, err = _run(capsys, "verify-fk1", "--k", "2", "--n-max", "5",
+                          "--pi", "9,9")
     assert (code, out) == (2, "")
-    assert err == "InvalidSpec: pass --pi or --all, not both\n"
+    assert err.startswith("usage: supertrees verify-fk1")
+    assert "--pi" in err and "--n-max" in err
+    assert "Traceback" not in err
 
 
 def test_verify_fk2(capsys):
@@ -626,14 +630,14 @@ def test_majorize_rejects_non_majorized(capsys):
 def test_usage_errors_exit_2(capsys, star, tmp_path):
     assert _run(capsys, "nonsense")[0] == 2
     assert _run(capsys, "eigen", star, "--bogus")[0] == 2
-    assert _run(capsys, "--jobs", "2", "verify-fk1", "--k", "3", "--all")[0] == 2
+    assert _run(capsys, "--jobs", "2", "verify-fk1", "--k", "3", "--n-max", "9")[0] == 2
     huge = tmp_path / "huge.sht"
     huge.write_text("k 2\nn 1000000000000000\ne 0 1\n")
     twice = tmp_path / "twice.sht"
     twice.write_text("k 2\nk 3\nn 3\ne 0 1\ne 1 2\n")
     for argv, error in (
-        (["verify-fk1", "--k", "1", "--all", "--n-max", "5"], "NotKUniform:"),
-        (["verify-fk1", "--k", "0", "--all"], "NotKUniform:"),
+        (["verify-fk1", "--k", "1", "--n-max", "5"], "NotKUniform:"),
+        (["verify-fk1", "--k", "0", "--n-max", "9"], "NotKUniform:"),
         (["validate", str(huge)], "Disconnected:"),
         (["validate", str(twice)], "ShtFormatError: line 2: second 'k' line"),
     ):
@@ -644,19 +648,41 @@ def test_usage_errors_exit_2(capsys, star, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["slo-check", "H7", "--order", "0,1,x,3,4,5,6"], "--order"),
+    (["slo-construct", "--k", "3", "--pi", "2,2,1.5"], "--pi"),
+    (["switch", "H7", "--e1", "0", "--e2", "2", "--u1", "1;2"], "--u1"),
+    (["switch", "H7", "--e1", "0", "--e2", "2", "--u1", "1", "--v1", "five"], "--v1"),
+    (["shift", "H7", "--u", "1", "--edges", "2,,z", "--v", "3"], "--edges"),
+    (["unit", "--k", "2", "--pi", "3,3,1,1,1,1e0", "--p", "0"], "--pi"),
+    (["enumerate", "--k", "3", "--pi", "2,2,1,1,1,1,-"], "--pi"),
+    (["verify-fk1", "--k", "3", "--pi", "2,2,one"], "--pi"),
+    (["majorize", "--k", "2", "--pi", "3,3,1,1,1,1", "--pi-prime", "4,2,1,1,1,x"],
+     "--pi-prime"),
+])
+def test_malformed_comma_lists_are_usage_errors(capsys, h7, argv, flag):
+    # the parser reads every comma list; the error names the flag, not the
+    # function that parses it
+    code, out, err = _run(capsys, *(h7 if a == "H7" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: supertrees {argv[0]} ")
+    assert f"error: argument {flag}: expected comma-separated integers, got '" in err
+    assert "_int_list" not in err and "Traceback" not in err
+
+
 BIG = str(10**29)
 
 
 @pytest.mark.parametrize("argv, error", [
     (["verify-fk2", "--n", str(10**20), "--n0", str(10**19), "--k", "2", "--d", "2"],
      "error:"),
-    (["verify-fk1", "--all", "--k", BIG, "--n-max", str(11 * 10**29)], "error:"),
+    (["verify-fk1", "--k", BIG, "--n-max", str(11 * 10**29)], "error:"),
     (["slo-construct", "--k", BIG, "--pi", "1,1"], "InfeasibleDegreeSequence:"),
     (["enumerate", "--k", "2", "--pi", f"2,{BIG}"], "InfeasibleDegreeSequence:"),
     (["unit", "--k", "2", "--pi", "3,3,1,1,1,1", "--p", f"-{BIG}"], "IndexOutOfRange:"),
     (["verify-fk2", "--n", "21", "--n0", "1", "--k", "2", "--d", BIG], "EmptyFamily:"),
     (["slo-check", "H7", "--order", BIG], "NotAPermutation:"),
-    (["verify-fk1", "--all", "--k", "2", "--n-max", f"-{BIG}"], "EmptyFamily:"),
+    (["verify-fk1", "--k", "2", "--n-max", f"-{BIG}"], "EmptyFamily:"),
 ])
 def test_huge_integer_arguments_exit_2(capsys, h7, argv, error):
     # integers past a machine word; none of these allocates in proportion

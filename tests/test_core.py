@@ -187,6 +187,13 @@ def test_build_reads_integers_only_and_stores_python_ints():
         build_supertree(2.0, 3, [(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("edges", [5, None])
+def test_build_rejects_edges_that_are_not_iterable(edges):
+    with pytest.raises(NotKUniform,
+                       match=f"edges must be an iterable of k-sets, got {edges}"):
+        build_supertree(2, 3, edges)
+
+
 def test_degree_sequence_arrangement():
     pi = degree_sequence(build_supertree(3, 9, CHAIN9))
     assert pi.entries == (2, 2, 2, 1, 1, 1, 1, 1, 1)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
 from supertrees import (
+    BadVertexId,
     DegreeSequence,
     EmptyFamily,
+    InfeasibleDegreeSequence,
     LengthMismatch,
     NotKUniform,
     NotMajorized,
@@ -320,6 +323,46 @@ def test_fk2_sweep_small():
     for k in (1, 0):
         with pytest.raises(NotKUniform):
             fk2_sweep(k, 5, 2)
+
+
+NON_INTEGER_PARAMETERS = [
+    (fk1_sweep, (2.0, 6), NotKUniform, "edge size must be an integer, got 2.0"),
+    (fk1_sweep, (2, 6.0), BadVertexId, "vertex bound must be an integer, got 6.0"),
+    (fk1_sweep, (2, "9"), BadVertexId, "vertex bound must be an integer, got '9'"),
+    (verify_fk_theorem2, (7.0, 3, 2, 2), BadVertexId, "vertex count"),
+    (enumerate_family, (7, 3.0, 2), InfeasibleDegreeSequence, "interior count"),
+    (feasible_degree_sequences, (7, 3, 2, 2.0), InfeasibleDegreeSequence,
+     "minimum degree must be an integer, got 2.0"),
+    (fk2_sweep, (2, 6, 2.5), InfeasibleDegreeSequence,
+     "minimum degree must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, error, match", NON_INTEGER_PARAMETERS,
+    ids=[f"{call.__name__}{args}".replace(" ", "")
+         for call, args, _, _ in NON_INTEGER_PARAMETERS])
+def test_family_parameters_are_read_as_integers(call, args, error, match):
+    # each is read through operator.index before any other check, so a
+    # float is neither used as a size (TypeError deep inside) nor accepted
+    # as a minimum degree, and d=2.5 never reaches a degree sequence
+    with pytest.raises(error, match=re.escape(match)):
+        call(*args)
+
+
+def test_family_parameters_accept_numpy_integers_and_bools():
+    import numpy as np
+
+    assert fk1_sweep(np.int64(3), np.int32(7)) == fk1_sweep(3, 7)
+    assert fk2_sweep(np.int64(2), 6, np.int64(2)) == fk2_sweep(2, 6, 2)
+    cert = verify_fk_theorem2(np.int64(7), np.int64(2), np.int64(3), True)
+    assert cert.family == FamilySpec("min_degree", 3, None, 7, 2, 1)
+    assert {type(x) for x in cert.family[1:] if x is not None} == {int}
+    assert cert.family.describe() == "T_d(n=7,n0=2,k=3,d=1)"
+    assert enumerate_family(np.int64(7), np.int64(2), 3, True) == (
+        enumerate_family(7, 2, 3, 1))
+    assert feasible_degree_sequences(7, 2, np.int64(3), np.int64(2)) == (
+        feasible_degree_sequences(7, 2, 3, 2))
 
 
 def test_bounded_buckets_key_only_the_last_layer():

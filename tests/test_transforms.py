@@ -183,6 +183,67 @@ def test_switch_spec_validation():
         check_switch_hypothesis(G, [0.0] * 3, cases[2])
 
 
+def _as_lists(spec):
+    """spec with every group, edge and bundle as a list, edges reversed."""
+    if isinstance(spec, SwitchSpec):
+        return SwitchSpec(list(spec.e1)[::-1], list(spec.e2)[::-1],
+                          sorted(spec.u1), sorted(spec.v1))
+    return ShiftSpec(spec.u, [list(e)[::-1] for e in spec.edges], spec.v)
+
+
+def test_specs_read_lists_as_tuples_and_frozensets():
+    # the k=2 path 0-1-2-3, with list groups and a bundle of list edges
+    G = _tree(2, 4, ((0, 1), (1, 2), (2, 3)))
+    assert apply_switch(G, SwitchSpec((0, 1), (2, 3), [0], [3])) == apply_switch(
+        G, SwitchSpec((0, 1), (2, 3), frozenset({0}), frozenset({3})))
+    assert apply_shift(G, ShiftSpec(1, [[0, 1]], 3)) == apply_shift(
+        G, ShiftSpec(1, ((0, 1),), 3))
+    rng = random.Random(409)
+    for i in range(200):
+        G = random_supertree(rng, 2 + i % 3, rng.randint(2, 10))
+        f = first_dirichlet_eigenpair(G).f
+        shift = random_shift_spec(rng, G)
+        for spec in [random_switch_spec(rng, G)] + ([shift] if shift else []):
+            apply, check = (
+                (apply_switch, check_switch_hypothesis)
+                if isinstance(spec, SwitchSpec)
+                else (apply_shift, check_shift_hypothesis)
+            )
+            assert check(G, f, _as_lists(spec)) == check(G, f, spec)
+            try:
+                want = apply(G, spec)
+            except ResultNotSupertree:
+                with pytest.raises(ResultNotSupertree):
+                    apply(G, _as_lists(spec))
+            else:
+                assert apply(G, _as_lists(spec)) == want
+
+
+def test_specs_reject_non_integers():
+    G = _tree(2, 4, ((0, 1), (1, 2), (2, 3)))
+    switches = [
+        SwitchSpec((0, 1), (2, 3), [0.0], [3]),
+        SwitchSpec((0, 1.0), (2, 3), [0], [3]),
+        SwitchSpec((0, 1), (2, 3), 0, [3]),
+        SwitchSpec((0, 1), None, [0], [3]),
+    ]
+    shifts = [
+        ShiftSpec(1.0, [[0, 1]], 3),  # 1.0 == 1, so membership alone would pass
+        ShiftSpec(1, [[0, 1]], "3"),
+        ShiftSpec(1, [[0, "1"]], 3),
+        ShiftSpec(1, 5, 3),
+        ShiftSpec(1, [5], 3),
+    ]
+    for apply, check, specs in (
+        (apply_switch, check_switch_hypothesis, switches),
+        (apply_shift, check_shift_hypothesis, shifts),
+    ):
+        for spec in specs:
+            for call in (apply, lambda G, spec: check(G, [0.0] * G.n, spec)):
+                with pytest.raises(InvalidSpec, match="must"):
+                    call(G, spec)
+
+
 def test_switch_preserves_degrees_randomly():
     rng = random.Random(4821)
     done = 0
@@ -417,6 +478,17 @@ def test_unit_transformation_errors():
         unit_transformation(_seq(3, [3, 3] + [1] * 9), 1)
     with pytest.raises(IndexOutOfRange):
         unit_transformation(_seq(3, [3, 3] + [1] * 9), -1)
+
+
+def test_unit_transformation_reads_its_position_as_an_integer():
+    import numpy as np
+
+    pi = _seq(2, [2, 3, 1, 1, 1])
+    with pytest.raises(IndexOutOfRange, match="position must be an integer, got 0.0"):
+        unit_transformation(pi, 0.0)
+    pi = _seq(3, [3, 3] + [1] * 9)
+    assert unit_transformation(pi, np.int64(0)) == unit_transformation(pi, False) == (
+        unit_transformation(pi, 0))
 
 
 def test_majorizes_examples():
