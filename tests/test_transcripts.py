@@ -197,13 +197,14 @@ def test_cli_matches_the_transcript_corpus(tmp_path, monkeypatch):
     want = json.loads(CORPUS.read_text())
     got = transcripts()
     assert list(got) == list(want)
-    for group in want:
-        missing = [key for key in want[group] if key not in got[group]]
-        assert not missing, f"{group}: argvs no longer drawn: {missing}"
-        changed = [key for key, text in got[group].items()
-                   if digest(text) != want[group].get(key)]
-        assert not changed, f"{group}: transcripts differ for {changed}, recomputed:\n" + (
-            "".join(f"$ supertrees {key}\n{got[group][key]}" for key in changed))
+    missing = [f"{group}: {key}" for group in want for key in want[group]
+               if key not in got[group]]
+    assert not missing, f"argvs no longer drawn: {missing}"
+    changed = [(group, key) for group in got for key, text in got[group].items()
+               if digest(text) != want[group].get(key)]
+    names = [f"{group}: {key}" for group, key in changed]
+    assert not changed, f"transcripts differ for {names}, recomputed:\n" + "".join(
+        f"$ supertrees {key}\n{got[group][key]}" for group, key in changed)
 
 
 if __name__ == "__main__":
