@@ -243,100 +243,60 @@ def _build_parser() -> argparse.ArgumentParser:
         help="table output style (default csv)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments several subcommands share, each declared once
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("file")
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", type=int, required=True)
+    pi = argparse.ArgumentParser(add_help=False, parents=[k])
+    pi.add_argument("--pi", type=_int_list, required=True,
+                    help="comma-separated degrees")
 
-    p = sub.add_parser("validate", help="parse and validate an .sht file")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_validate)
+    def command(name, run, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("eigen", help="first Dirichlet eigenpair")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_eigen)
-
-    p = sub.add_parser("slo-check", help="check an ordering against S1-S5")
-    p.add_argument("file")
+    command("validate", _cmd_validate, "parse and validate an .sht file", file)
+    command("eigen", _cmd_eigen, "first Dirichlet eigenpair", file)
+    p = command("slo-check", _cmd_slo_check, "check an ordering against S1-S5", file)
     p.add_argument("--order", type=_int_list, required=True,
                    help="comma-separated vertex ids")
-    p.set_defaults(run=_cmd_slo_check)
-
-    p = sub.add_parser("slo-find", help="find a spiral-like ordering")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_slo_find)
-
-    p = sub.add_parser(
-        "slo-construct", help="build the SLO-supertree of a degree sequence"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", type=_int_list, required=True,
-                   help="comma-separated degrees")
-    p.set_defaults(run=_cmd_slo_construct)
-
-    p = sub.add_parser(
-        "relabel", help="label vertices along the first Dirichlet eigenfunction"
-    )
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_relabel)
-
-    p = sub.add_parser("switch", help="exchange vertex groups between two edges")
-    p.add_argument("file")
+    command("slo-find", _cmd_slo_find, "find a spiral-like ordering", file)
+    command("slo-construct", _cmd_slo_construct,
+            "build the SLO-supertree of a degree sequence", pi)
+    command("relabel", _cmd_relabel,
+            "label vertices along the first Dirichlet eigenfunction", file)
+    p = command("switch", _cmd_switch, "exchange vertex groups between two edges",
+                file)
     p.add_argument("--e1", type=int, required=True, help="edge index")
     p.add_argument("--e2", type=int, required=True, help="edge index")
     for flag in ("--u1", "--v1"):
         p.add_argument(flag, type=_int_list, default=(),
                        help="comma-separated vertex ids")
-    p.set_defaults(run=_cmd_switch)
-
-    p = sub.add_parser("shift", help="re-hang a bundle of edges from u onto v")
-    p.add_argument("file")
+    p = command("shift", _cmd_shift, "re-hang a bundle of edges from u onto v", file)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--edges", type=_int_list, default=(),
                    help="comma-separated edge indices")
     p.add_argument("--v", type=int, required=True)
-    p.set_defaults(run=_cmd_shift)
-
-    p = sub.add_parser(
-        "unit", help="unit transformation on a degree sequence"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", type=_int_list, required=True)
+    p = command("unit", _cmd_unit, "unit transformation on a degree sequence", pi)
     p.add_argument("--p", type=int, required=True, help="interior position")
-    p.set_defaults(run=_cmd_unit)
-
-    p = sub.add_parser(
-        "enumerate", help="all isomorphism classes with a degree sequence"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", type=_int_list, required=True)
-    p.set_defaults(run=_cmd_enumerate)
-
-    p = sub.add_parser(
-        "verify-fk1",
-        help="SLO-supertree minimizes lambda among its degree sequence class",
-    )
-    p.add_argument("--k", type=int, required=True)
+    command("enumerate", _cmd_enumerate,
+            "all isomorphism classes with a degree sequence", pi)
+    p = command("verify-fk1", _cmd_verify_fk1,
+                "SLO-supertree minimizes lambda among its degree sequence class", k)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pi", type=_int_list, help="comma-separated degrees")
     mode.add_argument("--n-max", type=int, help="sweep every sequence with at "
                       "most this many vertices")
-    p.set_defaults(run=_cmd_verify_fk1)
-
-    p = sub.add_parser(
-        "verify-fk2",
-        help="flattest SLO-supertree minimizes lambda at fixed counts",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(run=_cmd_verify_fk2)
-
-    p = sub.add_parser(
-        "majorize", help="eigenvalue monotonicity along majorization"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pi", type=_int_list, required=True)
+    # --k third, as in the family's name T_d(n,n0,k,d)
+    p = command("verify-fk2", _cmd_verify_fk2,
+                "flattest SLO-supertree minimizes lambda at fixed counts")
+    for flag in ("--n", "--n0", "--k", "--d"):
+        p.add_argument(flag, type=int, required=True)
+    p = command("majorize", _cmd_majorize,
+                "eigenvalue monotonicity along majorization", pi)
     p.add_argument("--pi-prime", type=_int_list, required=True)
-    p.set_defaults(run=_cmd_majorize)
-
     return parser
 
 
