@@ -134,8 +134,8 @@ def _cmd_switch(args) -> int:
     spec = SwitchSpec(
         e1=_edge_at(G, args.e1),
         e2=_edge_at(G, args.e2),
-        u1=frozenset(args.u1),
-        v1=frozenset(args.v1),
+        u1=args.u1,
+        v1=args.v1,
     )
     sys.stdout.write(serialize_sht(apply_switch(G, spec)))
     return 0
@@ -146,7 +146,7 @@ def _cmd_shift(args) -> int:
     G = _load(args.file)
     spec = ShiftSpec(
         u=args.u,
-        edges=tuple(_edge_at(G, i) for i in args.edges),
+        edges=[_edge_at(G, i) for i in args.edges],
         v=args.v,
     )
     sys.stdout.write(serialize_sht(apply_shift(G, spec)))
