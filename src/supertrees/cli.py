@@ -221,11 +221,12 @@ def _cmd_majorize(args) -> int:
     from .transforms import majorizes
     pi = DegreeSequence.from_degrees(args.k, args.pi)
     pi_prime = DegreeSequence.from_degrees(args.k, args.pi_prime)
-    majorized = majorizes(pi, pi_prime)
-    print(f"majorized={_tf(majorized)}")
-    if not majorized:
+    if not majorizes(pi, pi_prime):
+        print("majorized=false")
         return 2
+    # rejects equal sequences and unequal interior counts before any output
     lam, lam_prime, decreased = _majorization_lambdas(pi, pi_prime)
+    print("majorized=true")
     print(f"lambda_pi={_fmt(lam)}")
     print(f"lambda_pi_prime={_fmt(lam_prime)}")
     print(f"strict_decrease={_tf(decreased)}")

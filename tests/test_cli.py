@@ -627,6 +627,18 @@ def test_majorize_rejects_non_majorized(capsys):
     assert out == "majorized=false\n"
 
 
+@pytest.mark.parametrize("pi, pi_prime, error", [
+    ("3,3,1,1,1,1", "3,3,1,1,1,1", "the sequences are equal; no strict comparison"),
+    ("5,1,1,1,1,1", "3,3,1,1,1,1", "interior counts differ (1 vs 2); no chain exists"),
+])
+def test_majorize_rejects_before_printing(capsys, pi, pi_prime, error):
+    # both pairs are majorized, but the comparison's own preconditions fail;
+    # no result line reaches stdout
+    code, out, err = _run(capsys, "majorize", "--k", "2", "--pi", pi,
+                          "--pi-prime", pi_prime)
+    assert (code, out, err) == (2, "", f"NotMajorized: {error}\n")
+
+
 def test_usage_errors_exit_2(capsys, star, tmp_path):
     assert _run(capsys, "nonsense")[0] == 2
     assert _run(capsys, "eigen", star, "--bogus")[0] == 2
