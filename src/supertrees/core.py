@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import (
     BadVertexId,
@@ -250,11 +251,16 @@ def degree_sequence(G: Supertree) -> DegreeSequence:
 
 
 def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
-    """f, a flat sequence of G.n reals or a numpy array of them, as a list of
-    floats; error for a scalar, a nested or a wrong-length f, or one with a
-    NaN or an infinity, which no comparison can rank."""
+    """f, a flat sequence of G.n reals (not a string) or a numpy array of
+    them, as a list of floats; error for a scalar, a dict, a set, a string,
+    a nested or a wrong-length f, or one with a NaN or an infinity, which no
+    comparison can rank."""
     fs = f.tolist() if hasattr(f, "tolist") else f
-    if not hasattr(fs, "__len__") or any(isinstance(x, (list, tuple)) for x in fs):
+    if (
+        not isinstance(fs, Sequence)
+        or isinstance(fs, (str, bytes))
+        or any(isinstance(x, (list, tuple)) for x in fs)
+    ):
         raise error(f"expected {G.n} function values, got a {type(f).__name__}")
     fs = [float(x) for x in fs]
     if len(fs) != G.n:

@@ -20,7 +20,7 @@ eigenvalue decreases strictly along degree-sequence majorization.
 import math
 from collections import namedtuple
 
-from .config import _LAMBDA_TIE, strictly_less, tie_runs
+from .config import ranked, strictly_less
 from .core import (
     CanonicalCode,
     DegreeSequence,
@@ -80,11 +80,12 @@ class FkCertificate(namedtuple(
     ``winner`` is the class listed first, of eigenvalue ``winner_lambda``,
     and ``slo_code`` the canonical code of the predicted SLO-supertree.
     ``all_lambdas`` lists (canonical code, eigenvalue) for every isomorphism
-    class, eigenvalues ascending; classes tied within the fixed window
-    config._LAMBDA_TIE are listed by canonical code. ``margin`` is the
-    runner-up's eigenvalue minus the winner's (infinite for a one-class
-    family), and ``unique`` asserts it exceeds that window; ``slo_match``
-    asserts the winner is the predicted SLO-supertree.
+    class, eigenvalues ascending; classes tied under config.ranked, with no
+    config.strictly_less between neighbours, are listed by canonical code.
+    ``margin`` is the runner-up's eigenvalue minus the winner's (infinite
+    for a one-class family), and ``unique`` asserts the winner is
+    strictly_less than the runner-up; ``slo_match`` asserts the winner is
+    the predicted SLO-supertree.
     """
 
     __slots__ = ()
@@ -285,26 +286,24 @@ def _score_families(
     for family, members in families:
         pi = family.pi or _flattest_sequence(family)
         slo_code = canonical_code(construct_slo_supertree(pi)[0])
-        rows = sorted(
-            ((code, next(lams), G) for code, G in members), key=lambda item: item[1]
+        # tied eigenvalues are listed by canonical code so rounding noise
+        # cannot reorder cospectral classes
+        scored = ranked(
+            [(code, next(lams), G) for code, G in members],
+            key=lambda row: row[1],
+            tiebreak=lambda row: row[0],
         )
-        # eigenvalues chained within _LAMBDA_TIE form one tie group, listed by
-        # canonical code so rounding noise cannot reorder cospectral classes
-        groups = tie_runs(rows, lambda r: r[1], lambda a, b: b - a <= _LAMBDA_TIE)
-        scored = [
-            row for group in groups for row in sorted(group, key=lambda r: r[0])
-        ]
         winner_code, winner_lambda, winner = scored[0]
-        margin = scored[1][1] - winner_lambda if len(scored) > 1 else math.inf
+        runner_up = scored[1][1] if len(scored) > 1 else math.inf
         certs.append(FkCertificate(
             family=family,
             winner=winner,
             winner_lambda=winner_lambda,
             slo_code=slo_code,
             all_lambdas=tuple((code, lam) for code, lam, _ in scored),
-            unique=margin > _LAMBDA_TIE,
+            unique=len(scored) == 1 or strictly_less(winner_lambda, runner_up),
             slo_match=winner_code == slo_code,
-            margin=margin,
+            margin=runner_up - winner_lambda,
         ))
     return certs
 

@@ -22,7 +22,7 @@ first Dirichlet eigenfunction.
 import math
 from collections import namedtuple
 
-from .config import _BOUNDARY_ZERO, strictly_less, tie_runs
+from .config import _BOUNDARY_ZERO, ranked, strictly_less
 from .core import (
     DegreeSequence,
     Supertree,
@@ -175,14 +175,6 @@ def construct_slo_supertree(
 # --- relabeling along an eigenfunction --------------------------------------
 
 
-def _ranked(entries, value_of, tiebreak_of):
-    """Sort by descending value; runs of values equal within the slack are
-    reordered by the tiebreak key."""
-    by_value = sorted(entries, key=lambda x: -value_of(x))
-    runs = tie_runs(by_value, value_of, lambda a, b: not strictly_less(b, a))
-    return [x for run in runs for x in sorted(run, key=tiebreak_of)]
-
-
 def relabel(G: Supertree, f) -> dict[VertexId, VertexLabel]:
     """Label each vertex (s, i, p) by level, group, and in-group position.
 
@@ -221,19 +213,21 @@ def relabel(G: Supertree, f) -> dict[VertexId, VertexLabel]:
     for lvl in range(1, len(blocks_at)):
         blocks = blocks_at[lvl]
 
-        def group_sum(block):
+        def minus_group_sum(block):
             # exactly rounded: from 3.12 sum() compensates rounding, before it
             # did not, so near the slack the group order would hang on it
-            return math.fsum(fs[v] for v in block[1])
+            return -math.fsum(fs[v] for v in block[1])
 
         def group_tiebreak(block):
             top, members = block
             _, pi_, pp = labels[top]
             return (pi_, pp, min(members))
 
-        ordered = _ranked(blocks, group_sum, group_tiebreak)
+        # descending values ranked as ascending negated ones:
+        # strictly_less(-a, -b) is strictly_less(b, a) bit for bit
+        ordered = ranked(blocks, minus_group_sum, group_tiebreak)
         for gi, (_, members) in enumerate(ordered, start=1):
-            arranged = _ranked(list(members), fs.__getitem__, lambda v: v)
+            arranged = ranked(members, lambda v: -fs[v], lambda v: v)
             for pp, v in enumerate(arranged, start=1):
                 labels[v] = (lvl, gi, pp)
     return labels

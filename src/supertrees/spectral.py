@@ -21,7 +21,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .config import _DEGENERATE_GAP
+from .config import strictly_less
 from .core import Supertree
 from .errors import NoInteriorVertices
 
@@ -97,8 +97,8 @@ def first_dirichlet_eigenpair(G: Supertree) -> DirichletEigenpair:
 
     The eigenfunction sign is fixed so its largest-magnitude entry is
     positive, which makes it positive throughout the interior. The pair is
-    flagged degenerate when its gap is at most the fixed floor
-    config._DEGENERATE_GAP times max(1, lambda).
+    flagged degenerate when its second eigenvalue is not
+    config.strictly_less above lambda.
     """
     import numpy as np
     blocks, picked = _laplacian_blocks([G])
@@ -119,7 +119,7 @@ def first_dirichlet_eigenpair(G: Supertree) -> DirichletEigenpair:
     gap = float(values[1] - values[0]) if len(values) > 1 else math.inf
     r = M @ x - lam * x
     residual = math.sqrt(r @ r)
-    degenerate = gap <= _DEGENERATE_GAP * max(1.0, lam)
+    degenerate = len(values) > 1 and not strictly_less(lam, float(values[1]))
     return DirichletEigenpair(lam, f, gap, degenerate, residual)
 
 

@@ -33,9 +33,10 @@ from supertrees import (
     verify_fk_theorem1,
     verify_majorization_monotonicity,
 )
-from supertrees.config import _LAMBDA_TIE, strictly_less
+from supertrees.config import strictly_less
 from supertrees.enumeration import _grow_classes
 from support import (
+    LAMBDA_TIE,
     all_feasible,
     all_members,
     oracle_classes,
@@ -164,7 +165,7 @@ def test_tied_classes_listed_in_code_order(fk1_certs, fk2_certs):
     ties = 0
     for cert in certs:
         for (c1, l1), (c2, l2) in zip(cert.all_lambdas, cert.all_lambdas[1:]):
-            if l2 - l1 <= _LAMBDA_TIE:
+            if not strictly_less(l1, l2):
                 ties += 1
                 if not c1 < c2:
                     out_of_order.append(cert.family.describe())
@@ -178,12 +179,15 @@ def test_tied_classes_listed_in_code_order(fk1_certs, fk2_certs):
 
 def test_certificate_margins_decide_uniqueness(fk1_certs, fk2_certs):
     certs = fk1_certs[3] + fk1_certs[2] + fk2_certs
-    wrong = [
-        cert.family.describe()
-        for cert in certs
-        if cert.unique != (cert.margin > _LAMBDA_TIE)
-        or (len(cert.all_lambdas) == 1) != (cert.margin == math.inf)
-    ]
+    wrong = []
+    for cert in certs:
+        lams = [lam for _, lam in cert.all_lambdas]
+        single = len(lams) == 1
+        if (
+            cert.unique != (single or strictly_less(lams[0], lams[1]))
+            or cert.margin != (math.inf if single else lams[1] - lams[0])
+        ):
+            wrong.append(cert.family.describe())
     smallest = min(cert.margin for cert in certs)
     _report(
         "certificate margins decide uniqueness",
@@ -215,7 +219,7 @@ def test_switching_never_increases_eigenvalue():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + _LAMBDA_TIE
+        assert lam_p <= pair.lam + LAMBDA_TIE
         weak += 1
         if (
             hc.strict
@@ -250,7 +254,7 @@ def test_shifting_never_increases_eigenvalue():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + _LAMBDA_TIE
+        assert lam_p <= pair.lam + LAMBDA_TIE
         weak += 1
         if hc.strict and not pair.degenerate:
             assert strictly_less(lam_p, pair.lam)

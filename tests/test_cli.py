@@ -23,6 +23,7 @@ from supertrees import (
     DegreeSequence,
     build_supertree,
     check_slo,
+    config,
     construct_slo_supertree,
     parse_sht,
     serialize_sht,
@@ -339,6 +340,24 @@ def test_no_file_imports_packages_outside_the_declared_dependencies():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         banned = {"scipy", "mpmath", "sympy"} & set(_imported(tree, False))
         assert (path.name, banned) == (path.name, set())
+
+
+def test_float_literals_other_than_zero_and_one_live_in_config():
+    # every threshold is a fixed constant in config, and config binds two
+    paths = sorted(Path(supertrees.__file__).parent.glob("*.py"))
+    assert "config.py" in {path.name for path in paths}
+    stray = [
+        (path.name, node.lineno, node.value)
+        for path in paths
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and node.value not in (0.0, 1.0)
+    ]
+    assert stray == []
+    thresholds = {name for name, value in vars(config).items() if isinstance(value, float)}
+    assert thresholds == {"_REL_EPS", "_BOUNDARY_ZERO"}
 
 
 COLD_SURFACE = """

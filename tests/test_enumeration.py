@@ -30,7 +30,7 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees import enumeration, transforms
-from supertrees.config import _LAMBDA_TIE, tie_runs
+from supertrees.config import ranked, strictly_less
 from supertrees.core import _CentroidTree
 from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
 from support import (
@@ -241,12 +241,12 @@ def test_margin_of_a_tied_pair_is_not_unique():
     pi = _seq(2, (2, 2, 2, 3, 3) + (1,) * 4)
     cert = verify_fk_theorem1(pi)
     (l0, l1) = [lam for _, lam in cert.all_lambdas[:2]]
-    assert cert.unique and cert.margin == l1 - l0 > _LAMBDA_TIE
+    assert cert.unique and cert.margin == l1 - l0 and strictly_less(l0, l1)
     # two cospectral classes of the family (2 - sqrt(2)) scored alone
     tied = next(
         (a, b)
         for (a, la), (b, lb) in zip(cert.all_lambdas, cert.all_lambdas[1:])
-        if lb - la <= _LAMBDA_TIE
+        if not strictly_less(la, lb)
     )
     members = [
         (canonical_code(G), G)
@@ -254,20 +254,39 @@ def test_margin_of_a_tied_pair_is_not_unique():
         if canonical_code(G) in tied
     ]
     (scored,) = enumeration._score_families([(cert.family, members)])
-    assert abs(scored.margin) <= _LAMBDA_TIE and not scored.unique
+    (la, lb) = [lam for _, lam in scored.all_lambdas]
+    assert scored.margin == lb - la and not strictly_less(la, lb)
+    assert not scored.unique
 
 
-def test_tie_runs_chain_close_neighbours():
-    # each value is within the window of the one before it, so the first
-    # run spans 2.7 windows; a run anchored at its first value would split
+def test_ranked_chains_ties_and_orders_groups_by_tiebreak():
+    # each value is within the slack (1e-10 below 1) of the one before it,
+    # so the first group spans 2.7 slacks; a group anchored at its first
+    # value would split. The tiebreak (descending index) reverses each group.
     values = [0.0, 0.9e-10, 1.8e-10, 2.7e-10, 1.0, 1.0, 2.0]
+    items = list(enumerate(values))
+    calls = []
 
-    def close(a, b):
-        return b - a <= _LAMBDA_TIE
+    def key(item):
+        calls.append(item)
+        return item[1]
 
-    runs = tie_runs([(v, i) for i, v in enumerate(values)], lambda r: r[0], close)
-    assert [[i for _, i in run] for run in runs] == [[0, 1, 2, 3], [4, 5], [6]]
-    assert tie_runs([], abs, close) == []
+    def order(key, tiebreak):
+        return [i for i, _ in ranked(items, key, tiebreak)]
+
+    assert order(key, lambda item: -item[0]) == [3, 2, 1, 0, 5, 4, 6]
+    assert len(calls) == len(items)
+    # negated keys rank descending with the same groups
+    assert order(lambda item: -item[1], lambda item: item[0]) == [6, 4, 5, 0, 1, 2, 3]
+    for a, b in ((0.0199999999, 0.02), (5.0, 5.0 + 5e-10), (1.0, 1.0 + 1e-10)):
+        assert strictly_less(-b, -a) == strictly_less(a, b)
+    assert ranked([], abs, abs) == []
+    # the slack is relative: 3e-10 apart is a tie near lambda = 5, 6e-10 is
+    # not, and both are beyond an absolute 1e-10
+    near_five = [(0, 5.0 + 3e-10), (1, 5.0), (2, 5.0 + 9e-10)]
+    assert [i for i, _ in ranked(near_five, lambda r: r[1], lambda r: r[0])] == [0, 1, 2]
+    assert not strictly_less(5.0, 5.0 + 3e-10)
+    assert strictly_less(5.0 + 3e-10, 5.0 + 9e-10)
 
 
 def test_fk2_flattest_sequence_wins():

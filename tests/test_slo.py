@@ -355,6 +355,11 @@ def test_relabel_rejects_wrong_shape():
         ([[x] for x in f], NotAnEigenfunction),
         (1.0, NotAnEigenfunction),
         (np.float64(1.0), NotAnEigenfunction),
+        # a dict was read as its keys, a set in hash order and a string as
+        # its characters
+        (dict(enumerate(f)), NotAnEigenfunction),
+        (set(range(7)), NotAnEigenfunction),
+        ("1100000", NotAnEigenfunction),
         (["a"] * 7, ValueError),
         ([object()] * 7, TypeError),
         ([1j] * 7, TypeError),

@@ -29,9 +29,10 @@ from supertrees import (
     unit_transform_chain,
     unit_transformation,
 )
-from supertrees.config import _LAMBDA_TIE, strictly_less
+from supertrees.config import strictly_less
 
 from support import (
+    LAMBDA_TIE,
     all_feasible,
     random_shift_spec,
     reference_unit_transform_chain,
@@ -90,6 +91,11 @@ def test_hypothesis_checks_reject_malformed_functions():
         (list(f[:3]) + [math.inf] + list(f[4:]), InvalidSpec),
         (["a"] * 7, ValueError),
         ([object()] * 7, TypeError),
+        # a dict was read as its keys, a set in hash order and a string as
+        # its characters, each without an error
+        (dict(enumerate(f)), InvalidSpec),
+        (set(range(7)), InvalidSpec),
+        ("0110000", InvalidSpec),
     ):
         for check, spec in (
             (check_switch_hypothesis, switch),
@@ -304,7 +310,7 @@ def test_switch_weak_never_increases_small_sample():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + _LAMBDA_TIE
+        assert lam_p <= pair.lam + LAMBDA_TIE
         weak_done += 1
         if (
             hc.strict
@@ -396,7 +402,7 @@ def test_shift_weak_needs_u_to_stay_interior():
     assert hc.weak and hc.strict
     assert G.degrees[spec.u] - len(spec.edges) < 2
     lam_p = first_dirichlet_eigenpair(apply_shift(G, spec)).lam
-    assert lam_p > pair.lam + _LAMBDA_TIE
+    assert lam_p > pair.lam + LAMBDA_TIE
 
 
 def test_shift_strict_data_can_tie_when_u_demoted():
@@ -444,7 +450,7 @@ def test_shift_weak_never_increases_in_scope_small_sample():
         except ResultNotSupertree:
             continue
         lam_p = first_dirichlet_eigenpair(Gp).lam
-        assert lam_p <= pair.lam + _LAMBDA_TIE
+        assert lam_p <= pair.lam + LAMBDA_TIE
         weak_done += 1
         if hc.strict and not pair.degenerate:
             assert strictly_less(lam_p, pair.lam)
