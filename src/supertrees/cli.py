@@ -161,9 +161,9 @@ def _cmd_unit(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import _pi_classes
+    from .enumeration import FamilySpec, _members
     pi = DegreeSequence.from_degrees(args.k, args.pi)
-    members = _pi_classes(pi)
+    members = _members(FamilySpec(kind="pi", k=pi.k, pi=pi))
     print(f"count={len(members)}")
     rows = [[code.decode("ascii")] for code, _ in members]
     _print_rows(args.format, ["canonical_code"], rows)

@@ -14,6 +14,7 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Sequence
+from numbers import Real
 
 from .errors import (
     BadVertexId,
@@ -253,22 +254,20 @@ def degree_sequence(G: Supertree) -> DegreeSequence:
 def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
     """f, a flat sequence of G.n reals (not a string) or a numpy array of
     them, as a list of floats; error for a scalar, a dict, a set, a string,
-    a nested or a wrong-length f, or one with a NaN or an infinity, which no
-    comparison can rank."""
+    a wrong-length f, or an entry that is not a numbers.Real (None, complex,
+    str, bytes, a nested sequence) or is a NaN or an infinity, which no
+    comparison can rank. A bool reads as 0 or 1, as every integer does."""
     fs = f.tolist() if hasattr(f, "tolist") else f
-    if (
-        not isinstance(fs, Sequence)
-        or isinstance(fs, (str, bytes))
-        or any(isinstance(x, (list, tuple)) for x in fs)
-    ):
+    if not isinstance(fs, Sequence) or isinstance(fs, (str, bytes)):
         raise error(f"expected {G.n} function values, got a {type(f).__name__}")
-    fs = [float(x) for x in fs]
     if len(fs) != G.n:
         raise error(f"expected {G.n} function values, got {len(fs)}")
     for v, x in enumerate(fs):
+        if not isinstance(x, Real):
+            raise error(f"f({v}) = {x!r} is not a real number")
         if not math.isfinite(x):
             raise error(f"f({v}) = {x} is not finite")
-    return fs
+    return [float(x) for x in fs]
 
 
 # --- canonical form -------------------------------------------------------

@@ -5,12 +5,13 @@ so growing classes one pendant edge at a time from a single edge reaches
 them all. One pass over each parent's centroid-rooted encoding gives the
 code of the child at the lowest vertex of every automorphism orbit; only a
 child with a new code is built, and its encoding is derived from its
-parent's when it is grown. One function keys the grown classes by (n, n0,
-ascending interior degrees): a bucket is a degree-sequence family, and the
-min-degree family T_d(n, n0) is the union of its (n, n0)'s buckets whose
-interior degrees are all at least max(2, d).
-A single query grows under a descending bound on its interior degrees, a
-sweep grows once unbounded, and a sweep's families are scored through one
+parent's when it is grown. One function, _families, keys the grown classes
+by (n, n0, ascending interior degrees) and maps each family to its
+classes: a key is a degree-sequence family, and the min-degree family
+T_d(n, n0) is the union of its (n, n0)'s keys whose interior degrees are
+all at least max(2, d). A single query (_members) grows under a
+descending bound on its interior degrees, a sweep grows once unbounded,
+and a sweep's families are scored through one
 first_dirichlet_eigenvalues call: one eigensolve per interior size. The
 checks: within each family the SLO-supertree attains the smallest first
 Dirichlet eigenvalue, strictly below every other class, and that
@@ -210,13 +211,16 @@ def _raisable(degrees, bound) -> list[int]:
     return [v for v, d in enumerate(degrees) if d in fits]
 
 
-def _buckets(k: int, n_max: int, bound=None) -> dict:
-    """Classes with edge size k keyed by (n, n0, ascending interior degrees),
-    keys ascending: each bucket, in code order, is one degree-sequence
-    family. Unbounded (a sweep), every class with at most n_max vertices;
-    under a bound (a single query, see _grow_classes), only the classes of
-    the last layer grown, which have n_max vertices when n_max - 1 is a
-    multiple of k - 1. NotKUniform for k not an integer or below 2,
+def _families(k: int, n_max: int, d: int | None = None, bound=None) -> dict:
+    """{family: its classes in code order} for edge size k, keys ascending.
+    Each class is keyed by (n, n0, ascending interior degrees): unbounded (a
+    sweep), every class with at most n_max vertices; under a bound (a single
+    query, see _grow_classes), only the classes of the last layer grown,
+    which have n_max vertices when n_max - 1 is a multiple of k - 1. With d
+    None every key is the degree-sequence family T_pi; otherwise T_d(n, n0)
+    is the union of its (n, n0)'s keys whose interior degrees are all at
+    least max(2, d), for every (n, n0) where that is nonempty. Families with
+    n0 = 0 are included. NotKUniform for k not an integer or below 2,
     BadVertexId for n_max not an integer."""
     k = _index(k, NotKUniform, "edge size")
     n_max = _index(n_max, BadVertexId, "vertex bound")
@@ -226,40 +230,38 @@ def _buckets(k: int, n_max: int, bound=None) -> dict:
     buckets: dict[tuple[int, int, tuple[int, ...]], list] = {}
     for layer in layers if bound is None else layers[-1:]:
         for code, G in layer:
-            interior = tuple(sorted(d for d in G.degrees if d >= 2))
+            interior = tuple(sorted(x for x in G.degrees if x >= 2))
             buckets.setdefault((G.n, len(interior), interior), []).append((code, G))
-    return dict(sorted(buckets.items()))
-
-
-def _min_degree_families(buckets: dict, d: int) -> dict:
-    """(n, n0) -> the union, in code order, of the buckets of that (n, n0)
-    whose interior degrees are all at least max(2, d): the family T_d(n, n0)
-    for every (n, n0) with a nonempty one, keys ascending."""
-    families: dict[tuple[int, int], list] = {}
-    for (n, n0, interior), members in buckets.items():
-        if not interior or interior[0] >= max(2, d):
-            families.setdefault((n, n0), []).extend(members)
+    families: dict[FamilySpec, list] = {}
+    for (n, n0, interior), members in sorted(buckets.items()):
+        if d is None:
+            pi = DegreeSequence(k, interior + (1,) * (n - n0))
+            families[FamilySpec("pi", k, pi)] = members
+        elif not interior or interior[0] >= max(2, d):
+            key = FamilySpec("min_degree", k, None, n, n0, d)
+            families.setdefault(key, []).extend(members)
     return {key: sorted(members) for key, members in families.items()}
 
 
-def _pi_classes(pi: DegreeSequence) -> list[tuple[CanonicalCode, Supertree]]:
-    return _buckets(pi.k, pi.n, pi.interior[::-1]).get((pi.n, pi.n0, pi.interior), [])
+def _members(family: FamilySpec) -> list[tuple[CanonicalCode, Supertree]]:
+    """The classes of one family in code order, grown under the bound its
+    spec gives: the interior degrees of pi, descending, or n0 copies of the
+    d' of the flattest sequence of T_d(n, n0), and none without one."""
+    if family.kind == "pi":
+        pi = family.pi
+        return _families(pi.k, pi.n, None, pi.interior[::-1]).get(family, [])
+    flattest = _flattest_sequence(family)
+    if flattest is None:
+        return []
+    # the interior degrees are at least max(2, d) each, so none exceeds d'
+    bound = (max(flattest.entries),) * family.n0
+    return _families(family.k, family.n, family.d, bound).get(family, [])
 
 
 def enumerate_supertrees(pi: DegreeSequence) -> list[Supertree]:
     """Every isomorphism class with degree sequence pi, sorted by canonical
     code."""
-    return [G for _, G in _pi_classes(pi)]
-
-
-def _family_classes(family: FamilySpec) -> list[tuple[CanonicalCode, Supertree]]:
-    flattest = _flattest_sequence(family)
-    if flattest is None:
-        return []
-    _, k, _, n, n0, d = family
-    # the interior degrees are at least max(2, d) each, so none exceeds d'
-    buckets = _buckets(k, n, (max(flattest.entries),) * n0)
-    return _min_degree_families(buckets, d).get((n, n0), [])
+    return [G for _, G in _members(FamilySpec(kind="pi", k=pi.k, pi=pi))]
 
 
 def enumerate_family(
@@ -267,7 +269,7 @@ def enumerate_family(
 ) -> list[Supertree]:
     """Every isomorphism class with n vertices, n0 interior vertices, and
     all interior degrees at least d_min, sorted by canonical code."""
-    return [G for _, G in _family_classes(_min_degree_family(n, n0, k, d_min))]
+    return [G for _, G in _members(_min_degree_family(n, n0, k, d_min))]
 
 
 def _score_families(
@@ -315,9 +317,10 @@ def verify_fk_theorem1(pi: DegreeSequence) -> FkCertificate:
     The family is enumerated exhaustively; sequences without interior
     vertices have no Dirichlet spectrum and raise NoInteriorVertices.
     """
-    members = _pi_classes(pi)
+    family = FamilySpec(kind="pi", k=pi.k, pi=pi)
+    members = _members(family)
     assert members, "validated degree sequences are realizable"
-    return _score_families([(FamilySpec(kind="pi", k=pi.k, pi=pi), members)])[0]
+    return _score_families([(family, members)])[0]
 
 
 def verify_fk_theorem2(n: int, n0: int, k: int, d: int) -> FkCertificate:
@@ -340,7 +343,7 @@ def verify_fk_theorem2(n: int, n0: int, k: int, d: int) -> FkCertificate:
             f"{family.describe()} has no interior vertex to apply the "
             "eigenvalue problem to"
         )
-    members = _family_classes(family)
+    members = _members(family)
     if not members:
         raise EmptyFamily(f"{family.describe()} is empty")
     return _score_families([(family, members)])[0]
@@ -385,10 +388,8 @@ def fk1_sweep(k: int, n_max: int) -> list[FkCertificate]:
         BadVertexId: n_max is not an integer.
     """
     return _score_families([
-        (FamilySpec(kind="pi", k=k, pi=DegreeSequence(k, interior + (1,) * (n - n0))),
-         members)
-        for (n, n0, interior), members in _buckets(k, n_max).items()
-        if n0
+        (family, members) for family, members in _families(k, n_max).items()
+        if family.pi.n0
     ])
 
 
@@ -402,9 +403,7 @@ def fk2_sweep(k: int, n_max: int, d: int) -> list[FkCertificate]:
         BadVertexId: n_max is not an integer.
     """
     d = _index(d, InfeasibleDegreeSequence, "minimum degree")
-    families = _min_degree_families(_buckets(k, n_max), d)
     return _score_families([
-        (FamilySpec(kind="min_degree", k=k, n=n, n0=n0, d=d), group)
-        for (n, n0), group in families.items()
-        if n0
+        (family, members) for family, members in _families(k, n_max, d).items()
+        if family.n0
     ])

@@ -385,18 +385,18 @@ def test_family_parameters_accept_numpy_integers_and_bools():
 
 
 def test_bounded_buckets_key_only_the_last_layer():
-    # a single query reads only the buckets of its own n
+    # a single query reads only the families of its own n
     bound = (4, 3, 2, 2)
-    buckets = enumeration._buckets(2, 9, bound)
-    assert buckets and {n for n, _, _ in buckets} == {9}
-    fits = {
-        key: [code for code, _ in members]
-        for key, members in enumeration._buckets(2, 9).items()
-        if key[0] == 9 and len(key[2]) <= len(bound)
-        and all(d <= b for d, b in zip(key[2][::-1], bound))
-    }
-    assert {key: [code for code, _ in members]
-            for key, members in buckets.items()} == fits
+    families = enumeration._families(2, 9, None, bound)
+    assert families and {family.pi.n for family in families} == {9}
+    fits = [
+        (family, [code for code, _ in members])
+        for family, members in enumeration._families(2, 9).items()
+        if family.pi.n == 9 and family.pi.n0 <= len(bound)
+        and all(d <= b for d, b in zip(family.pi.interior[::-1], bound))
+    ]
+    assert [(family, [code for code, _ in members])
+            for family, members in families.items()] == fits
 
 
 def test_fk2_sweep_joins_fk1_buckets():

@@ -22,14 +22,21 @@ from hypothesis import strategies as hs
 
 from supertrees import (
     DegreeSequence,
+    InvalidSpec,
+    NotAnEigenfunction,
+    ShiftSpec,
     SupertreeError,
+    SwitchSpec,
     build_supertree,
+    check_shift_hypothesis,
     check_slo,
+    check_switch_hypothesis,
     enumerate_family,
     find_slo_ordering,
     feasible_degree_sequences,
     fk1_sweep,
     fk2_sweep,
+    relabel,
     serialize_sht,
     unit_transformation,
     verify_fk_theorem2,
@@ -88,6 +95,53 @@ def test_fuzz_construction_parameters(k, n, edges, entries, pi, p, order):
     _returns_or_raises_supertree_error(DegreeSequence.from_degrees, k, entries)
     _returns_or_raises_supertree_error(unit_transformation, pi, p)
     _returns_or_raises_supertree_error(check_slo, H7, order)
+
+
+# A function on H7 that is positive on the interior and zero on the
+# boundary, and entries that are not finite reals: each of them makes f
+# something no comparison can rank, so all three readers of f raise their
+# own error on it.
+F7 = [0.7, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+NOT_REAL = hs.one_of(
+    hs.none(),
+    hs.complex_numbers(max_magnitude=2),
+    hs.text(max_size=3),
+    hs.binary(max_size=3),
+    hs.lists(hs.floats(0, 1), max_size=2),
+    hs.sampled_from(["0.7", b"1", np.complex128(0.7), math.nan, math.inf, -math.inf]),
+)
+
+
+@hs.composite
+def malformed_functions(draw):
+    values = list(F7)
+    values[draw(hs.integers(0, 6))] = draw(NOT_REAL)
+    shape = draw(hs.sampled_from(["list", "tuple", "object", "complex", "str"]))
+    if shape == "complex":
+        return np.array(F7, dtype=complex)
+    if shape == "str":
+        return np.array(F7).astype(str)
+    if shape == "object":
+        f = np.empty(7, dtype=object)
+        for v, x in enumerate(values):
+            f[v] = x
+        return f
+    return values if shape == "list" else tuple(values)
+
+
+@LIBRARY
+@given(f=malformed_functions())
+def test_fuzz_function_values(f):
+    switch = SwitchSpec((0, 3, 4), (0, 1, 2), frozenset({3}), frozenset({1}))
+    shift = ShiftSpec(u=1, edges=((1, 5, 6),), v=3)
+    for call, error in (
+        (lambda: relabel(H7, f), NotAnEigenfunction),
+        (lambda: check_switch_hypothesis(H7, f, switch), InvalidSpec),
+        (lambda: check_shift_hypothesis(H7, f, shift), InvalidSpec),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
 
 
 # -------------------------------------------------------- the command line

@@ -346,7 +346,9 @@ def test_relabel_ranks_groups_by_exactly_rounded_sums():
 def test_relabel_rejects_wrong_shape():
     G = two_interior()
     f = first_dirichlet_eigenpair(G).f
-    # a non-numeric entry raises what float() raises, as numpy's coercion did
+    # an entry that is not a numbers.Real is rejected like a wrong shape;
+    # float() raised ValueError or TypeError on these, and read numeric
+    # strings as numbers
     for bad, error in (
         ([1.0] * 6, NotAnEigenfunction),
         (np.append(f, 0.0), NotAnEigenfunction),
@@ -360,9 +362,9 @@ def test_relabel_rejects_wrong_shape():
         (dict(enumerate(f)), NotAnEigenfunction),
         (set(range(7)), NotAnEigenfunction),
         ("1100000", NotAnEigenfunction),
-        (["a"] * 7, ValueError),
-        ([object()] * 7, TypeError),
-        ([1j] * 7, TypeError),
+        (["a"] * 7, NotAnEigenfunction),
+        ([object()] * 7, NotAnEigenfunction),
+        ([1j] * 7, NotAnEigenfunction),
     ):
         with pytest.raises(error) as info:
             relabel(G, bad)

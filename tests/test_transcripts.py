@@ -34,6 +34,7 @@ import json
 import os
 import random
 import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -203,8 +204,12 @@ def test_cli_matches_the_transcript_corpus(tmp_path, monkeypatch):
     changed = [(group, key) for group in got for key, text in got[group].items()
                if digest(text) != want[group].get(key)]
     names = [f"{group}: {key}" for group, key in changed]
-    assert not changed, f"transcripts differ for {names}, recomputed:\n" + "".join(
-        f"$ supertrees {key}\n{got[group][key]}" for group, key in changed)
+    # Python 3.10 to 3.12 reproduce the corpus; 3.13's argparse wraps the
+    # top-level usage line differently, so every argv printing it differs
+    assert not changed, (
+        f"transcripts differ under Python {sys.version} for {names}, "
+        "recomputed:\n" + "".join(
+            f"$ supertrees {key}\n{got[group][key]}" for group, key in changed))
 
 
 if __name__ == "__main__":
