@@ -217,8 +217,7 @@ def _cmd_verify_fk2(args) -> int:
 
 
 def _cmd_majorize(args) -> int:
-    from .enumeration import _majorization_lambdas
-    from .transforms import majorizes
+    from .transforms import _majorization_lambdas, majorizes
     pi = DegreeSequence.from_degrees(args.k, args.pi)
     pi_prime = DegreeSequence.from_degrees(args.k, args.pi_prime)
     if not majorizes(pi, pi_prime):

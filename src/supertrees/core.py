@@ -14,7 +14,8 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Sequence
-from numbers import Real
+from numbers import Rational, Real
+from sys import float_info
 
 from .errors import (
     BadVertexId,
@@ -255,8 +256,9 @@ def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
     """f, a flat sequence of G.n reals (not a string) or a numpy array of
     them, as a list of floats; error for a scalar, a dict, a set, a string,
     a wrong-length f, or an entry that is not a numbers.Real (None, complex,
-    str, bytes, a nested sequence) or is a NaN or an infinity, which no
-    comparison can rank. A bool reads as 0 or 1, as every integer does."""
+    str, bytes, a nested sequence), a NaN or an infinity, which no comparison
+    can rank, or a rational past every float. A bool reads as 0 or 1, as
+    every integer does."""
     fs = f.tolist() if hasattr(f, "tolist") else f
     if not isinstance(fs, Sequence) or isinstance(fs, (str, bytes)):
         raise error(f"expected {G.n} function values, got a {type(f).__name__}")
@@ -265,6 +267,8 @@ def _vertex_values(G: Supertree, f, error: type[Exception]) -> list[float]:
     for v, x in enumerate(fs):
         if not isinstance(x, Real):
             raise error(f"f({v}) = {x!r} is not a real number")
+        if isinstance(x, Rational) and not abs(x) <= float_info.max:
+            raise error(f"f({v}) is a rational number too large for a float")
         if not math.isfinite(x):
             raise error(f"f({v}) = {x} is not finite")
     return [float(x) for x in fs]

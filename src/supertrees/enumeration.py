@@ -13,9 +13,8 @@ all at least max(2, d). A single query (_members) grows under a
 descending bound on its interior degrees, a sweep grows once unbounded,
 and a sweep's families are scored through one
 first_dirichlet_eigenvalues call: one eigensolve per interior size. The
-checks: within each family the SLO-supertree attains the smallest first
-Dirichlet eigenvalue, strictly below every other class, and that
-eigenvalue decreases strictly along degree-sequence majorization.
+check: within each family the SLO-supertree attains the smallest first
+Dirichlet eigenvalue, strictly below every other class.
 """
 
 import math
@@ -37,10 +36,7 @@ from .errors import (
     EmptyFamily,
     InfeasibleDegreeSequence,
     NotKUniform,
-    NotMajorized,
 )
-from .slo import construct_slo_supertree
-from .transforms import _require_chain
 
 __all__ = [
     "FamilySpec",
@@ -50,7 +46,6 @@ __all__ = [
     "enumerate_family",
     "verify_fk_theorem1",
     "verify_fk_theorem2",
-    "verify_majorization_monotonicity",
     "fk1_sweep",
     "fk2_sweep",
 ]
@@ -279,8 +274,9 @@ def _score_families(
     family solved in one first_dirichlet_eigenvalues call. The predicted
     winner is the SLO-supertree of pi, or of the flattest sequence of a
     min-degree family."""
-    # spectral takes a few ms to compile when bytecode is not cached, and
-    # enumerate processes never solve
+    # slo and spectral take a few ms to compile when bytecode is not
+    # cached, and enumerate processes never score
+    from .slo import construct_slo_supertree
     from .spectral import first_dirichlet_eigenvalues
     lams = iter(first_dirichlet_eigenvalues(
         [G for _, members in families for _, G in members]))
@@ -347,36 +343,6 @@ def verify_fk_theorem2(n: int, n0: int, k: int, d: int) -> FkCertificate:
     if not members:
         raise EmptyFamily(f"{family.describe()} is empty")
     return _score_families([(family, members)])[0]
-
-
-def _majorization_lambdas(
-    pi: DegreeSequence, pi_prime: DegreeSequence
-) -> tuple[float, float, bool]:
-    """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
-    from .spectral import first_dirichlet_eigenvalues  # see _score_families
-    if pi.entries == pi_prime.entries:
-        raise NotMajorized("the sequences are equal; no strict comparison")
-    _require_chain(pi, pi_prime)
-    lam, lam_prime = first_dirichlet_eigenvalues(
-        [construct_slo_supertree(pi)[0], construct_slo_supertree(pi_prime)[0]]
-    )
-    return lam, lam_prime, strictly_less(lam_prime, lam)
-
-
-def verify_majorization_monotonicity(pi: DegreeSequence, pi_prime: DegreeSequence) -> bool:
-    """Whether the eigenvalue drops strictly from SLO(pi) to SLO(pi_prime)
-    for a pair with pi_prime majorized by pi.
-
-    The pair is first checked to be comparable: the preconditions of
-    transforms.unit_transform_chain hold, so a chain of unit transformations
-    connects the sequences. The chain itself is not built.
-
-    Raises:
-        NotMajorized: pi_prime is not strictly majorized by pi with equal
-            interior counts.
-        LengthMismatch: the sequences differ in length or uniformity.
-    """
-    return _majorization_lambdas(pi, pi_prime)[2]
 
 
 def fk1_sweep(k: int, n_max: int) -> list[FkCertificate]:

@@ -9,7 +9,8 @@ decreases strictly under the strict form).
 On degree sequences, a unit transformation moves one unit of degree from a
 larger interior entry to the next one, and majorization orders sequences by
 ascending prefix sums. Any majorized pair is connected by a chain of unit
-transformations, built greedily here.
+transformations, built greedily here, and the SLO-supertree's first
+Dirichlet eigenvalue falls strictly along it (checked by solving both ends).
 """
 
 import bisect
@@ -46,6 +47,7 @@ __all__ = [
     "unit_transformation",
     "majorizes",
     "unit_transform_chain",
+    "verify_majorization_monotonicity",
 ]
 
 
@@ -249,9 +251,7 @@ def unit_transformation(pi: DegreeSequence, p: int) -> DegreeSequence:
     return DegreeSequence(pi.k, tuple(sorted(interior)) + pi.entries[len(interior):])
 
 
-def majorizes(
-    pi: DegreeSequence, pi_prime: DegreeSequence
-) -> bool:
+def majorizes(pi: DegreeSequence, pi_prime: DegreeSequence) -> bool:
     """Whether pi_prime is majorized by pi.
 
     Prefix sums run over the canonical arrangement (interior degrees
@@ -285,9 +285,7 @@ def _require_chain(pi: DegreeSequence, pi_prime: DegreeSequence) -> None:
         )
 
 
-def unit_transform_chain(
-    pi: DegreeSequence, pi_prime: DegreeSequence
-) -> list[int]:
+def unit_transform_chain(pi: DegreeSequence, pi_prime: DegreeSequence) -> list[int]:
     """Positions of unit transformations carrying pi onto pi_prime.
 
     Requires pi_prime majorized by pi. Replaying the returned positions
@@ -319,3 +317,34 @@ def unit_transform_chain(
         j = bisect.bisect_left(cur, x, 0, j)
         cur[j] -= 1
         cur[bisect.bisect_right(cur, y, j + 1) - 1] += 1
+
+
+def _majorization_lambdas(
+    pi: DegreeSequence, pi_prime: DegreeSequence
+) -> tuple[float, float, bool]:
+    """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
+    from .slo import construct_slo_supertree  # see enumeration._score_families
+    from .spectral import first_dirichlet_eigenvalues
+    if pi.entries == pi_prime.entries:
+        raise NotMajorized("the sequences are equal; no strict comparison")
+    _require_chain(pi, pi_prime)
+    lam, lam_prime = first_dirichlet_eigenvalues(
+        [construct_slo_supertree(pi)[0], construct_slo_supertree(pi_prime)[0]]
+    )
+    return lam, lam_prime, strictly_less(lam_prime, lam)
+
+
+def verify_majorization_monotonicity(pi: DegreeSequence, pi_prime: DegreeSequence) -> bool:
+    """Whether the eigenvalue drops strictly from SLO(pi) to SLO(pi_prime)
+    for a pair with pi_prime majorized by pi.
+
+    The pair is first checked to be comparable: the preconditions of
+    unit_transform_chain hold, so a chain of unit transformations
+    connects the sequences. The chain itself is not built.
+
+    Raises:
+        NotMajorized: pi_prime is not strictly majorized by pi with equal
+            interior counts.
+        LengthMismatch: the sequences differ in length or uniformity.
+    """
+    return _majorization_lambdas(pi, pi_prime)[2]

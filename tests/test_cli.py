@@ -239,15 +239,11 @@ import supertrees
 before = [loaded()]
 import supertrees.cli
 before.append(loaded())
-runs = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = supertrees.cli.main(argv)
-    runs.append([code, out.getvalue(), *loaded()])
-print(json.dumps({"before": before, "runs": runs}))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = supertrees.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"before": before, "run": [code, out.getvalue(), *loaded()]}))
 """
 
-ENUMERATION = {"config", "enumeration", "slo", "transforms"}
 # the modules of the package a subcommand runs beyond cli, core and errors,
 # which every process loads
 RUNS = {
@@ -258,17 +254,17 @@ RUNS = {
     "switch": {"config", "transforms"},
     "shift": {"config", "transforms"},
     "unit": {"config", "transforms"},
-    "enumerate": ENUMERATION,
+    "enumerate": {"config", "enumeration"},
     "eigen": {"config", "spectral"},
     "relabel": {"config", "slo", "spectral"},
-    "verify-fk1": ENUMERATION | {"spectral"},
-    "verify-fk2": ENUMERATION | {"spectral"},
-    "majorize": ENUMERATION | {"spectral"},
+    "verify-fk1": {"config", "enumeration", "slo", "spectral"},
+    "verify-fk2": {"config", "enumeration", "slo", "spectral"},
+    "majorize": {"config", "transforms", "slo", "spectral"},
 }
 
 
 def test_numpy_loads_only_for_eigenproblems(capsys, h7):
-    combinatorial = [
+    argvs = [
         ["validate", h7],
         ["slo-check", h7, "--order", "0,1,2,3,4,5,6"],
         ["slo-find", h7],
@@ -277,8 +273,6 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         ["shift", h7, "--u", "1", "--edges", "2", "--v", "3"],
         ["unit", "--k", "3", "--pi", "3,3,1,1,1,1,1,1,1,1,1", "--p", "0"],
         ["enumerate", "--k", "3", "--pi", "2,2,2,1,1,1,1,1,1"],
-    ]
-    spectral = [
         ["eigen", h7],
         ["relabel", h7],
         ["verify-fk1", "--k", "3", "--pi", "2,2,2,1,1,1,1,1,1"],
@@ -286,22 +280,20 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         ["majorize", "--k", "3", "--pi", "3,3,1,1,1,1,1,1,1,1,1",
          "--pi-prime", "2,4,1,1,1,1,1,1,1,1,1"],
     ]
-    assert [argv[0] for argv in combinatorial + spectral] == list(RUNS)
-    cold = _cold_python(COLD_CLI, json.dumps(combinatorial + spectral))
+    assert [argv[0] for argv in argvs] == list(RUNS)
     base = ["cli", "core", "errors"]
-    assert cold["before"] == [[[], False, False], [base, False, False]]
-    runs = cold["runs"]
-    # modules stay loaded, so each run adds what it runs to what ran before
-    expected = set(base)
-    for argv, (_, _, own, _, dataclasses) in zip(combinatorial + spectral, runs):
-        expected |= RUNS[argv[0]]
-        assert (argv[0], sorted(own), dataclasses) == (argv[0], sorted(expected), False)
-    assert [run[3] for run in runs[: len(combinatorial)]] == [False] * len(combinatorial)
-    assert all(run[3] for run in runs[len(combinatorial):])
-    # a cold process that loads modules on demand prints what this one does
-    for argv, (code, out, *_) in zip(combinatorial + spectral, runs):
-        assert _run(capsys, *argv)[:2] == (code, out)
-    assert all(run[0] == 0 for run in runs)
+    # one fresh process per subcommand: a module an earlier subcommand
+    # loaded cannot hide one this subcommand should not load
+    for argv in argvs:
+        cold = _cold_python(COLD_CLI, json.dumps(argv))
+        assert cold["before"] == [[[], False, False], [base, False, False]]
+        code, out, own, numpy, dataclasses = cold["run"]
+        # numpy loads with the first solve, and only the solvers load spectral
+        solves = "spectral" in RUNS[argv[0]]
+        want = (argv[0], sorted(RUNS[argv[0]] | set(base)), solves, False)
+        assert (argv[0], own, numpy, dataclasses) == want
+        # a cold process that loads modules on demand prints what this one does
+        assert _run(capsys, *argv)[:2] == (0, out)
 
 
 def _imported(node, module_level: bool):
@@ -471,6 +463,34 @@ def test_package_all_is_the_union_of_the_module_lists():
     ):
         with pytest.raises(AttributeError):
             getattr(supertrees, name)
+
+
+def _relative_imports(node):
+    """Modules of the package imported under node outside function bodies,
+    which run only when called."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.ImportFrom) and child.level:
+            if child.module is None:
+                yield from (alias.name for alias in child.names)
+            else:
+                yield child.module.split(".")[0]
+        yield from _relative_imports(child)
+
+
+def test_module_level_imports_follow_the_loader_order():
+    # the package loader imports _MODULES in order until one lists a name,
+    # so a module may import at module level only modules listed before it;
+    # cli and __init__ are listed nowhere and may import any of them
+    order = supertrees._MODULES
+    paths = sorted(Path(supertrees.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == {*order, "cli", "__init__"}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        before = order[:order.index(path.stem)] if path.stem in order else order
+        late = set(_relative_imports(tree)) - set(before)
+        assert (path.name, late) == (path.name, set())
 
 
 def test_slo_construct_roundtrip(capsys):

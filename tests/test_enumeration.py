@@ -12,24 +12,18 @@ from supertrees import (
     DegreeSequence,
     EmptyFamily,
     InfeasibleDegreeSequence,
-    LengthMismatch,
     NotKUniform,
-    NotMajorized,
     canonical_code,
     construct_slo_supertree,
     enumerate_family,
     enumerate_supertrees,
     feasible_degree_sequences,
-    first_dirichlet_eigenpair,
     fk1_sweep,
     fk2_sweep,
-    unit_transform_chain,
-    unit_transformation,
     verify_fk_theorem1,
     verify_fk_theorem2,
-    verify_majorization_monotonicity,
 )
-from supertrees import enumeration, transforms
+from supertrees import enumeration
 from supertrees.config import ranked, strictly_less
 from supertrees.core import _CentroidTree
 from supertrees.enumeration import FamilySpec, _ascending_partitions, _grow_classes
@@ -530,47 +524,3 @@ def test_growth_encodes_only_its_first_edge_from_scratch(monkeypatch):
         derived.clear()
         layers = _grow_classes(*case)
         assert len(derived) == sum(map(len, layers[1:-1]))
-
-
-def test_majorization_monotonicity_examples():
-    steep = _seq(3, (3, 3) + (1,) * 9)
-    flat = _seq(3, (2, 4) + (1,) * 9)
-    assert verify_majorization_monotonicity(steep, flat) is True
-    with pytest.raises(NotMajorized, match="equal"):
-        verify_majorization_monotonicity(steep, steep)
-    with pytest.raises(NotMajorized):
-        verify_majorization_monotonicity(flat, steep)
-    with pytest.raises(LengthMismatch):
-        verify_majorization_monotonicity(
-            _seq(3, (2, 1, 1, 1, 1)), _seq(3, (2, 2) + (1,) * 5)
-        )
-
-
-def test_majorization_checks_comparability_without_building_the_chain(monkeypatch):
-    # a chain costs O(n) per unit step, O(n * chain length) in all
-    def unbuilt(pi, p):
-        raise AssertionError("the chain was built")
-
-    monkeypatch.setattr(transforms, "unit_transformation", unbuilt)
-    steep = _seq(3, (3, 3) + (1,) * 9)
-    flat = _seq(3, (2, 4) + (1,) * 9)
-    assert verify_majorization_monotonicity(steep, flat) is True
-
-
-def test_majorization_monotonicity_along_chain():
-    start = _seq(3, (4, 4, 4) + (1,) * 18)
-    end = _seq(3, (2, 3, 7) + (1,) * 18)
-    chain = unit_transform_chain(start, end)
-    assert len(chain) >= 2
-    lams = [first_dirichlet_eigenpair(construct_slo_supertree(start)[0]).lam]
-    cur = start
-    for p in chain:
-        cur = unit_transformation(cur, p)
-        lams.append(
-            first_dirichlet_eigenpair(construct_slo_supertree(cur)[0]).lam
-        )
-    assert cur.entries == end.entries
-    assert all(b < a for a, b in zip(lams, lams[1:]))
-    assert lams[0] == pytest.approx(3.0, abs=1e-12)
-    assert lams[-1] == pytest.approx(1.7114410964686546, abs=1e-10)
-    assert verify_majorization_monotonicity(start, end) is True

@@ -365,6 +365,8 @@ def test_relabel_rejects_wrong_shape():
         (["a"] * 7, NotAnEigenfunction),
         ([object()] * 7, NotAnEigenfunction),
         ([1j] * 7, NotAnEigenfunction),
+        # math.isfinite raised OverflowError on an integer past every float
+        (list(f[:1]) + [10**400] + list(f[2:]), NotAnEigenfunction),
     ):
         with pytest.raises(error) as info:
             relabel(G, bad)

@@ -24,11 +24,14 @@ from supertrees import (
     canonical_code,
     check_shift_hypothesis,
     check_switch_hypothesis,
+    construct_slo_supertree,
     first_dirichlet_eigenpair,
     majorizes,
     unit_transform_chain,
     unit_transformation,
+    verify_majorization_monotonicity,
 )
+from supertrees import transforms
 from supertrees.config import strictly_less
 
 from support import (
@@ -97,6 +100,8 @@ def test_hypothesis_checks_reject_malformed_functions():
         (dict(enumerate(f)), InvalidSpec),
         (set(range(7)), InvalidSpec),
         ("0110000", InvalidSpec),
+        # math.isfinite raised OverflowError on an integer past every float
+        (list(f[:3]) + [10**400] + list(f[4:]), InvalidSpec),
     ):
         for check, spec in (
             (check_switch_hypothesis, switch),
@@ -614,3 +619,47 @@ def test_long_chain_is_linear():
         cur[p + 1] += 1
         cur.sort()
     assert tuple(cur) == end.interior
+
+
+def test_majorization_monotonicity_examples():
+    steep = _seq(3, (3, 3) + (1,) * 9)
+    flat = _seq(3, (2, 4) + (1,) * 9)
+    assert verify_majorization_monotonicity(steep, flat) is True
+    with pytest.raises(NotMajorized, match="equal"):
+        verify_majorization_monotonicity(steep, steep)
+    with pytest.raises(NotMajorized):
+        verify_majorization_monotonicity(flat, steep)
+    with pytest.raises(LengthMismatch):
+        verify_majorization_monotonicity(
+            _seq(3, (2, 1, 1, 1, 1)), _seq(3, (2, 2) + (1,) * 5)
+        )
+
+
+def test_majorization_checks_comparability_without_building_the_chain(monkeypatch):
+    # a chain costs O(n) per unit step, O(n * chain length) in all
+    def unbuilt(pi, p):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(transforms, "unit_transformation", unbuilt)
+    steep = _seq(3, (3, 3) + (1,) * 9)
+    flat = _seq(3, (2, 4) + (1,) * 9)
+    assert verify_majorization_monotonicity(steep, flat) is True
+
+
+def test_majorization_monotonicity_along_chain():
+    start = _seq(3, (4, 4, 4) + (1,) * 18)
+    end = _seq(3, (2, 3, 7) + (1,) * 18)
+    chain = unit_transform_chain(start, end)
+    assert len(chain) >= 2
+    lams = [first_dirichlet_eigenpair(construct_slo_supertree(start)[0]).lam]
+    cur = start
+    for p in chain:
+        cur = unit_transformation(cur, p)
+        lams.append(
+            first_dirichlet_eigenpair(construct_slo_supertree(cur)[0]).lam
+        )
+    assert cur.entries == end.entries
+    assert all(b < a for a, b in zip(lams, lams[1:]))
+    assert lams[0] == pytest.approx(3.0, abs=1e-12)
+    assert lams[-1] == pytest.approx(1.7114410964686546, abs=1e-10)
+    assert verify_majorization_monotonicity(start, end) is True
