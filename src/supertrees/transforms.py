@@ -251,7 +251,9 @@ def unit_transformation(pi: DegreeSequence, p: int) -> DegreeSequence:
     return DegreeSequence(pi.k, tuple(sorted(interior)) + pi.entries[len(interior):])
 
 
-def majorizes(pi: DegreeSequence, pi_prime: DegreeSequence) -> bool:
+def majorizes(
+    pi: DegreeSequence, pi_prime: DegreeSequence
+) -> bool:
     """Whether pi_prime is majorized by pi.
 
     Prefix sums run over the canonical arrangement (interior degrees
@@ -285,7 +287,9 @@ def _require_chain(pi: DegreeSequence, pi_prime: DegreeSequence) -> None:
         )
 
 
-def unit_transform_chain(pi: DegreeSequence, pi_prime: DegreeSequence) -> list[int]:
+def unit_transform_chain(
+    pi: DegreeSequence, pi_prime: DegreeSequence
+) -> list[int]:
     """Positions of unit transformations carrying pi onto pi_prime.
 
     Requires pi_prime majorized by pi. Replaying the returned positions

@@ -293,12 +293,13 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         want = (argv[0], sorted(RUNS[argv[0]] | set(base)), solves, False)
         assert (argv[0], own, numpy, dataclasses) == want
         # a cold process that loads modules on demand prints what this one does
-        assert _run(capsys, *argv)[:2] == (0, out)
+        assert (code, _run(capsys, *argv)[:2]) == (0, (0, out))
 
 
 def _imported(node, module_level: bool):
     """Top-level names of the modules imported under node, outside function
-    bodies (which run only when called) when module_level is set."""
+    bodies (which run only when called) when module_level is set; a module
+    of the package imported relatively reads as ".name"."""
     for child in ast.iter_child_nodes(node):
         if module_level and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -306,6 +307,10 @@ def _imported(node, module_level: bool):
             yield from (alias.name.split(".")[0] for alias in child.names)
         elif isinstance(child, ast.ImportFrom) and not child.level:
             yield child.module.split(".")[0]
+        elif isinstance(child, ast.ImportFrom) and child.module is None:
+            yield from ("." + alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            yield "." + child.module.split(".")[0]
         yield from _imported(child, module_level)
 
 
@@ -465,20 +470,6 @@ def test_package_all_is_the_union_of_the_module_lists():
             getattr(supertrees, name)
 
 
-def _relative_imports(node):
-    """Modules of the package imported under node outside function bodies,
-    which run only when called."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(child, ast.ImportFrom) and child.level:
-            if child.module is None:
-                yield from (alias.name for alias in child.names)
-            else:
-                yield child.module.split(".")[0]
-        yield from _relative_imports(child)
-
-
 def test_module_level_imports_follow_the_loader_order():
     # the package loader imports _MODULES in order until one lists a name,
     # so a module may import at module level only modules listed before it;
@@ -489,7 +480,8 @@ def test_module_level_imports_follow_the_loader_order():
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         before = order[:order.index(path.stem)] if path.stem in order else order
-        late = set(_relative_imports(tree)) - set(before)
+        own = {name[1:] for name in _imported(tree, True) if name.startswith(".")}
+        late = own - set(before)
         assert (path.name, late) == (path.name, set())
 
 
