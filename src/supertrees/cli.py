@@ -4,10 +4,11 @@ One subcommand per operation, line-oriented output: single values print as
 ``key=value``, tables print as CSV (or aligned key=value rows under
 ``--format plain``), and supertrees print in the .sht text format. Floats
 carry 12 decimal digits. Exit codes: 0 success or verified, 1 verification
-failure, 2 malformed input or usage error.
+failure, 2 malformed input or usage error, 3 undecided.
 
 Each handler imports the modules it runs, so a process loads only its
-subcommand's share of the package; numpy loads only with the first solve.
+subcommand's share of the package; numpy loads only with the first LAPACK
+solve, which majorize never makes.
 """
 
 import argparse
@@ -228,6 +229,9 @@ def _cmd_majorize(args) -> int:
     print("majorized=true")
     print(f"lambda_pi={_fmt(lam)}")
     print(f"lambda_pi_prime={_fmt(lam_prime)}")
+    if decreased is None:
+        print("strict_decrease=undecided")
+        return 3
     print(f"strict_decrease={_tf(decreased)}")
     return 0 if decreased else 1
 

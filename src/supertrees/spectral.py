@@ -11,9 +11,13 @@ each such group in one eigvalsh call (one per interior size for a sweep's
 classes), and first_dirichlet_eigenpair solves a stack of one, so the two
 give the same lambda bit for bit. The one eigenvector returned comes from
 one step of inverse iteration from the all-ones vector, at a shift just
-below lambda. Only this module uses numpy, and only inside the functions
-that compute, so importing it (or the package) leaves numpy unloaded until
-the first solve.
+below lambda.
+
+Beside LAPACK, a pure-Python kernel counts the Dirichlet eigenvalues below
+any sigma by a tree-shaped LDL^T elimination, in floats or exactly in
+fractions, and bisection on that count gives lambda alone in O(n0) per
+step. Only this module uses numpy, and only inside the LAPACK functions, so
+importing it (or the package), or counting, leaves numpy unloaded.
 """
 
 import itertools
@@ -144,3 +148,101 @@ def first_dirichlet_eigenvalues(trees) -> list[float]:
         values = np.linalg.eigvalsh(_laplacian_blocks([trees[i] for i in idx])[0])
         lams.update(zip(idx, values[:, 0].tolist()))
     return [lams[i] for i in range(len(trees))]
+
+
+def _inertia_plan(G: Supertree):
+    """Elimination plan for (k - 1) times the Dirichlet matrix of G, whose
+    entries are integers: (k - 1) * degree on the diagonal and -1 between
+    two interior members of an edge.
+
+    The nodes are G's interior vertices, numbered in BFS order from an
+    interior root, and one hub per edge with three or more interior
+    members. An edge with two interior members joins them directly. A hub
+    has diagonal 1 and is joined by 1 to each member of its edge, and each
+    member gains 1 on its diagonal; eliminating the hubs gives back the
+    edge's clique, so the nodes form a tree with the same count of negative
+    pivots. Returns (base diagonal, sigma coefficient, parent node), a
+    node's parent numbered before it.
+
+    Raises:
+        NoInteriorVertices: G has no interior vertex.
+    """
+    scale = G.k - 1
+    at = {v: [] for v in range(G.n) if G.degrees[v] >= 2}
+    if not at:
+        raise NoInteriorVertices("every vertex has degree one")
+    for e in G.edges:
+        members = [v for v in e if v in at]
+        if len(members) > 1:
+            for v in members:
+                at[v].append(members)
+    root = next(iter(at))
+    node, order, nodes = {root: 0}, [root], [[scale * G.degrees[root], scale, -1]]
+    for v in order:
+        for members in at[v]:
+            # every member of the edge v was reached by is numbered already
+            children = [w for w in members if w not in node]
+            parent = node[v]
+            if len(children) > 1:
+                nodes[parent][0] += 1
+                nodes.append([1, 0, parent])
+                parent = len(nodes) - 1
+            for w in children:
+                node[w] = len(nodes)
+                order.append(w)
+                nodes.append([scale * G.degrees[w] + (len(children) > 1), scale, parent])
+    return tuple(zip(*nodes))
+
+
+def _count_below(plan, sigma):
+    """The number of Dirichlet eigenvalues below sigma of the supertree
+    that plan (from _inertia_plan) describes.
+
+    It counts the negative pivots of an LDL^T elimination, last node first,
+    of the plan's matrix minus (k - 1) * sigma on the vertices (Sylvester's
+    law of inertia). Each pivot updates its parent node alone, so nothing
+    fills in: the tree form of Jacobs and Trevisan, Linear Algebra Appl. 434
+    (2011). A float sigma runs in floats, where a pivot no larger in
+    magnitude than the smallest normal float counts as negative and is
+    replaced by minus that float, as LAPACK's dstebz does. Any other sigma
+    runs exactly in fractions.Fraction, and an exact zero pivot returns
+    None: sigma is then an eigenvalue of a subtree's block, and the count
+    is not read.
+    """
+    if isinstance(sigma, float):
+        pivmin = sys.float_info.min
+    else:
+        from fractions import Fraction
+        sigma, pivmin = Fraction(sigma), 0
+    base, coef, up = plan
+    x = [b - c * sigma for b, c in zip(base, coef)]
+    below = 0
+    for i in range(len(x) - 1, -1, -1):
+        pivot = x[i]
+        if -pivmin <= pivot <= pivmin:
+            if not pivmin:
+                return None
+            pivot = -pivmin
+        below += pivot < 0
+        if i:
+            x[up[i]] -= 1 / pivot
+    return below
+
+
+def _bisected_eigenvalue(G: Supertree):
+    """(lambda, plan): G's smallest Dirichlet eigenvalue by float bisection
+    of _count_below on [0, 2 * max degree], which holds the whole spectrum
+    (Gershgorin), down to two adjacent floats, and the plan it counted with.
+    lambda is the upper one, the least float seen with a positive count.
+
+    Raises:
+        NoInteriorVertices: G has no interior vertex.
+    """
+    plan = _inertia_plan(G)
+    lo, hi = 0.0, float(2 * max(G.degrees))
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _count_below(plan, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, plan

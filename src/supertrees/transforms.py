@@ -10,7 +10,8 @@ On degree sequences, a unit transformation moves one unit of degree from a
 larger interior entry to the next one, and majorization orders sequences by
 ascending prefix sums. Any majorized pair is connected by a chain of unit
 transformations, built greedily here, and the SLO-supertree's first
-Dirichlet eigenvalue falls strictly along it (checked by solving both ends).
+Dirichlet eigenvalue falls strictly along it (decided by exact eigenvalue
+counts at the two ends).
 """
 
 import bisect
@@ -325,22 +326,52 @@ def unit_transform_chain(
 
 def _majorization_lambdas(
     pi: DegreeSequence, pi_prime: DegreeSequence
-) -> tuple[float, float, bool]:
-    """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less."""
+) -> tuple[float, float, bool | None]:
+    """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less:
+    True or False once exact counts prove it, None when they do not.
+
+    Both lambda come from float bisection. The comparison is decided at
+    sigma, the exact midpoint of the two floats, by counting each tree's
+    Dirichlet eigenvalues below sigma in exact arithmetic: a count of at
+    least one for SLO(pi_prime) and none for SLO(pi) proves lambda_pi_prime
+    < sigma <= lambda_pi, and the mirrored counts prove the reverse. A zero
+    pivot at sigma is retried once, halfway from sigma to the larger float.
+    Equal floats, any other counts, or a second zero pivot leave the
+    comparison undecided: a wrong float can keep the counts from proving,
+    never make them prove the wrong thing.
+    """
+    from fractions import Fraction
     from .slo import construct_slo_supertree  # see enumeration._score_families
-    from .spectral import first_dirichlet_eigenvalues
+    from .spectral import _bisected_eigenvalue, _count_below
     if pi.entries == pi_prime.entries:
         raise NotMajorized("the sequences are equal; no strict comparison")
     _require_chain(pi, pi_prime)
-    lam, lam_prime = first_dirichlet_eigenvalues(
-        [construct_slo_supertree(pi)[0], construct_slo_supertree(pi_prime)[0]]
+    (lam, plan), (lam_prime, plan_prime) = (
+        _bisected_eigenvalue(construct_slo_supertree(p)[0]) for p in (pi, pi_prime)
     )
-    return lam, lam_prime, strictly_less(lam_prime, lam)
+    if lam == lam_prime:
+        return lam, lam_prime, None
+    lo, hi = sorted((Fraction(lam), Fraction(lam_prime)))
+    for sigma in ((lo + hi) / 2, (lo + 3 * hi) / 4):
+        count, count_prime = _count_below(plan, sigma), _count_below(plan_prime, sigma)
+        if count is not None and count_prime is not None:
+            break
+    else:
+        return lam, lam_prime, None
+    if count == 0 and count_prime:
+        return lam, lam_prime, True
+    if count and count_prime == 0:
+        return lam, lam_prime, False
+    return lam, lam_prime, None
 
 
-def verify_majorization_monotonicity(pi: DegreeSequence, pi_prime: DegreeSequence) -> bool:
+def verify_majorization_monotonicity(
+    pi: DegreeSequence, pi_prime: DegreeSequence
+) -> bool | None:
     """Whether the eigenvalue drops strictly from SLO(pi) to SLO(pi_prime)
-    for a pair with pi_prime majorized by pi.
+    for a pair with pi_prime majorized by pi: True or False when exact
+    eigenvalue counts at a rational between the two float lambda prove the
+    answer, None when they cannot separate them (undecided, never false).
 
     The pair is first checked to be comparable: the preconditions of
     unit_transform_chain hold, so a chain of unit transformations

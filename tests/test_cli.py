@@ -12,6 +12,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ from supertrees import (
     construct_slo_supertree,
     parse_sht,
     serialize_sht,
+    spectral,
+    verify_majorization_monotonicity,
 )
 from supertrees.cli import main
 from support import apply_vertex_permutation
@@ -261,6 +264,9 @@ RUNS = {
     "verify-fk2": {"config", "enumeration", "slo", "spectral"},
     "majorize": {"config", "transforms", "slo", "spectral"},
 }
+# the subcommands that solve with LAPACK; majorize loads spectral for its
+# pure-Python eigenvalue counts alone
+LAPACK = {"eigen", "relabel", "verify-fk1", "verify-fk2"}
 
 
 def test_numpy_loads_only_for_eigenproblems(capsys, h7):
@@ -288,9 +294,8 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         cold = _cold_python(COLD_CLI, json.dumps(argv))
         assert cold["before"] == [[[], False, False], [base, False, False]]
         code, out, own, numpy, dataclasses = cold["run"]
-        # numpy loads with the first solve, and only the solvers load spectral
-        solves = "spectral" in RUNS[argv[0]]
-        want = (argv[0], sorted(RUNS[argv[0]] | set(base)), solves, False)
+        # numpy loads with the first LAPACK solve, and only then
+        want = (argv[0], sorted(RUNS[argv[0]] | set(base)), argv[0] in LAPACK, False)
         assert (argv[0], own, numpy, dataclasses) == want
         # a cold process that loads modules on demand prints what this one does
         assert (code, _run(capsys, *argv)[:2]) == (0, (0, out))
@@ -656,6 +661,48 @@ def test_majorize_rejects_non_majorized(capsys):
                         "--pi-prime", "3,3,1,1,1,1,1,1,1,1,1")
     assert code == 2
     assert out == "majorized=false\n"
+
+
+@pytest.mark.parametrize("n0, lam, lam_prime", [
+    (1000, "0.000009869596", "0.000009863020"),
+    (4200, "0.000000559501", "0.000000559413"),
+])
+def test_majorize_proves_the_ladder_pair(capsys, n0, lam, lam_prime):
+    # k=2, pi = (3,3,2^(n0-2),1^4) against pi' = (4,2^(n0-1),1^4): the two
+    # lambda lie 6.6e-9 apart at n0=1,000 and 8.9e-11 at 4,200, inside the
+    # old 1e-10 comparison window, where dense solves took 6.2 s and
+    # answered false; exact counts prove the drop in about 0.9 s of CPU
+    pi = ",".join(["3,3"] + ["2"] * (n0 - 2) + ["1"] * 4)
+    pi_prime = ",".join(["4"] + ["2"] * (n0 - 1) + ["1"] * 4)
+    began = time.process_time()
+    code, out, err = _run(capsys, "majorize", "--k", "2", "--pi", pi,
+                          "--pi-prime", pi_prime)
+    assert time.process_time() - began < 2.0
+    assert (code, err) == (0, "")
+    assert out == ("majorized=true\n"
+                   f"lambda_pi={lam}\nlambda_pi_prime={lam_prime}\n"
+                   "strict_decrease=true\n")
+
+
+@pytest.mark.parametrize("patch", ["tied floats", "both counts positive",
+                                   "zero pivots"])
+def test_majorize_undecided_exits_3(capsys, monkeypatch, patch):
+    # equal floats, counts that prove neither order, or a zero pivot at both
+    # rationals tried leave the comparison undecided, never false
+    if patch == "tied floats":
+        monkeypatch.setattr(spectral, "_bisected_eigenvalue",
+                            lambda G: (2.0, spectral._inertia_plan(G)))
+    else:
+        count = 1 if patch == "both counts positive" else None
+        monkeypatch.setattr(spectral, "_count_below", lambda plan, sigma: count)
+    steep = DegreeSequence.from_degrees(3, [3, 3] + [1] * 9)
+    flat = DegreeSequence.from_degrees(3, [2, 4] + [1] * 9)
+    assert verify_majorization_monotonicity(steep, flat) is None
+    code, out, err = _run(capsys, "majorize", "--k", "3",
+                          "--pi", "3,3,1,1,1,1,1,1,1,1,1",
+                          "--pi-prime", "2,4,1,1,1,1,1,1,1,1,1")
+    assert (code, out.splitlines()[0], out.splitlines()[-1], err) == (
+        3, "majorized=true", "strict_decrease=undecided", "")
 
 
 @pytest.mark.parametrize("pi, pi_prime, error", [

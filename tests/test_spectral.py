@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from supertrees import (
     spectral,
 )
 from supertrees.cli import main
-from supertrees.enumeration import _grow_classes
+from supertrees.enumeration import _grow_classes, _members
 from support import (
     apply_vertex_permutation,
     broom,
@@ -360,3 +362,94 @@ def test_stacked_eigenvalues_equal_single_solves():
         first_dirichlet_eigenpair(G).lam for G in everyone
     ]
     assert first_dirichlet_eigenvalues([]) == []
+
+
+def _benchmark_classes():
+    """Every class of the four benchmark sweeps, once each (2,320)."""
+    classes = {}
+    for certs in (fk1_sweep(3, 13), fk1_sweep(2, 10), fk2_sweep(3, 13, 2),
+                  fk2_sweep(2, 13, 2)):
+        for cert in certs:
+            classes.update(_members(cert.family))
+    return list(classes.values())
+
+
+def _spectra(trees):
+    """Every Dirichlet eigenvalue of each supertree, ascending, from one
+    stacked eigvalsh call per (k, n0)."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, G in enumerate(trees):
+        groups.setdefault((G.k, sum(d >= 2 for d in G.degrees)), []).append(i)
+    spectra = {}
+    for idx in groups.values():
+        blocks = spectral._laplacian_blocks([trees[i] for i in idx])[0]
+        spectra.update(zip(idx, np.linalg.eigvalsh(blocks)))
+    return [spectra[i] for i in range(len(trees))]
+
+
+def test_inertia_counts_equal_eigvalsh_counts():
+    # at 0.999 lambda_1, halfway from lambda_1 to lambda_2 and at one random
+    # sigma per tree: 7,982 counts over the benchmark classes and the
+    # reference trees, 0.1 s in floats and 1.3 s exactly, of about 2 s
+    rng = random.Random(1917)
+    trees = _benchmark_classes()
+    assert len(trees) == 2320
+    trees += _reference_trees()
+    counts, zeros = 0, []
+    for G, values in zip(trees, _spectra(trees)):
+        plan = spectral._inertia_plan(G)
+        sigmas = [0.999 * values[0], rng.uniform(0.0, 2.0 * max(G.degrees))]
+        sigmas += [(values[0] + values[1]) / 2] if len(values) > 1 else []
+        for sigma in sigmas:
+            below = int(np.sum(values < sigma))
+            assert spectral._count_below(plan, sigma) == below
+            exact = spectral._count_below(plan, Fraction(sigma))
+            if exact is None:
+                zeros.append((G.k, sigma))
+            else:
+                assert exact == below
+            counts += 1
+    assert counts == 7982
+    # an exact zero pivot makes (k - 1) sigma a root of a monic integer
+    # polynomial, so an integer: here every one is a lambda_1-lambda_2
+    # midpoint of a small star, path or bouquet
+    assert len(zeros) == 9
+    assert all(((k - 1) * sigma).is_integer() for k, sigma in zeros)
+
+
+def test_exact_zero_pivot_is_reported_and_float_counts_it_below():
+    # sigma = 2 is the eigenvalue of the last interior vertex's own block on
+    # the k=2 path with three edges (spectrum 1, 3) and on TWO_INTERIOR
+    # (1.5, 2.5), though not of either whole block; sigma = d is the whole
+    # spectrum of star(k, d)
+    path = build_supertree(2, 4, [(0, 1), (1, 2), (2, 3)])
+    cases = [(path, 2), (build_supertree(3, 7, TWO_INTERIOR), 2),
+             (star(3, 4), 4), (star(2, 5), 5)]
+    for G, sigma in cases:
+        plan = spectral._inertia_plan(G)
+        assert spectral._count_below(plan, sigma) is None
+        assert spectral._count_below(plan, Fraction(sigma)) is None
+        # the float pivot is replaced by minus the smallest normal float, so
+        # the count is the one just above sigma
+        values = _spectra([G])[0]
+        above = int(np.sum(values < sigma + 1e-9))
+        assert spectral._count_below(plan, float(sigma)) == above == 1
+
+
+def test_bisected_eigenvalue_matches_lapack():
+    # the worst relative difference over the benchmark classes is 3.2e-14,
+    # and no 12-decimal print moves; on long paths both stay within eps
+    # times the norm bound 4 of 4 sin^2(pi / 2m)
+    trees = _benchmark_classes()
+    lams = first_dirichlet_eigenvalues(trees)
+    for G, lam in zip(trees, lams):
+        bisected, plan = spectral._bisected_eigenvalue(G)
+        assert abs(bisected - lam) <= 1e-13 * lam
+        assert f"{bisected:.12f}" == f"{lam:.12f}"
+        assert spectral._count_below(plan, bisected) == 1
+    for m in (200, 400, 1000):
+        G = build_supertree(2, m + 1, [(i, i + 1) for i in range(m)])
+        exact = 4.0 * math.sin(math.pi / (2 * m)) ** 2
+        assert abs(spectral._bisected_eigenvalue(G)[0] - exact) <= 4 * sys.float_info.epsilon
+    with pytest.raises(NoInteriorVertices):
+        spectral._bisected_eigenvalue(build_supertree(3, 3, [(0, 1, 2)]))
