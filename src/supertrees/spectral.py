@@ -13,10 +13,11 @@ give the same lambda bit for bit. The one eigenvector returned comes from
 one step of inverse iteration from the all-ones vector, at a shift just
 below lambda.
 
-Beside LAPACK, a pure-Python kernel counts the Dirichlet eigenvalues below
-any sigma by a tree-shaped LDL^T elimination, in floats or exactly in
-fractions, and bisection on that count gives lambda alone in O(n0) per
-step. Only this module uses numpy, and only inside the LAPACK functions, so
+Beside LAPACK, a pure-Python kernel counts the Dirichlet eigenvalues at or
+below any sigma by a tree-shaped LDL^T elimination, in floats or exactly in
+fractions, with one rule for a zero pivot in both, so every count is an
+answer; bisection on that count gives lambda alone in O(n0) per step. Only
+this module uses numpy, and only inside the LAPACK functions, so
 importing it (or the package), or counting, leaves numpy unloaded.
 """
 
@@ -195,19 +196,20 @@ def _inertia_plan(G: Supertree):
 
 
 def _count_below(plan, sigma):
-    """The number of Dirichlet eigenvalues below sigma of the supertree
-    that plan (from _inertia_plan) describes.
+    """The number of Dirichlet eigenvalues at or below sigma of the
+    supertree that plan (from _inertia_plan) describes.
 
     It counts the negative pivots of an LDL^T elimination, last node first,
     of the plan's matrix minus (k - 1) * sigma on the vertices (Sylvester's
     law of inertia). Each pivot updates its parent node alone, so nothing
     fills in: the tree form of Jacobs and Trevisan, Linear Algebra Appl. 434
-    (2011). A float sigma runs in floats, where a pivot no larger in
-    magnitude than the smallest normal float counts as negative and is
-    replaced by minus that float, as LAPACK's dstebz does. Any other sigma
-    runs exactly in fractions.Fraction, and an exact zero pivot returns
-    None: sigma is then an eigenvalue of a subtree's block, and the count
-    is not read.
+    (2011). A float sigma runs in floats; any other sigma runs exactly in
+    fractions.Fraction. A pivot no larger in magnitude than pivmin (the
+    smallest normal float, or 0 when exact) is read as -epsilon: it counts
+    as negative, and its parent's pivot becomes +infinity, which counts as
+    positive and sends nothing further up. Every pivot falls as sigma
+    grows, so this is the count just above sigma, the limit that LAPACK's
+    dstebz substitution of -pivmin computes.
     """
     if isinstance(sigma, float):
         pivmin = sys.float_info.min
@@ -216,16 +218,19 @@ def _count_below(plan, sigma):
         sigma, pivmin = Fraction(sigma), 0
     base, coef, up = plan
     x = [b - c * sigma for b, c in zip(base, coef)]
-    below = 0
+    below, inf = 0, math.inf
     for i in range(len(x) - 1, -1, -1):
         pivot = x[i]
         if -pivmin <= pivot <= pivmin:
-            if not pivmin:
-                return None
-            pivot = -pivmin
-        below += pivot < 0
-        if i:
-            x[up[i]] -= 1 / pivot
+            below += 1
+            if i:
+                x[up[i]] = inf
+        elif pivot != inf:
+            below += pivot < 0
+            # an infinite parent stays infinite, so an exact sum never
+            # meets the float
+            if i and x[up[i]] != inf:
+                x[up[i]] -= 1 / pivot
     return below
 
 

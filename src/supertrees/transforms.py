@@ -330,15 +330,14 @@ def _majorization_lambdas(
     """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less:
     True or False once exact counts prove it, None when they do not.
 
-    Both lambda come from float bisection. The comparison is decided at
+    Both lambda come from float bisection. The comparison is decided at one
     sigma, the exact midpoint of the two floats, by counting each tree's
-    Dirichlet eigenvalues below sigma in exact arithmetic: a count of at
-    least one for SLO(pi_prime) and none for SLO(pi) proves lambda_pi_prime
-    < sigma <= lambda_pi, and the mirrored counts prove the reverse. A zero
-    pivot at sigma is retried once, halfway from sigma to the larger float.
-    Equal floats, any other counts, or a second zero pivot leave the
-    comparison undecided: a wrong float can keep the counts from proving,
-    never make them prove the wrong thing.
+    Dirichlet eigenvalues at or below sigma in exact arithmetic: a count of
+    at least one for SLO(pi_prime) and none for SLO(pi) proves
+    lambda_pi_prime <= sigma < lambda_pi, and the mirrored counts prove the
+    reverse. That holds at any sigma, equal floats included, so only counts
+    that prove neither order leave the comparison undecided: a wrong float
+    can keep the counts from proving, never make them prove the wrong thing.
     """
     from fractions import Fraction
     from .slo import construct_slo_supertree  # see enumeration._score_families
@@ -349,15 +348,8 @@ def _majorization_lambdas(
     (lam, plan), (lam_prime, plan_prime) = (
         _bisected_eigenvalue(construct_slo_supertree(p)[0]) for p in (pi, pi_prime)
     )
-    if lam == lam_prime:
-        return lam, lam_prime, None
-    lo, hi = sorted((Fraction(lam), Fraction(lam_prime)))
-    for sigma in ((lo + hi) / 2, (lo + 3 * hi) / 4):
-        count, count_prime = _count_below(plan, sigma), _count_below(plan_prime, sigma)
-        if count is not None and count_prime is not None:
-            break
-    else:
-        return lam, lam_prime, None
+    sigma = (Fraction(lam) + Fraction(lam_prime)) / 2
+    count, count_prime = _count_below(plan, sigma), _count_below(plan_prime, sigma)
     if count == 0 and count_prime:
         return lam, lam_prime, True
     if count and count_prime == 0:
@@ -370,8 +362,9 @@ def verify_majorization_monotonicity(
 ) -> bool | None:
     """Whether the eigenvalue drops strictly from SLO(pi) to SLO(pi_prime)
     for a pair with pi_prime majorized by pi: True or False when exact
-    eigenvalue counts at a rational between the two float lambda prove the
-    answer, None when they cannot separate them (undecided, never false).
+    eigenvalue counts at the rational midpoint of the two float lambda prove
+    the answer, None only when they prove neither order (undecided, never
+    false).
 
     The pair is first checked to be comparable: the preconditions of
     unit_transform_chain hold, so a chain of unit transformations

@@ -6,6 +6,7 @@ import ast
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
 import random
@@ -684,25 +685,68 @@ def test_majorize_proves_the_ladder_pair(capsys, n0, lam, lam_prime):
                    "strict_decrease=true\n")
 
 
-@pytest.mark.parametrize("patch", ["tied floats", "both counts positive",
-                                   "zero pivots"])
-def test_majorize_undecided_exits_3(capsys, monkeypatch, patch):
-    # equal floats, counts that prove neither order, or a zero pivot at both
-    # rationals tried leave the comparison undecided, never false
-    if patch == "tied floats":
-        monkeypatch.setattr(spectral, "_bisected_eigenvalue",
-                            lambda G: (2.0, spectral._inertia_plan(G)))
-    else:
-        count = 1 if patch == "both counts positive" else None
-        monkeypatch.setattr(spectral, "_count_below", lambda plan, sigma: count)
+@pytest.mark.parametrize("pi, pi_prime, sigma, lam", [
+    # sigma = 2 lies between lambda' = 1.88 and lambda = 2.5
+    ("3,3,1,1,1,1,1,1,1,1,1", "2,4,1,1,1,1,1,1,1,1,1", 2.0, "2.000000000000"),
+    # lambda = 1.91 and lambda' = 0.98; sigma = 3/2 makes a pivot of
+    # SLO(pi') vanish, which counts as below
+    ("3,3,3,3" + ",1" * 15, "2,2,2,6" + ",1" * 15, 1.5, "1.500000000000"),
+], ids=["tied floats", "zero pivot"])
+def test_majorize_counts_decide_at_any_sigma(capsys, monkeypatch, pi, pi_prime,
+                                             sigma, lam):
+    # two equal floats put sigma on both; the exact counts there still
+    # prove the decrease
+    monkeypatch.setattr(spectral, "_bisected_eigenvalue",
+                        lambda G: (sigma, spectral._inertia_plan(G)))
+    steep, flat = (DegreeSequence.from_degrees(3, map(int, p.split(",")))
+                   for p in (pi, pi_prime))
+    assert verify_majorization_monotonicity(steep, flat) is True
+    code, out, err = _run(capsys, "majorize", "--k", "3", "--pi", pi,
+                          "--pi-prime", pi_prime)
+    assert (code, err) == (0, "")
+    assert out == ("majorized=true\n"
+                   f"lambda_pi={lam}\nlambda_pi_prime={lam}\n"
+                   "strict_decrease=true\n")
+
+
+def _patch_exact_counts(monkeypatch, counts):
+    """Make each exact count of the next majorize answer counts[0] for
+    SLO(pi), then counts[1] for SLO(pi'), in turn; float bisection still
+    counts for real."""
+    real, exact = spectral._count_below, itertools.cycle(counts)
+    monkeypatch.setattr(spectral, "_count_below", lambda plan, sigma: (
+        real(plan, sigma) if isinstance(sigma, float) else next(exact)))
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (0, 0)],
+                         ids=["both counts positive", "both counts zero"])
+def test_majorize_undecided_exits_3(capsys, monkeypatch, counts):
+    # counts that prove neither order leave the comparison undecided,
+    # never false
+    _patch_exact_counts(monkeypatch, counts)
     steep = DegreeSequence.from_degrees(3, [3, 3] + [1] * 9)
     flat = DegreeSequence.from_degrees(3, [2, 4] + [1] * 9)
     assert verify_majorization_monotonicity(steep, flat) is None
     code, out, err = _run(capsys, "majorize", "--k", "3",
                           "--pi", "3,3,1,1,1,1,1,1,1,1,1",
                           "--pi-prime", "2,4,1,1,1,1,1,1,1,1,1")
-    assert (code, out.splitlines()[0], out.splitlines()[-1], err) == (
-        3, "majorized=true", "strict_decrease=undecided", "")
+    assert (code, out, err) == (3, "majorized=true\n"
+                                "lambda_pi=2.500000000000\n"
+                                "lambda_pi_prime=1.881966011250\n"
+                                "strict_decrease=undecided\n", "")
+
+
+def test_majorize_proven_increase_exits_1(capsys, monkeypatch):
+    # a count for SLO(pi) and none for SLO(pi') would prove lambda <= sigma
+    # < lambda': a proven false, the one verification failure
+    _patch_exact_counts(monkeypatch, (1, 0))
+    steep = DegreeSequence.from_degrees(3, [3, 3] + [1] * 9)
+    flat = DegreeSequence.from_degrees(3, [2, 4] + [1] * 9)
+    assert verify_majorization_monotonicity(steep, flat) is False
+    code, out, err = _run(capsys, "majorize", "--k", "3",
+                          "--pi", "3,3,1,1,1,1,1,1,1,1,1",
+                          "--pi-prime", "2,4,1,1,1,1,1,1,1,1,1")
+    assert (code, out.splitlines()[-1], err) == (1, "strict_decrease=false", "")
 
 
 @pytest.mark.parametrize("pi, pi_prime, error", [

@@ -390,50 +390,61 @@ def _spectra(trees):
 def test_inertia_counts_equal_eigvalsh_counts():
     # at 0.999 lambda_1, halfway from lambda_1 to lambda_2 and at one random
     # sigma per tree: 7,982 counts over the benchmark classes and the
-    # reference trees, 0.1 s in floats and 1.3 s exactly, of about 2 s
+    # reference trees, 0.1 s in floats and 1.3 s exactly, of about 2 s. Nine
+    # of the exact ones meet a zero pivot: a lambda_1-lambda_2 midpoint of a
+    # small star, path or bouquet is an eigenvalue of a subtree's block
     rng = random.Random(1917)
     trees = _benchmark_classes()
     assert len(trees) == 2320
     trees += _reference_trees()
-    counts, zeros = 0, []
+    counts = 0
     for G, values in zip(trees, _spectra(trees)):
         plan = spectral._inertia_plan(G)
         sigmas = [0.999 * values[0], rng.uniform(0.0, 2.0 * max(G.degrees))]
         sigmas += [(values[0] + values[1]) / 2] if len(values) > 1 else []
         for sigma in sigmas:
-            below = int(np.sum(values < sigma))
-            assert spectral._count_below(plan, sigma) == below
-            exact = spectral._count_below(plan, Fraction(sigma))
-            if exact is None:
-                zeros.append((G.k, sigma))
-            else:
-                assert exact == below
+            at_or_below = int(np.sum(values <= sigma))
+            assert spectral._count_below(plan, sigma) == at_or_below
+            assert spectral._count_below(plan, Fraction(sigma)) == at_or_below
             counts += 1
     assert counts == 7982
+
+
+def test_exact_counts_where_a_pivot_can_vanish():
     # an exact zero pivot makes (k - 1) sigma a root of a monic integer
-    # polynomial, so an integer: here every one is a lambda_1-lambda_2
-    # midpoint of a small star, path or bouquet
-    assert len(zeros) == 9
-    assert all(((k - 1) * sigma).is_integer() for k, sigma in zeros)
+    # polynomial (the determinant of a subtree's block), so an integer t.
+    # Every t up to 2 (k - 1) max degree on the 2,320 benchmark classes
+    # (k = 2 and 3) gives 22,644 counts, about 1 s of counting. At 6,514 of
+    # them a pivot vanishes, at a vertex, a hub or the root, some below a
+    # parent already made infinite. eigvalsh rounds an eigenvalue at sigma
+    # either way, and no other lies within 1e-6 of one
+    trees = _benchmark_classes()
+    counts = 0
+    for G, values in zip(trees, _spectra(trees)):
+        plan = spectral._inertia_plan(G)
+        scale = G.k - 1
+        for t in range(2 * scale * max(G.degrees) + 1):
+            at_or_below = int(np.sum(values <= t / scale + 1e-9))
+            assert spectral._count_below(plan, Fraction(t, scale)) == at_or_below
+            counts += 1
+    assert counts == 22644
 
 
-def test_exact_zero_pivot_is_reported_and_float_counts_it_below():
+def test_zero_pivot_counts_below_in_floats_and_fractions():
     # sigma = 2 is the eigenvalue of the last interior vertex's own block on
     # the k=2 path with three edges (spectrum 1, 3) and on TWO_INTERIOR
     # (1.5, 2.5), though not of either whole block; sigma = d is the whole
-    # spectrum of star(k, d)
+    # spectrum of star(k, d). Both arithmetics read the zero pivot as minus
+    # a vanishing epsilon, so each count is the one just above sigma
     path = build_supertree(2, 4, [(0, 1), (1, 2), (2, 3)])
     cases = [(path, 2), (build_supertree(3, 7, TWO_INTERIOR), 2),
              (star(3, 4), 4), (star(2, 5), 5)]
     for G, sigma in cases:
         plan = spectral._inertia_plan(G)
-        assert spectral._count_below(plan, sigma) is None
-        assert spectral._count_below(plan, Fraction(sigma)) is None
-        # the float pivot is replaced by minus the smallest normal float, so
-        # the count is the one just above sigma
-        values = _spectra([G])[0]
-        above = int(np.sum(values < sigma + 1e-9))
-        assert spectral._count_below(plan, float(sigma)) == above == 1
+        above = int(np.sum(_spectra([G])[0] < sigma + 1e-9))
+        assert above == 1
+        assert spectral._count_below(plan, Fraction(sigma)) == above
+        assert spectral._count_below(plan, float(sigma)) == above
 
 
 def test_bisected_eigenvalue_matches_lapack():
