@@ -8,7 +8,8 @@ failure, 2 malformed input or usage error, 3 undecided.
 
 Each handler imports the modules it runs, so a process loads only its
 subcommand's share of the package; numpy loads only with the first LAPACK
-solve, which majorize never makes.
+solve. eigen, relabel and a verify-fk1 --n-max sweep of more than one
+family make one; majorize, verify-fk1 --pi and verify-fk2 never do.
 """
 
 import argparse

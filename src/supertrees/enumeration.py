@@ -10,11 +10,11 @@ by (n, n0, ascending interior degrees) and maps each family to its
 classes: a key is a degree-sequence family, and the min-degree family
 T_d(n, n0) is the union of its (n, n0)'s keys whose interior degrees are
 all at least max(2, d). A single query (_members) grows under a
-descending bound on its interior degrees, a sweep grows once unbounded,
-and a sweep's families are scored through one
-first_dirichlet_eigenvalues call: one eigensolve per interior size. The
-check: within each family the SLO-supertree attains the smallest first
-Dirichlet eigenvalue, strictly below every other class.
+descending bound on its interior degrees and is scored class by class in
+pure Python; a sweep grows once unbounded, and its families are scored
+through one first_dirichlet_eigenvalues call: one eigensolve per interior
+size. The check: within each family the SLO-supertree attains the smallest
+first Dirichlet eigenvalue, strictly below every other class.
 """
 
 import math
@@ -267,19 +267,33 @@ def enumerate_family(
     return [G for _, G in _members(_min_degree_family(n, n0, k, d_min))]
 
 
+# The most classes a lone family may have to be solved class by class in
+# pure Python. On a 2-CPU Xeon, over the 2,320 benchmark classes, that costs
+# about 50 us a class (plan included) against 10 us stacked on LAPACK, and
+# importing numpy costs 85-130 ms, so the break-even is 2,100-3,300 classes.
+_LONE_FAMILY_CLASSES = 2000
+
+
 def _score_families(
     families: list[tuple[FamilySpec, list[tuple[CanonicalCode, Supertree]]]],
 ) -> list[FkCertificate]:
-    """One certificate per (family, members), with every member of every
-    family solved in one first_dirichlet_eigenvalues call. The predicted
-    winner is the SLO-supertree of pi, or of the flattest sequence of a
-    min-degree family."""
+    """One certificate per (family, members). One family of at most
+    _LONE_FAMILY_CLASSES classes is solved class by class by
+    spectral._bisected_eigenvalue, which never loads numpy; anything else,
+    every sweep, solves every member of every family in one
+    first_dirichlet_eigenvalues call. The predicted winner is the
+    SLO-supertree of pi, or of the flattest sequence of a min-degree
+    family."""
     # slo and spectral take a few ms to compile when bytecode is not
     # cached, and enumerate processes never score
     from .slo import construct_slo_supertree
-    from .spectral import first_dirichlet_eigenvalues
-    lams = iter(first_dirichlet_eigenvalues(
-        [G for _, members in families for _, G in members]))
+    trees = [G for _, members in families for _, G in members]
+    if len(families) == 1 and len(trees) <= _LONE_FAMILY_CLASSES:
+        from .spectral import _bisected_eigenvalue
+        lams = iter([_bisected_eigenvalue(G)[0] for G in trees])
+    else:
+        from .spectral import first_dirichlet_eigenvalues
+        lams = iter(first_dirichlet_eigenvalues(trees))
     certs = []
     for family, members in families:
         pi = family.pi or _flattest_sequence(family)

@@ -15,10 +15,14 @@ below lambda.
 
 Beside LAPACK, a pure-Python kernel counts the Dirichlet eigenvalues at or
 below any sigma by a tree-shaped LDL^T elimination, in floats or exactly in
-fractions, with one rule for a zero pivot in both, so every count is an
-answer; bisection on that count gives lambda alone in O(n0) per step. Only
-this module uses numpy, and only inside the LAPACK functions, so
-importing it (or the package), or counting, leaves numpy unloaded.
+integers, with one rule for a zero pivot in both, so every count is an
+answer. The same float elimination, carrying each pivot's derivatives in
+sigma, drives Laguerre's method on det(M - sigma) up to lambda alone, and
+a short bisection polish ends on the least float with a positive count:
+about ten O(n0) passes. Single-family certificates and majorize use it; a
+sweep stacks its classes on LAPACK. Only this module uses numpy, and only
+inside the LAPACK functions, so importing it (or the package), counting
+or the pure-Python lambda leaves numpy unloaded.
 """
 
 import itertools
@@ -203,20 +207,19 @@ def _count_below(plan, sigma):
     of the plan's matrix minus (k - 1) * sigma on the vertices (Sylvester's
     law of inertia). Each pivot updates its parent node alone, so nothing
     fills in: the tree form of Jacobs and Trevisan, Linear Algebra Appl. 434
-    (2011). A float sigma runs in floats; any other sigma runs exactly in
-    fractions.Fraction. A pivot no larger in magnitude than pivmin (the
-    smallest normal float, or 0 when exact) is read as -epsilon: it counts
-    as negative, and its parent's pivot becomes +infinity, which counts as
-    positive and sends nothing further up. Every pivot falls as sigma
-    grows, so this is the count just above sigma, the limit that LAPACK's
-    dstebz substitution of -pivmin computes.
+    (2011). A float sigma runs in floats. Any other sigma runs exactly, each
+    pivot an unreduced integer pair (numerator, denominator > 0) whose sign
+    is its numerator's, so no gcd is ever taken. A pivot no larger in
+    magnitude than pivmin (the smallest normal float, or 0 when exact) is
+    read as -epsilon: it counts as negative, and its parent's pivot becomes
+    +infinity, which counts as positive and sends nothing further up. Every
+    pivot falls as sigma grows, so this is the count just above sigma, the
+    limit that LAPACK's dstebz substitution of -pivmin computes.
     """
-    if isinstance(sigma, float):
-        pivmin = sys.float_info.min
-    else:
-        from fractions import Fraction
-        sigma, pivmin = Fraction(sigma), 0
+    if not isinstance(sigma, float):
+        return _exact_count_below(plan, sigma)
     base, coef, up = plan
+    pivmin = sys.float_info.min
     x = [b - c * sigma for b, c in zip(base, coef)]
     below, inf = 0, math.inf
     for i in range(len(x) - 1, -1, -1):
@@ -227,24 +230,129 @@ def _count_below(plan, sigma):
                 x[up[i]] = inf
         elif pivot != inf:
             below += pivot < 0
-            # an infinite parent stays infinite, so an exact sum never
-            # meets the float
-            if i and x[up[i]] != inf:
+            if i:
                 x[up[i]] -= 1 / pivot
     return below
 
 
+def _exact_count_below(plan, sigma):
+    """_count_below at a rational sigma, in integers: node i holds the pivot
+    num[i] / den[i] with den[i] > 0, and den[i] = 0 marks +infinity."""
+    from fractions import Fraction
+    sigma = Fraction(sigma)
+    p, q = sigma.numerator, sigma.denominator
+    base, coef, up = plan
+    num = [b * q - c * p for b, c in zip(base, coef)]
+    den = [q] * len(num)
+    below = 0
+    for i in range(len(num) - 1, -1, -1):
+        n, d = num[i], den[i]
+        if not d:
+            continue
+        below += n <= 0
+        j = up[i]
+        if not i or not den[j]:
+            continue
+        if not n:
+            den[j] = 0
+            continue
+        if n < 0:
+            n, d = -n, -d
+        # num[j] / den[j] - d / n, over den[j] * n > 0
+        num[j], den[j] = num[j] * n - den[j] * d, den[j] * n
+    return below
+
+
+def _log_det_slopes(plan, sigma):
+    """(s1, s2), the sums over the Dirichlet eigenvalues lambda_j of
+    1 / (lambda_j - sigma) and of its square, at a float sigma where
+    _count_below(plan, sigma) is 0; None where that count is positive.
+
+    It runs _count_below's float elimination, carrying each pivot's first
+    and second derivative in sigma. The pivots multiply to det(M - sigma)
+    times a constant, so their logarithmic derivatives sum to minus s1,
+    and the derivatives of those to minus s2. It stops at the first pivot
+    at or below the smallest normal float, which makes that count positive;
+    before it, the pivots are _count_below's bit for bit.
+    """
+    base, coef, up = plan
+    x = [b - c * sigma for b, c in zip(base, coef)]
+    dx = [-c for c in coef]
+    ddx = [0] * len(x)
+    s1 = s2 = 0
+    pivmin = sys.float_info.min
+    for i in range(len(x) - 1, -1, -1):
+        pivot = x[i]
+        if pivot <= pivmin:
+            return None
+        q, h = dx[i] / pivot, ddx[i] / pivot
+        s1 -= q
+        s2 += q * q - h
+        if i:
+            j = up[i]
+            x[j] -= 1 / pivot
+            dx[j] += q / pivot
+            ddx[j] += (h - 2 * q * q) / pivot
+    return s1, s2
+
+
+# Laguerre passes before the polish: a median of 4 and at most 6 on the
+# benchmark classes (13 on the test suite's reference trees); clustered
+# spectra such as long brooms can need more, and then the polish bisects.
+_LAGUERRE_PASSES = 16
+
+
 def _bisected_eigenvalue(G: Supertree):
-    """(lambda, plan): G's smallest Dirichlet eigenvalue by float bisection
-    of _count_below on [0, 2 * max degree], which holds the whole spectrum
-    (Gershgorin), down to two adjacent floats, and the plan it counted with.
-    lambda is the upper one, the least float seen with a positive count.
+    """(lambda, plan): G's smallest Dirichlet eigenvalue, the least float
+    with a positive _count_below, and the plan it counted with; the float
+    that bisection of that count on [0, 2 * max degree] (Gershgorin) ends on.
+
+    Laguerre's method on det(M - sigma), a polynomial of degree r (the
+    interior size) with real roots, starts at sigma = 0 and, below lambda,
+    rises monotonically and never passes it in exact arithmetic; one
+    _log_det_slopes pass per step. Unlike Newton's step 1 / s1 it stays fast
+    when eigenvalues cluster above lambda (a star of 1,000 two-edge legs
+    took Newton 715 passes). It stops when a step is no longer shorter than
+    the last, is within the float floor eps * 2 * max degree (eps * ||M||),
+    or rounds onto a positive count, or after _LAGUERRE_PASSES steps. A
+    gallop away from the last iterate, doubling from the floor (or from the
+    upper bound s1 / s2 on lambda - sigma), brackets the float where the
+    count turns positive, and bisection ends on it.
 
     Raises:
         NoInteriorVertices: G has no interior vertex.
     """
     plan = _inertia_plan(G)
+    r = sum(1 for c in plan[1] if c)
+    floor = sys.float_info.epsilon * 2 * max(G.degrees)
     lo, hi = 0.0, float(2 * max(G.degrees))
+    sigma, last = lo, math.inf
+    for _ in range(_LAGUERRE_PASSES):
+        slopes = _log_det_slopes(plan, sigma)
+        if slopes is None:
+            hi = sigma
+            break
+        lo, (s1, s2) = sigma, slopes
+        step = r / (s1 + math.sqrt(max(0, (r - 1) * (r * s2 - s1 * s1))))
+        if not floor < step < last:
+            break
+        sigma, last = lo + step, step
+    if hi == sigma:
+        # a step rounded onto a positive count; lambda lies just below
+        t = floor
+        while hi - t > lo:
+            if not _count_below(plan, hi - t):
+                lo = hi - t
+                break
+            hi, t = hi - t, 2 * t
+    else:
+        # lambda_1 - lo <= s1 / s2, since s2 <= s1 / (lambda_1 - lo)
+        t = max(floor, s1 / s2)
+        while lo + t < hi:
+            if _count_below(plan, lo + t):
+                hi = lo + t
+                break
+            lo, t = lo + t, 2 * t
     while lo < (mid := (lo + hi) / 2) < hi:
         if _count_below(plan, mid):
             hi = mid

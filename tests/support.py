@@ -27,6 +27,7 @@ from supertrees import (
     check_slo,
     feasible_degree_sequences,
     majorizes,
+    spectral,
     unit_transformation,
 )
 from supertrees.config import strictly_less
@@ -167,6 +168,19 @@ def reference_inverse_iteration(G: Supertree):
     x = np.linalg.solve(M - sigma * np.eye(len(M)), np.ones(len(M)))
     return _eigenpair_from(G, interior, M, values, x)
 
+
+def reference_bisected_eigenvalue(G: Supertree) -> float:
+    """The least float with a positive float spectral._count_below, by
+    bisection of that count on [0, 2 * max degree] down to two adjacent
+    floats: about 55 counts, the solver that Laguerre's method replaced."""
+    plan = spectral._inertia_plan(G)
+    lo, hi = 0.0, float(2 * max(G.degrees))
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if spectral._count_below(plan, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 def tree_centroids(adj: list[list[int]]) -> list[int]:
     """Every node of the tree adj whose heaviest branch is lightest, by a

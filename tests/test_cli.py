@@ -265,9 +265,11 @@ RUNS = {
     "verify-fk2": {"config", "enumeration", "slo", "spectral"},
     "majorize": {"config", "transforms", "slo", "spectral"},
 }
-# the subcommands that solve with LAPACK; majorize loads spectral for its
-# pure-Python eigenvalue counts alone
-LAPACK = {"eigen", "relabel", "verify-fk1", "verify-fk2"}
+# the subcommands that solve with LAPACK, and a verify-fk1 sweep, which
+# stacks its families on LAPACK; majorize, verify-fk1 --pi and verify-fk2
+# load spectral for its pure-Python eigenvalues alone
+LAPACK = {"eigen", "relabel"}
+SWEEP = ["verify-fk1", "--k", "3", "--n-max", "7"]
 
 
 def test_numpy_loads_only_for_eigenproblems(capsys, h7):
@@ -286,8 +288,9 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         ["verify-fk2", "--n", "9", "--n0", "3", "--k", "3", "--d", "2"],
         ["majorize", "--k", "3", "--pi", "3,3,1,1,1,1,1,1,1,1,1",
          "--pi-prime", "2,4,1,1,1,1,1,1,1,1,1"],
+        SWEEP,
     ]
-    assert [argv[0] for argv in argvs] == list(RUNS)
+    assert [argv[0] for argv in argvs] == [*RUNS, "verify-fk1"]
     base = ["cli", "core", "errors"]
     # one fresh process per subcommand: a module an earlier subcommand
     # loaded cannot hide one this subcommand should not load
@@ -296,7 +299,8 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         assert cold["before"] == [[[], False, False], [base, False, False]]
         code, out, own, numpy, dataclasses = cold["run"]
         # numpy loads with the first LAPACK solve, and only then
-        want = (argv[0], sorted(RUNS[argv[0]] | set(base)), argv[0] in LAPACK, False)
+        lapack = argv[0] in LAPACK or argv == SWEEP
+        want = (argv[0], sorted(RUNS[argv[0]] | set(base)), lapack, False)
         assert (argv[0], own, numpy, dataclasses) == want
         # a cold process that loads modules on demand prints what this one does
         assert (code, _run(capsys, *argv)[:2]) == (0, (0, out))

@@ -21,7 +21,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from supertrees import fk1_sweep, fk2_sweep
+from supertrees import (
+    fk1_sweep,
+    fk2_sweep,
+    spectral,
+    verify_fk_theorem1,
+    verify_fk_theorem2,
+)
 
 CORPUS = Path(__file__).with_name("certificates.json")
 
@@ -67,6 +73,24 @@ def test_sweeps_match_the_certificate_corpus():
         assert not changed, f"{name}: records differ for {changed}, recomputed:\n" + (
             "".join(got[name][fam] for fam in changed))
     assert sum(map(len, want.values())) == 165
+
+
+def test_single_family_certificates_equal_the_sweeps(monkeypatch):
+    # every family of the four sweeps certified alone, class by class in
+    # pure Python, gives its sweep's record, scored on stacked LAPACK
+    sweeps = {name: sweep() for name, sweep in SWEEPS.items()}
+
+    def stacked(trees):
+        raise AssertionError("a single family was stacked on LAPACK")
+
+    monkeypatch.setattr(spectral, "first_dirichlet_eigenvalues", stacked)
+    for name, certs in sweeps.items():
+        for cert in certs:
+            fam = cert.family
+            alone = (verify_fk_theorem1(fam.pi) if fam.kind == "pi"
+                     else verify_fk_theorem2(fam.n, fam.n0, fam.k, fam.d))
+            assert record(alone) == record(cert), f"{name}: {fam.describe()}"
+    assert sum(map(len, sweeps.values())) == 165
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import statistics
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from support import (
     broom,
     random_boundary_zero,
     random_supertree,
+    reference_bisected_eigenvalue,
     reference_eigenpair,
     reference_inverse_iteration,
     reference_laplacian,
@@ -464,3 +466,95 @@ def test_bisected_eigenvalue_matches_lapack():
         assert abs(spectral._bisected_eigenvalue(G)[0] - exact) <= 4 * sys.float_info.epsilon
     with pytest.raises(NoInteriorVertices):
         spectral._bisected_eigenvalue(build_supertree(3, 3, [(0, 1, 2)]))
+
+
+def _counted_passes(monkeypatch) -> list:
+    """Patches the two passes _bisected_eigenvalue makes to log each as
+    (sigma, positive count, Laguerre's pass rather than a count)."""
+    log = []
+    slopes, count = spectral._log_det_slopes, spectral._count_below
+
+    def counted_slopes(plan, sigma):
+        out = slopes(plan, sigma)
+        log.append((sigma, out is None, True))
+        return out
+
+    def counted_count(plan, sigma):
+        out = count(plan, sigma)
+        log.append((sigma, out > 0, False))
+        return out
+
+    monkeypatch.setattr(spectral, "_log_det_slopes", counted_slopes)
+    monkeypatch.setattr(spectral, "_count_below", counted_count)
+    return log
+
+
+def test_laguerre_equals_reference_bisection_bitwise(monkeypatch):
+    # every benchmark class and reference tree: the float bisection ends on,
+    # in a median of 10 passes (at most 19) against bisection's 55 or so.
+    # On 569 trees with r > 1 a Laguerre step rounds onto a positive count
+    # strictly above lambda, and the gallop down from there still ends on it
+    trees = _benchmark_classes() + _reference_trees()
+    want = [reference_bisected_eigenvalue(G) for G in trees]
+    log = _counted_passes(monkeypatch)
+    passes, past = [], 0
+    for G, lam in zip(trees, want):
+        log.clear()
+        got, plan = spectral._bisected_eigenvalue(G)
+        assert got.hex() == lam.hex()
+        passes.append(len(log))
+        past += sum(d >= 2 for d in G.degrees) > 1 and any(
+            laguerre and positive and sigma > lam
+            for sigma, positive, laguerre in log)
+        assert spectral._count_below(plan, lam) and not spectral._count_below(
+            plan, math.nextafter(lam, 0.0))
+    assert (statistics.median(passes), max(passes), past) == (10, 19, 569)
+
+
+def test_one_interior_vertex_lands_on_its_degree(monkeypatch):
+    # with r = 1 the first step is (k - 1) d / (k - 1) up to two roundings:
+    # exact for d = 4, one ulp past 49 = 1 / (1 / 49). Either way a gallop
+    # down from the floor finds the float below with a zero count at once
+    log = _counted_passes(monkeypatch)
+    for k in (2, 3, 4, 5):
+        for d in (2, 3, 4, 6, 49):
+            log.clear()
+            assert spectral._bisected_eigenvalue(star(k, d))[0] == d
+            assert len(log) <= 8
+            assert log[1][1:] == (True, True) and log[1][0] >= d
+    log.clear()
+    spectral._bisected_eigenvalue(star(2, 49))
+    assert log[1][0] == math.nextafter(49.0, math.inf)
+
+
+def test_slopes_stop_where_the_count_turns_positive():
+    # a pivot exactly 0 or at the smallest normal float counts as below, as
+    # in _count_below, so the pass returns None; one just above does not
+    path = build_supertree(2, 4, [(0, 1), (1, 2), (2, 3)])
+    plan = spectral._inertia_plan(path)
+    assert spectral._count_below(plan, 2.0) == 1
+    assert spectral._log_det_slopes(plan, 2.0) is None
+    tiny = sys.float_info.min
+    for pivot, below in ((0.0, 1), (tiny, 1), (-tiny, 1), (2 * tiny, 0)):
+        plan = ((pivot,), (0,), (-1,))
+        assert spectral._count_below(plan, 0.0) == below
+        assert (spectral._log_det_slopes(plan, 0.0) is None) == bool(below)
+    # s1 and s2 of the k=2 path with three edges (spectrum 1, 3) at sigma = 0
+    s1, s2 = spectral._log_det_slopes(spectral._inertia_plan(path), 0.0)
+    assert (s1, s2) == pytest.approx((1 + 1 / 3, 1 + 1 / 9), rel=1e-15)
+
+
+def test_laguerre_passes_on_clustered_spectra(monkeypatch):
+    # a star of 1,000 two-edge legs has lambda_2 = ... = lambda_1000 = 2
+    # just above lambda_1 near 1: 18 passes, where Newton's step took 715.
+    # A k=3 broom with a 2,000-edge handle runs out of _LAGUERRE_PASSES
+    # steps, and the polish bisects: 68 passes
+    legs = [(0, 1 + i) for i in range(1000)] + [(1 + i, 1001 + i) for i in range(1000)]
+    spider = build_supertree(2, 2001, legs)
+    cases = [(G, reference_bisected_eigenvalue(G), most)
+             for G, most in ((spider, 20), (broom(3, 2000, 1000), 70))]
+    log = _counted_passes(monkeypatch)
+    for G, lam, most in cases:
+        log.clear()
+        assert spectral._bisected_eigenvalue(G)[0] == lam
+        assert len(log) <= most
