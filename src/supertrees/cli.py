@@ -9,7 +9,8 @@ failure, 2 malformed input or usage error, 3 undecided.
 Each handler imports the modules it runs, so a process loads only its
 subcommand's share of the package; numpy loads only with the first LAPACK
 solve. eigen, relabel and a verify-fk1 --n-max sweep of more than one
-family make one; majorize, verify-fk1 --pi and verify-fk2 never do.
+family make one, and so do verify-fk1 --pi and verify-fk2 on a family of
+more than 2,000 classes; majorize never does.
 """
 
 import argparse

@@ -10,8 +10,9 @@ by (n, n0, ascending interior degrees) and maps each family to its
 classes: a key is a degree-sequence family, and the min-degree family
 T_d(n, n0) is the union of its (n, n0)'s keys whose interior degrees are
 all at least max(2, d). A single query (_members) grows under a
-descending bound on its interior degrees and is scored class by class in
-pure Python; a sweep grows once unbounded, and its families are scored
+descending bound on its interior degrees and, up to 2,000 classes, is
+scored class by class in pure Python without loading numpy; a sweep grows
+once unbounded, and its families (or one larger family) are scored
 through one first_dirichlet_eigenvalues call: one eigensolve per interior
 size. The check: within each family the SLO-supertree attains the smallest
 first Dirichlet eigenvalue, strictly below every other class.

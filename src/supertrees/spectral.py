@@ -13,16 +13,16 @@ give the same lambda bit for bit. The one eigenvector returned comes from
 one step of inverse iteration from the all-ones vector, at a shift just
 below lambda.
 
-Beside LAPACK, a pure-Python kernel counts the Dirichlet eigenvalues at or
-below any sigma by a tree-shaped LDL^T elimination, in floats or exactly in
-integers, with one rule for a zero pivot in both, so every count is an
-answer. The same float elimination, carrying each pivot's derivatives in
-sigma, drives Laguerre's method on det(M - sigma) up to lambda alone, and
-a short bisection polish ends on the least float with a positive count:
-about ten O(n0) passes. Single-family certificates and majorize use it; a
-sweep stacks its classes on LAPACK. Only this module uses numpy, and only
-inside the LAPACK functions, so importing it (or the package), counting
-or the pure-Python lambda leaves numpy unloaded.
+Beside LAPACK, a pure-Python kernel asks one question, "is lambda <= sigma?",
+and a tree-shaped LDL^T elimination answers it at the first pivot that is
+not positive, exactly in integers or in floats. The float pass, carrying
+each pivot's derivatives in sigma, drives Laguerre's method on
+det(M - sigma) up to lambda alone, and a short bisection polish ends on
+the least float where the answer turns yes: about ten O(n0) passes.
+Single-family certificates and majorize use it; a sweep stacks its
+classes on LAPACK. Only this module uses numpy, and only inside the
+LAPACK functions, so importing it (or the package), the exact test or the
+pure-Python lambda leaves numpy unloaded.
 """
 
 import itertools
@@ -165,9 +165,9 @@ def _inertia_plan(G: Supertree):
     members. An edge with two interior members joins them directly. A hub
     has diagonal 1 and is joined by 1 to each member of its edge, and each
     member gains 1 on its diagonal; eliminating the hubs gives back the
-    edge's clique, so the nodes form a tree with the same count of negative
-    pivots. Returns (base diagonal, sigma coefficient, parent node), a
-    node's parent numbered before it.
+    edge's clique, so at every sigma the nodes' matrix is positive definite
+    exactly when (k - 1) * (M - sigma) is. Returns (base diagonal, sigma
+    coefficient, parent node), a node's parent numbered before it.
 
     Raises:
         NoInteriorVertices: G has no interior vertex.
@@ -199,81 +199,47 @@ def _inertia_plan(G: Supertree):
     return tuple(zip(*nodes))
 
 
-def _count_below(plan, sigma):
-    """The number of Dirichlet eigenvalues at or below sigma of the
-    supertree that plan (from _inertia_plan) describes.
+def _exact_below(plan, sigma):
+    """Whether the supertree that plan (from _inertia_plan) describes has a
+    Dirichlet eigenvalue at or below the rational sigma.
 
-    It counts the negative pivots of an LDL^T elimination, last node first,
-    of the plan's matrix minus (k - 1) * sigma on the vertices (Sylvester's
-    law of inertia). Each pivot updates its parent node alone, so nothing
-    fills in: the tree form of Jacobs and Trevisan, Linear Algebra Appl. 434
-    (2011). A float sigma runs in floats. Any other sigma runs exactly, each
-    pivot an unreduced integer pair (numerator, denominator > 0) whose sign
-    is its numerator's, so no gcd is ever taken. A pivot no larger in
-    magnitude than pivmin (the smallest normal float, or 0 when exact) is
-    read as -epsilon: it counts as negative, and its parent's pivot becomes
-    +infinity, which counts as positive and sends nothing further up. Every
-    pivot falls as sigma grows, so this is the count just above sigma, the
-    limit that LAPACK's dstebz substitution of -pivmin computes.
+    By Sylvester's law of inertia it has one exactly when the plan's matrix
+    minus (k - 1) * sigma on the vertices is not positive definite, that is
+    when an LDL^T elimination, last node first, meets a pivot that is not
+    positive. Each pivot updates its parent node alone, so nothing fills
+    in: the tree form of Jacobs and Trevisan, Linear Algebra Appl. 434
+    (2011). It runs in integers, each pivot an unreduced pair (numerator,
+    denominator > 0) whose sign is its numerator's, so no gcd is ever
+    taken, and stops at the first numerator that is not positive.
     """
-    if not isinstance(sigma, float):
-        return _exact_count_below(plan, sigma)
-    base, coef, up = plan
-    pivmin = sys.float_info.min
-    x = [b - c * sigma for b, c in zip(base, coef)]
-    below, inf = 0, math.inf
-    for i in range(len(x) - 1, -1, -1):
-        pivot = x[i]
-        if -pivmin <= pivot <= pivmin:
-            below += 1
-            if i:
-                x[up[i]] = inf
-        elif pivot != inf:
-            below += pivot < 0
-            if i:
-                x[up[i]] -= 1 / pivot
-    return below
-
-
-def _exact_count_below(plan, sigma):
-    """_count_below at a rational sigma, in integers: node i holds the pivot
-    num[i] / den[i] with den[i] > 0, and den[i] = 0 marks +infinity."""
     from fractions import Fraction
     sigma = Fraction(sigma)
     p, q = sigma.numerator, sigma.denominator
     base, coef, up = plan
     num = [b * q - c * p for b, c in zip(base, coef)]
     den = [q] * len(num)
-    below = 0
     for i in range(len(num) - 1, -1, -1):
-        n, d = num[i], den[i]
-        if not d:
-            continue
-        below += n <= 0
-        j = up[i]
-        if not i or not den[j]:
-            continue
-        if not n:
-            den[j] = 0
-            continue
-        if n < 0:
-            n, d = -n, -d
-        # num[j] / den[j] - d / n, over den[j] * n > 0
-        num[j], den[j] = num[j] * n - den[j] * d, den[j] * n
-    return below
+        n = num[i]
+        if n <= 0:
+            return True
+        if i:
+            # num[j] / den[j] - den[i] / n, over den[j] * n > 0
+            j = up[i]
+            num[j], den[j] = num[j] * n - den[j] * den[i], den[j] * n
+    return False
 
 
 def _log_det_slopes(plan, sigma):
     """(s1, s2), the sums over the Dirichlet eigenvalues lambda_j of
-    1 / (lambda_j - sigma) and of its square, at a float sigma where
-    _count_below(plan, sigma) is 0; None where that count is positive.
+    1 / (lambda_j - sigma) and of its square, at a float sigma below every
+    lambda_j; None where the float elimination says lambda_1 <= sigma.
 
-    It runs _count_below's float elimination, carrying each pivot's first
-    and second derivative in sigma. The pivots multiply to det(M - sigma)
-    times a constant, so their logarithmic derivatives sum to minus s1,
-    and the derivatives of those to minus s2. It stops at the first pivot
-    at or below the smallest normal float, which makes that count positive;
-    before it, the pivots are _count_below's bit for bit.
+    It runs _exact_below's elimination in floats, carrying each pivot's
+    first and second derivative in sigma. The pivots multiply to
+    det(M - sigma) times a constant, so their logarithmic derivatives sum
+    to minus s1, and the derivatives of those to minus s2. It returns None
+    at the first pivot at or below the smallest normal float (pivmin, as in
+    LAPACK's dstebz), so a pivot that vanishes at sigma reads as below.
     """
     base, coef, up = plan
     x = [b - c * sigma for b, c in zip(base, coef)]
@@ -304,8 +270,8 @@ _LAGUERRE_PASSES = 16
 
 def _bisected_eigenvalue(G: Supertree):
     """(lambda, plan): G's smallest Dirichlet eigenvalue, the least float
-    with a positive _count_below, and the plan it counted with; the float
-    that bisection of that count on [0, 2 * max degree] (Gershgorin) ends on.
+    where _log_det_slopes returns None, and the plan it ran on; the float
+    that bisection of that answer on [0, 2 * max degree] (Gershgorin) ends on.
 
     Laguerre's method on det(M - sigma), a polynomial of degree r (the
     interior size) with real roots, starts at sigma = 0 and, below lambda,
@@ -314,10 +280,10 @@ def _bisected_eigenvalue(G: Supertree):
     when eigenvalues cluster above lambda (a star of 1,000 two-edge legs
     took Newton 715 passes). It stops when a step is no longer shorter than
     the last, is within the float floor eps * 2 * max degree (eps * ||M||),
-    or rounds onto a positive count, or after _LAGUERRE_PASSES steps. A
+    or rounds onto lambda or past it, or after _LAGUERRE_PASSES steps. A
     gallop away from the last iterate, doubling from the floor (or from the
     upper bound s1 / s2 on lambda - sigma), brackets the float where the
-    count turns positive, and bisection ends on it.
+    answer turns yes, and bisection ends on it.
 
     Raises:
         NoInteriorVertices: G has no interior vertex.
@@ -338,10 +304,10 @@ def _bisected_eigenvalue(G: Supertree):
             break
         sigma, last = lo + step, step
     if hi == sigma:
-        # a step rounded onto a positive count; lambda lies just below
+        # a step rounded onto lambda or past it; lambda lies just below
         t = floor
         while hi - t > lo:
-            if not _count_below(plan, hi - t):
+            if _log_det_slopes(plan, hi - t) is not None:
                 lo = hi - t
                 break
             hi, t = hi - t, 2 * t
@@ -349,12 +315,12 @@ def _bisected_eigenvalue(G: Supertree):
         # lambda_1 - lo <= s1 / s2, since s2 <= s1 / (lambda_1 - lo)
         t = max(floor, s1 / s2)
         while lo + t < hi:
-            if _count_below(plan, lo + t):
+            if _log_det_slopes(plan, lo + t) is None:
                 hi = lo + t
                 break
             lo, t = lo + t, 2 * t
     while lo < (mid := (lo + hi) / 2) < hi:
-        if _count_below(plan, mid):
+        if _log_det_slopes(plan, mid) is None:
             hi = mid
         else:
             lo = mid

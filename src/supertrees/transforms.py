@@ -10,8 +10,8 @@ On degree sequences, a unit transformation moves one unit of degree from a
 larger interior entry to the next one, and majorization orders sequences by
 ascending prefix sums. Any majorized pair is connected by a chain of unit
 transformations, built greedily here, and the SLO-supertree's first
-Dirichlet eigenvalue falls strictly along it (decided by exact eigenvalue
-counts at the two ends).
+Dirichlet eigenvalue falls strictly along it (decided by exact tests of
+lambda <= sigma at the two ends).
 """
 
 import bisect
@@ -328,20 +328,20 @@ def _majorization_lambdas(
     pi: DegreeSequence, pi_prime: DegreeSequence
 ) -> tuple[float, float, bool | None]:
     """lambda of SLO(pi), of SLO(pi_prime), and whether the second is less:
-    True or False once exact counts prove it, None when they do not.
+    True or False once the exact tests prove it, None when they do not.
 
     Both lambda come from float bisection. The comparison is decided at one
-    sigma, the exact midpoint of the two floats, by counting each tree's
-    Dirichlet eigenvalues at or below sigma in exact arithmetic: a count of
-    at least one for SLO(pi_prime) and none for SLO(pi) proves
-    lambda_pi_prime <= sigma < lambda_pi, and the mirrored counts prove the
-    reverse. That holds at any sigma, equal floats included, so only counts
+    sigma, the exact midpoint of the two floats, by testing in exact
+    arithmetic whether each tree has a Dirichlet eigenvalue at or below
+    sigma: yes for SLO(pi_prime) and no for SLO(pi) proves
+    lambda_pi_prime <= sigma < lambda_pi, and the mirrored answers prove the
+    reverse. That holds at any sigma, equal floats included, so only answers
     that prove neither order leave the comparison undecided: a wrong float
-    can keep the counts from proving, never make them prove the wrong thing.
+    can keep the tests from proving, never make them prove the wrong thing.
     """
     from fractions import Fraction
     from .slo import construct_slo_supertree  # see enumeration._score_families
-    from .spectral import _bisected_eigenvalue, _count_below
+    from .spectral import _bisected_eigenvalue, _exact_below
     if pi.entries == pi_prime.entries:
         raise NotMajorized("the sequences are equal; no strict comparison")
     _require_chain(pi, pi_prime)
@@ -349,10 +349,10 @@ def _majorization_lambdas(
         _bisected_eigenvalue(construct_slo_supertree(p)[0]) for p in (pi, pi_prime)
     )
     sigma = (Fraction(lam) + Fraction(lam_prime)) / 2
-    count, count_prime = _count_below(plan, sigma), _count_below(plan_prime, sigma)
-    if count == 0 and count_prime:
+    below, below_prime = _exact_below(plan, sigma), _exact_below(plan_prime, sigma)
+    if below_prime and not below:
         return lam, lam_prime, True
-    if count and count_prime == 0:
+    if below and not below_prime:
         return lam, lam_prime, False
     return lam, lam_prime, None
 
@@ -362,9 +362,9 @@ def verify_majorization_monotonicity(
 ) -> bool | None:
     """Whether the eigenvalue drops strictly from SLO(pi) to SLO(pi_prime)
     for a pair with pi_prime majorized by pi: True or False when exact
-    eigenvalue counts at the rational midpoint of the two float lambda prove
-    the answer, None only when they prove neither order (undecided, never
-    false).
+    tests for an eigenvalue at or below the rational midpoint of the two
+    float lambda prove the answer, None only when they prove neither order
+    (undecided, never false).
 
     The pair is first checked to be comparable: the preconditions of
     unit_transform_chain hold, so a chain of unit transformations

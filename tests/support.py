@@ -170,13 +170,14 @@ def reference_inverse_iteration(G: Supertree):
 
 
 def reference_bisected_eigenvalue(G: Supertree) -> float:
-    """The least float with a positive float spectral._count_below, by
-    bisection of that count on [0, 2 * max degree] down to two adjacent
-    floats: about 55 counts, the solver that Laguerre's method replaced."""
+    """The least float where spectral._log_det_slopes returns None (the
+    float test for an eigenvalue at or below it), by bisection of that test
+    on [0, 2 * max degree] down to two adjacent floats: about 55 passes,
+    the solver that Laguerre's method replaced."""
     plan = spectral._inertia_plan(G)
     lo, hi = 0.0, float(2 * max(G.degrees))
     while lo < (mid := (lo + hi) / 2) < hi:
-        if spectral._count_below(plan, mid):
+        if spectral._log_det_slopes(plan, mid) is None:
             hi = mid
         else:
             lo = mid

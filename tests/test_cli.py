@@ -676,7 +676,7 @@ def test_majorize_proves_the_ladder_pair(capsys, n0, lam, lam_prime):
     # k=2, pi = (3,3,2^(n0-2),1^4) against pi' = (4,2^(n0-1),1^4): the two
     # lambda lie 6.6e-9 apart at n0=1,000 and 8.9e-11 at 4,200, inside the
     # old 1e-10 comparison window, where dense solves took 6.2 s and
-    # answered false; exact counts prove the drop in about 0.9 s of CPU
+    # answered false; two exact tests prove the drop in about 0.3 s of CPU
     pi = ",".join(["3,3"] + ["2"] * (n0 - 2) + ["1"] * 4)
     pi_prime = ",".join(["4"] + ["2"] * (n0 - 1) + ["1"] * 4)
     began = time.process_time()
@@ -698,7 +698,7 @@ def test_majorize_proves_the_ladder_pair(capsys, n0, lam, lam_prime):
 ], ids=["tied floats", "zero pivot"])
 def test_majorize_counts_decide_at_any_sigma(capsys, monkeypatch, pi, pi_prime,
                                              sigma, lam):
-    # two equal floats put sigma on both; the exact counts there still
+    # two equal floats put sigma on both; the exact tests there still
     # prove the decrease
     monkeypatch.setattr(spectral, "_bisected_eigenvalue",
                         lambda G: (sigma, spectral._inertia_plan(G)))
@@ -713,21 +713,20 @@ def test_majorize_counts_decide_at_any_sigma(capsys, monkeypatch, pi, pi_prime,
                    "strict_decrease=true\n")
 
 
-def _patch_exact_counts(monkeypatch, counts):
-    """Make each exact count of the next majorize answer counts[0] for
-    SLO(pi), then counts[1] for SLO(pi'), in turn; float bisection still
-    counts for real."""
-    real, exact = spectral._count_below, itertools.cycle(counts)
-    monkeypatch.setattr(spectral, "_count_below", lambda plan, sigma: (
-        real(plan, sigma) if isinstance(sigma, float) else next(exact)))
+def _patch_exact_tests(monkeypatch, answers):
+    """Make each exact test of the next majorize answer answers[0] for
+    SLO(pi), then answers[1] for SLO(pi'), in turn; float bisection runs on
+    _log_det_slopes and is untouched."""
+    exact = itertools.cycle(answers)
+    monkeypatch.setattr(spectral, "_exact_below", lambda plan, sigma: next(exact))
 
 
-@pytest.mark.parametrize("counts", [(1, 1), (0, 0)],
+@pytest.mark.parametrize("answers", [(True, True), (False, False)],
                          ids=["both counts positive", "both counts zero"])
-def test_majorize_undecided_exits_3(capsys, monkeypatch, counts):
-    # counts that prove neither order leave the comparison undecided,
-    # never false
-    _patch_exact_counts(monkeypatch, counts)
+def test_majorize_undecided_exits_3(capsys, monkeypatch, answers):
+    # answers that prove neither order, both trees below sigma or neither,
+    # leave the comparison undecided, never false
+    _patch_exact_tests(monkeypatch, answers)
     steep = DegreeSequence.from_degrees(3, [3, 3] + [1] * 9)
     flat = DegreeSequence.from_degrees(3, [2, 4] + [1] * 9)
     assert verify_majorization_monotonicity(steep, flat) is None
@@ -741,9 +740,9 @@ def test_majorize_undecided_exits_3(capsys, monkeypatch, counts):
 
 
 def test_majorize_proven_increase_exits_1(capsys, monkeypatch):
-    # a count for SLO(pi) and none for SLO(pi') would prove lambda <= sigma
+    # SLO(pi) below sigma and SLO(pi') not would prove lambda <= sigma
     # < lambda': a proven false, the one verification failure
-    _patch_exact_counts(monkeypatch, (1, 0))
+    _patch_exact_tests(monkeypatch, (True, False))
     steep = DegreeSequence.from_degrees(3, [3, 3] + [1] * 9)
     flat = DegreeSequence.from_degrees(3, [2, 4] + [1] * 9)
     assert verify_majorization_monotonicity(steep, flat) is False

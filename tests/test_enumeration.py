@@ -471,6 +471,32 @@ def test_sweeps_match_per_family_verifiers():
             assert _comparable(cert) == _comparable(ref)
 
 
+def test_lone_family_past_the_cut_over_is_solved_on_lapack(monkeypatch):
+    # a family of 10 classes and one of 66, each certified alone: in pure
+    # Python at the default cut-over, in one stacked LAPACK call once
+    # _LONE_FAMILY_CLASSES is below their size, with the same records
+    from supertrees import spectral
+    calls = []
+    stacked = spectral.first_dirichlet_eigenvalues
+
+    def spy(trees):
+        calls.append(len(trees))
+        return stacked(trees)
+
+    monkeypatch.setattr(spectral, "first_dirichlet_eigenvalues", spy)
+    pi = DegreeSequence.from_degrees(2, (3, 3, 3, 2, 2) + (1,) * 5)
+    runs = [lambda: verify_fk_theorem1(pi),
+            lambda: verify_fk_theorem2(11, 5, 2, 2)]
+    alone = [run() for run in runs]
+    assert calls == []
+    monkeypatch.setattr(enumeration, "_LONE_FAMILY_CLASSES", 1)
+    for run, cert in zip(runs, alone):
+        calls.clear()
+        assert _comparable(run()) == _comparable(cert)
+        assert calls == [len(cert.all_lambdas)]
+    assert [len(cert.all_lambdas) for cert in alone] == [10, 66]
+
+
 def test_growth_matches_reference_growth(monkeypatch):
     # the library attaches once per automorphism orbit without validation;
     # the reference attaches at every vertex through build_supertree

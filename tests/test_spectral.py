@@ -389,64 +389,71 @@ def _spectra(trees):
     return [spectra[i] for i in range(len(trees))]
 
 
-def test_inertia_counts_equal_eigvalsh_counts():
-    # at 0.999 lambda_1, halfway from lambda_1 to lambda_2 and at one random
-    # sigma per tree: 7,982 counts over the benchmark classes and the
-    # reference trees, 0.1 s in floats and 1.3 s exactly, of about 2 s. Nine
-    # of the exact ones meet a zero pivot: a lambda_1-lambda_2 midpoint of a
-    # small star, path or bouquet is an eigenvalue of a subtree's block
+def test_inertia_tests_agree_with_eigvalsh():
+    # at 0.999 lambda_1, halfway from lambda_1 to lambda_2, one random sigma
+    # per tree, and at lambda_1 -+ 1e-12 max(1, lambda_1) with eigvalsh's
+    # lambda_1: 13,324 sigma over the benchmark classes and the reference
+    # trees, each asked in floats and exactly, as "is lambda_1 <= sigma?"
     rng = random.Random(1917)
     trees = _benchmark_classes()
     assert len(trees) == 2320
     trees += _reference_trees()
-    counts = 0
+    checks = 0
     for G, values in zip(trees, _spectra(trees)):
         plan = spectral._inertia_plan(G)
-        sigmas = [0.999 * values[0], rng.uniform(0.0, 2.0 * max(G.degrees))]
-        sigmas += [(values[0] + values[1]) / 2] if len(values) > 1 else []
+        lam = float(values[0])
+        near = 1e-12 * max(1.0, lam)
+        sigmas = [0.999 * lam, rng.uniform(0.0, 2.0 * max(G.degrees)),
+                  lam - near, lam + near]
+        sigmas += [float(values[0] + values[1]) / 2] if len(values) > 1 else []
         for sigma in sigmas:
-            at_or_below = int(np.sum(values <= sigma))
-            assert spectral._count_below(plan, sigma) == at_or_below
-            assert spectral._count_below(plan, Fraction(sigma)) == at_or_below
-            counts += 1
-    assert counts == 7982
+            below = lam <= sigma
+            assert (spectral._log_det_slopes(plan, sigma) is None) == below
+            assert spectral._exact_below(plan, Fraction(sigma)) == below
+            checks += 1
+    assert checks == 13324
 
 
-def test_exact_counts_where_a_pivot_can_vanish():
+def test_exact_test_where_a_pivot_can_vanish():
     # an exact zero pivot makes (k - 1) sigma a root of a monic integer
     # polynomial (the determinant of a subtree's block), so an integer t.
     # Every t up to 2 (k - 1) max degree on the 2,320 benchmark classes
-    # (k = 2 and 3) gives 22,644 counts, about 1 s of counting. At 6,514 of
-    # them a pivot vanishes, at a vertex, a hub or the root, some below a
-    # parent already made infinite. eigvalsh rounds an eigenvalue at sigma
-    # either way, and no other lies within 1e-6 of one
+    # (k = 2 and 3) gives 22,644 tests. At 4,041 of them the first pivot
+    # that is not positive is exactly 0, at a vertex, a hub or the root.
+    # eigvalsh rounds an eigenvalue at sigma either way, and no other lies
+    # within 1e-6 of one
     trees = _benchmark_classes()
-    counts = 0
+    checks = 0
     for G, values in zip(trees, _spectra(trees)):
         plan = spectral._inertia_plan(G)
         scale = G.k - 1
         for t in range(2 * scale * max(G.degrees) + 1):
-            at_or_below = int(np.sum(values <= t / scale + 1e-9))
-            assert spectral._count_below(plan, Fraction(t, scale)) == at_or_below
-            counts += 1
-    assert counts == 22644
+            below = values[0] <= t / scale + 1e-9
+            assert spectral._exact_below(plan, Fraction(t, scale)) == below
+            checks += 1
+    assert checks == 22644
 
 
 def test_zero_pivot_counts_below_in_floats_and_fractions():
     # sigma = 2 is the eigenvalue of the last interior vertex's own block on
     # the k=2 path with three edges (spectrum 1, 3) and on TWO_INTERIOR
     # (1.5, 2.5), though not of either whole block; sigma = d is the whole
-    # spectrum of star(k, d). Both arithmetics read the zero pivot as minus
-    # a vanishing epsilon, so each count is the one just above sigma
+    # spectrum of star(k, d). So the first pivot is 0 in both arithmetics,
+    # and each reads it as below; just under a star's d nothing is below
     path = build_supertree(2, 4, [(0, 1), (1, 2), (2, 3)])
     cases = [(path, 2), (build_supertree(3, 7, TWO_INTERIOR), 2),
              (star(3, 4), 4), (star(2, 5), 5)]
     for G, sigma in cases:
         plan = spectral._inertia_plan(G)
-        above = int(np.sum(_spectra([G])[0] < sigma + 1e-9))
-        assert above == 1
-        assert spectral._count_below(plan, Fraction(sigma)) == above
-        assert spectral._count_below(plan, float(sigma)) == above
+        assert plan[0][-1] - plan[1][-1] * sigma == 0
+        lam = _spectra([G])[0][0]
+        assert lam < sigma + 1e-9
+        assert spectral._exact_below(plan, Fraction(sigma))
+        assert spectral._log_det_slopes(plan, float(sigma)) is None
+        under = Fraction(sigma) - Fraction(1, 10**9)
+        assert spectral._exact_below(plan, under) == (lam < sigma - 1e-9)
+    for pivot, below in ((0, True), (-1, True), (1, False)):
+        assert spectral._exact_below(((pivot,), (0,), (-1,)), 0) == below
 
 
 def test_bisected_eigenvalue_matches_lapack():
@@ -459,7 +466,8 @@ def test_bisected_eigenvalue_matches_lapack():
         bisected, plan = spectral._bisected_eigenvalue(G)
         assert abs(bisected - lam) <= 1e-13 * lam
         assert f"{bisected:.12f}" == f"{lam:.12f}"
-        assert spectral._count_below(plan, bisected) == 1
+        assert spectral._log_det_slopes(plan, bisected) is None
+        assert spectral._log_det_slopes(plan, math.nextafter(bisected, 0.0))
     for m in (200, 400, 1000):
         G = build_supertree(2, m + 1, [(i, i + 1) for i in range(m)])
         exact = 4.0 * math.sin(math.pi / (2 * m)) ** 2
@@ -469,33 +477,32 @@ def test_bisected_eigenvalue_matches_lapack():
 
 
 def _counted_passes(monkeypatch) -> list:
-    """Patches the two passes _bisected_eigenvalue makes to log each as
-    (sigma, positive count, Laguerre's pass rather than a count)."""
+    """Patches _log_det_slopes, the one pass _bisected_eigenvalue makes, to
+    log each call as (sigma, lambda_1 <= sigma, the line it was called
+    from). A solve's first pass is always Laguerre's, at sigma = 0, so a
+    pass is Laguerre's when it comes from the same line as the first; the
+    polish's gallop and bisection call from other lines."""
     log = []
-    slopes, count = spectral._log_det_slopes, spectral._count_below
+    slopes = spectral._log_det_slopes
 
-    def counted_slopes(plan, sigma):
+    def counted(plan, sigma):
         out = slopes(plan, sigma)
-        log.append((sigma, out is None, True))
+        log.append((sigma, out is None, sys._getframe(1).f_lineno))
         return out
 
-    def counted_count(plan, sigma):
-        out = count(plan, sigma)
-        log.append((sigma, out > 0, False))
-        return out
-
-    monkeypatch.setattr(spectral, "_log_det_slopes", counted_slopes)
-    monkeypatch.setattr(spectral, "_count_below", counted_count)
+    monkeypatch.setattr(spectral, "_log_det_slopes", counted)
     return log
 
 
 def test_laguerre_equals_reference_bisection_bitwise(monkeypatch):
     # every benchmark class and reference tree: the float bisection ends on,
     # in a median of 10 passes (at most 19) against bisection's 55 or so.
-    # On 569 trees with r > 1 a Laguerre step rounds onto a positive count
-    # strictly above lambda, and the gallop down from there still ends on it
+    # On 569 trees with r > 1 a Laguerre step rounds onto a sigma strictly
+    # above lambda where the test is true, and the gallop down from there
+    # still ends on lambda
     trees = _benchmark_classes() + _reference_trees()
     want = [reference_bisected_eigenvalue(G) for G in trees]
+    slopes = spectral._log_det_slopes
     log = _counted_passes(monkeypatch)
     passes, past = [], 0
     for G, lam in zip(trees, want):
@@ -503,42 +510,42 @@ def test_laguerre_equals_reference_bisection_bitwise(monkeypatch):
         got, plan = spectral._bisected_eigenvalue(G)
         assert got.hex() == lam.hex()
         passes.append(len(log))
+        laguerre = log[0][2]
         past += sum(d >= 2 for d in G.degrees) > 1 and any(
-            laguerre and positive and sigma > lam
-            for sigma, positive, laguerre in log)
-        assert spectral._count_below(plan, lam) and not spectral._count_below(
-            plan, math.nextafter(lam, 0.0))
+            line == laguerre and below and sigma > lam
+            for sigma, below, line in log)
+        assert slopes(plan, lam) is None
+        assert slopes(plan, math.nextafter(lam, 0.0)) is not None
     assert (statistics.median(passes), max(passes), past) == (10, 19, 569)
 
 
 def test_one_interior_vertex_lands_on_its_degree(monkeypatch):
     # with r = 1 the first step is (k - 1) d / (k - 1) up to two roundings:
     # exact for d = 4, one ulp past 49 = 1 / (1 / 49). Either way a gallop
-    # down from the floor finds the float below with a zero count at once
+    # down from the floor finds the float below where the test is false
     log = _counted_passes(monkeypatch)
     for k in (2, 3, 4, 5):
         for d in (2, 3, 4, 6, 49):
             log.clear()
             assert spectral._bisected_eigenvalue(star(k, d))[0] == d
             assert len(log) <= 8
-            assert log[1][1:] == (True, True) and log[1][0] >= d
+            assert log[1][1:] == (True, log[0][2]) and log[1][0] >= d
     log.clear()
     spectral._bisected_eigenvalue(star(2, 49))
     assert log[1][0] == math.nextafter(49.0, math.inf)
 
 
 def test_slopes_stop_where_the_count_turns_positive():
-    # a pivot exactly 0 or at the smallest normal float counts as below, as
-    # in _count_below, so the pass returns None; one just above does not
+    # a pivot exactly 0 or at the smallest normal float reads as below, so
+    # the pass returns None; one just above does not
     path = build_supertree(2, 4, [(0, 1), (1, 2), (2, 3)])
     plan = spectral._inertia_plan(path)
-    assert spectral._count_below(plan, 2.0) == 1
+    assert spectral._exact_below(plan, 2)
     assert spectral._log_det_slopes(plan, 2.0) is None
     tiny = sys.float_info.min
-    for pivot, below in ((0.0, 1), (tiny, 1), (-tiny, 1), (2 * tiny, 0)):
+    for pivot, below in ((0.0, True), (tiny, True), (-tiny, True), (2 * tiny, False)):
         plan = ((pivot,), (0,), (-1,))
-        assert spectral._count_below(plan, 0.0) == below
-        assert (spectral._log_det_slopes(plan, 0.0) is None) == bool(below)
+        assert (spectral._log_det_slopes(plan, 0.0) is None) == below
     # s1 and s2 of the k=2 path with three edges (spectrum 1, 3) at sigma = 0
     s1, s2 = spectral._log_det_slopes(spectral._inertia_plan(path), 0.0)
     assert (s1, s2) == pytest.approx((1 + 1 / 3, 1 + 1 / 9), rel=1e-15)
