@@ -8,9 +8,10 @@ failure, 2 malformed input or usage error, 3 undecided.
 
 Each handler imports the modules it runs, so a process loads only its
 subcommand's share of the package; numpy loads only with the first LAPACK
-solve. eigen, relabel and a verify-fk1 --n-max sweep of more than one
-family make one, and so do verify-fk1 --pi and verify-fk2 on a family of
-more than 2,000 classes; majorize never does.
+solve. A verify-fk1 --n-max sweep of more than one family makes one, and
+so do verify-fk1 --pi and verify-fk2 on a family of more than 2,000
+classes; eigen, relabel and majorize never do, since they solve on the
+tree elimination of the spectral module.
 """
 
 import argparse
@@ -69,9 +70,9 @@ def _cmd_validate(args) -> int:
 def _eigenpair(args):
     # spectral takes a few ms to compile when bytecode is not cached; only
     # the subcommands that solve pay it
-    from .spectral import first_dirichlet_eigenpair
+    from .spectral import _tree_eigenpair
     G = _load(args.file)
-    return G, first_dirichlet_eigenpair(G)
+    return G, _tree_eigenpair(G)
 
 
 def _cmd_eigen(args) -> int:

@@ -20,9 +20,13 @@ each pivot's derivatives in sigma, drives Laguerre's method on
 det(M - sigma) up to lambda alone, and a short bisection polish ends on
 the least float where the answer turns yes: about ten O(n0) passes.
 Single-family certificates and majorize use it; a sweep stacks its
-classes on LAPACK. Only this module uses numpy, and only inside the
-LAPACK functions, so importing it (or the package), the exact test or the
-pure-Python lambda leaves numpy unloaded.
+classes on LAPACK. The same elimination also counts the eigenvalues below
+sigma, which bisection turns into the second eigenvalue, and solves the
+inverse-iteration step, so the eigen and relabel commands take the whole
+pair from it (_tree_eigenpair) with no dense block. Only this module uses
+numpy, and only inside the LAPACK functions, so importing it (or the
+package), the exact test or the pure-Python lambda and pair leave numpy
+unloaded.
 """
 
 import itertools
@@ -46,7 +50,8 @@ class DirichletEigenpair(
     """First Dirichlet eigenpair of a supertree.
 
     ``f`` has one entry per vertex, zero on the boundary, positive on the
-    interior, unit Euclidean norm. It is one step of inverse iteration,
+    interior, unit Euclidean norm: a numpy array from
+    first_dirichlet_eigenpair. It is one step of inverse iteration,
     (M - sigma I) x = (1, ..., 1), with sigma a fixed multiple of
     eps * 2 * (max degree) below lambda; its angle to the true eigenvector
     is O(sqrt(r) * eps * ||M|| / gap) for an interior of r vertices, the
@@ -167,7 +172,9 @@ def _inertia_plan(G: Supertree):
     member gains 1 on its diagonal; eliminating the hubs gives back the
     edge's clique, so at every sigma the nodes' matrix is positive definite
     exactly when (k - 1) * (M - sigma) is. Returns (base diagonal, sigma
-    coefficient, parent node), a node's parent numbered before it.
+    coefficient, parent node, a dict of each interior vertex's node), a
+    node's parent numbered before it; a hub is a node with sigma
+    coefficient 0.
 
     Raises:
         NoInteriorVertices: G has no interior vertex.
@@ -196,7 +203,7 @@ def _inertia_plan(G: Supertree):
                 node[w] = len(nodes)
                 order.append(w)
                 nodes.append([scale * G.degrees[w] + (len(children) > 1), scale, parent])
-    return tuple(zip(*nodes))
+    return (*zip(*nodes), node)
 
 
 def _exact_below(plan, sigma):
@@ -215,7 +222,7 @@ def _exact_below(plan, sigma):
     from fractions import Fraction
     sigma = Fraction(sigma)
     p, q = sigma.numerator, sigma.denominator
-    base, coef, up = plan
+    base, coef, up = plan[:3]
     num = [b * q - c * p for b, c in zip(base, coef)]
     den = [q] * len(num)
     for i in range(len(num) - 1, -1, -1):
@@ -241,7 +248,7 @@ def _log_det_slopes(plan, sigma):
     at the first pivot at or below the smallest normal float (pivmin, as in
     LAPACK's dstebz), so a pivot that vanishes at sigma reads as below.
     """
-    base, coef, up = plan
+    base, coef, up = plan[:3]
     x = [b - c * sigma for b, c in zip(base, coef)]
     dx = [-c for c in coef]
     ddx = [0] * len(x)
@@ -325,3 +332,87 @@ def _bisected_eigenvalue(G: Supertree):
         else:
             lo = mid
     return hi, plan
+
+
+def _count_below(plan, sigma):
+    """How many Dirichlet eigenvalues lie at or below the float sigma: the
+    pivots of _log_det_slopes' elimination at or below pivmin, which by
+    Sylvester's law count the negative eigenvalues of (k - 1) * (M - sigma).
+    A pivot that vanishes (|pivot| <= pivmin) is counted and the elimination
+    steps past it as LAPACK's dstebz does, with -pivmin in its place, so
+    its parent grows by 1 / pivmin instead of dividing by zero. The count
+    is positive exactly where _log_det_slopes returns None."""
+    base, coef, up = plan[:3]
+    x = [b - c * sigma for b, c in zip(base, coef)]
+    pivmin = sys.float_info.min
+    count = 0
+    for i in range(len(x) - 1, -1, -1):
+        pivot = x[i]
+        if pivot <= pivmin:
+            count += 1
+            pivot = min(pivot, -pivmin)
+        if i:
+            x[up[i]] -= 1 / pivot
+    return count
+
+
+def _tree_eigenpair(G: Supertree) -> DirichletEigenpair:
+    """first_dirichlet_eigenpair on the elimination plan, in pure Python:
+    no numpy, no dense block, O(n) memory.
+
+    lambda and the plan come from _bisected_eigenvalue. The second
+    eigenvalue, for gap and degenerate, is the least float where
+    _count_below reaches two, by bisection on [lambda, 2 * max degree]. f
+    is the same inverse-iteration step at the same sigma as
+    first_dirichlet_eigenpair's, (M - sigma I) x = (1, ..., 1), solved by
+    one LDL^T elimination over the plan and one back substitution: a link
+    between two vertices is -1, one at a hub +1, and a hub's right-hand
+    side is 0, so eliminating the hubs leaves (k - 1) * (M - sigma) acting
+    on the vertices. f is a list of G.n floats.
+
+    Raises:
+        NoInteriorVertices: G has no interior vertex.
+    """
+    lam, plan = _bisected_eigenvalue(G)
+    base, coef, up, node = plan
+    top = max(G.degrees)
+    gap, degenerate = math.inf, False
+    if len(node) > 1:
+        lo, hi = lam, float(2 * top)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if _count_below(plan, mid) > 1:
+                hi = mid
+            else:
+                lo = mid
+        gap, degenerate = hi - lam, not strictly_less(lam, hi)
+    sigma = lam - _SHIFT * top
+    pivots = [b - c * sigma for b, c in zip(base, coef)]
+    links = [-1 if c and coef[j] else 1 for c, j in zip(coef, up)]
+    x = [1.0 if c else 0.0 for c in coef]
+    for i in range(len(x) - 1, 0, -1):
+        j, ratio = up[i], links[i] / pivots[i]
+        pivots[j] -= links[i] * ratio
+        x[j] -= ratio * x[i]
+    x[0] /= pivots[0]
+    for i in range(1, len(x)):
+        x[i] = (x[i] - links[i] * x[up[i]]) / pivots[i]
+    # the Perron vector is positive, so the all-ones start is never
+    # orthogonal to it; hubs hold minus their members' sum, so they are left
+    # out of the sign and the norm. fsum rounds once, where sum() and
+    # math.hypot round differently from one Python version to the next
+    x = [x[i] for i in node.values()]
+    norm = math.sqrt(math.fsum(xv * xv for xv in x))
+    if max(x, key=abs) < 0.0:
+        norm = -norm
+    f = [0.0] * G.n
+    for v, xv in zip(node, x):
+        f[v] = xv / norm
+    # M f - lambda f on the interior, one product per edge
+    near = [0.0] * G.n
+    for e in G.edges:
+        total = math.fsum(f[v] for v in e)
+        for v in e:
+            near[v] += total - f[v]
+    residual = math.sqrt(math.fsum(
+        ((G.degrees[v] - lam) * f[v] - near[v] / (G.k - 1)) ** 2 for v in node))
+    return DirichletEigenpair(lam, f, gap, degenerate, residual)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import deque
 
 import numpy as np
@@ -170,18 +171,33 @@ def reference_inverse_iteration(G: Supertree):
 
 
 def reference_bisected_eigenvalue(G: Supertree) -> float:
-    """The least float where spectral._log_det_slopes returns None (the
-    float test for an eigenvalue at or below it), by bisection of that test
-    on [0, 2 * max degree] down to two adjacent floats: about 55 passes,
-    the solver that Laguerre's method replaced."""
-    plan = spectral._inertia_plan(G)
+    """The least float where the float test finds an eigenvalue at or below
+    it, by bisection of that test on [0, 2 * max degree] down to two
+    adjacent floats: about 55 passes, the solver that Laguerre's method
+    replaced. The test is its own: the LDL^T elimination of
+    spectral._inertia_plan's matrix in floats, without the derivatives that
+    spectral._log_det_slopes carries, saying below at the first pivot at
+    or below the smallest normal float."""
+    base, coef, up, _ = spectral._inertia_plan(G)
+    pivmin = sys.float_info.min
+
+    def below(sigma: float) -> bool:
+        x = [b - c * sigma for b, c in zip(base, coef)]
+        for i in range(len(x) - 1, -1, -1):
+            if x[i] <= pivmin:
+                return True
+            if i:
+                x[up[i]] -= 1 / x[i]
+        return False
+
     lo, hi = 0.0, float(2 * max(G.degrees))
     while lo < (mid := (lo + hi) / 2) < hi:
-        if spectral._log_det_slopes(plan, mid) is None:
+        if below(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
 
 def tree_centroids(adj: list[list[int]]) -> list[int]:
     """Every node of the tree adj whose heaviest branch is lightest, by a

@@ -8,6 +8,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import shutil
@@ -33,7 +34,7 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees.cli import main
-from support import apply_vertex_permutation
+from support import apply_vertex_permutation, broom, reference_bisected_eigenvalue
 
 STAR_SHT = "k 3\nn 5\ne 0 1 2\ne 0 3 4\n"
 H7_SHT = "k 3\nn 7\ne 0 1 2\ne 0 3 4\ne 1 5 6\n"
@@ -265,10 +266,9 @@ RUNS = {
     "verify-fk2": {"config", "enumeration", "slo", "spectral"},
     "majorize": {"config", "transforms", "slo", "spectral"},
 }
-# the subcommands that solve with LAPACK, and a verify-fk1 sweep, which
-# stacks its families on LAPACK; majorize, verify-fk1 --pi and verify-fk2
-# load spectral for its pure-Python eigenvalues alone
-LAPACK = {"eigen", "relabel"}
+# a verify-fk1 sweep stacks its families on LAPACK, the one subcommand here
+# that loads numpy; eigen, relabel, majorize, verify-fk1 --pi and
+# verify-fk2 load spectral for its pure-Python solves alone
 SWEEP = ["verify-fk1", "--k", "3", "--n-max", "7"]
 
 
@@ -299,8 +299,7 @@ def test_numpy_loads_only_for_eigenproblems(capsys, h7):
         assert cold["before"] == [[[], False, False], [base, False, False]]
         code, out, own, numpy, dataclasses = cold["run"]
         # numpy loads with the first LAPACK solve, and only then
-        lapack = argv[0] in LAPACK or argv == SWEEP
-        want = (argv[0], sorted(RUNS[argv[0]] | set(base)), lapack, False)
+        want = (argv[0], sorted(RUNS[argv[0]] | set(base)), argv == SWEEP, False)
         assert (argv[0], own, numpy, dataclasses) == want
         # a cold process that loads modules on demand prints what this one does
         assert (code, _run(capsys, *argv)[:2]) == (0, (0, out))
@@ -687,6 +686,45 @@ def test_majorize_proves_the_ladder_pair(capsys, n0, lam, lam_prime):
     assert out == ("majorized=true\n"
                    f"lambda_pi={lam}\nlambda_pi_prime={lam_prime}\n"
                    "strict_decrease=true\n")
+
+
+@pytest.mark.parametrize("command", ["eigen", "relabel"])
+@pytest.mark.parametrize("shape", ["path", "broom"])
+def test_eigen_and_relabel_answer_on_thousands_of_edges(capsys, tmp_path, shape,
+                                                       command):
+    # a k=2 path of 5,000 edges, whose lambda is 4 sin^2(pi / 10,000), and a
+    # k=3 broom with a 2,000-edge handle and 1,000 bristles: about 0.2-0.4 s
+    # of CPU each on the tree solve, where a cold eigen on the path's dense
+    # block took 6.7 s and 616 MB. A line tracer (coverage, mutation runs)
+    # can push them past the budget
+    if shape == "path":
+        G = build_supertree(2, 5001, [(i, i + 1) for i in range(5000)])
+        lam = 4 * math.sin(math.pi / 10000) ** 2
+        gap = f"{4 * math.sin(math.pi / 5000) ** 2 - lam:.12f}"
+        assert (f"{lam:.12f}", gap) == ("0.000000394784", "0.000001184352")
+    else:
+        G = broom(3, 2000, 1000)
+        lam, gap = reference_bisected_eigenvalue(G), None
+    path = tmp_path / "big.sht"
+    path.write_text(serialize_sht(G))
+    began = time.process_time()
+    code, out, err = _run(capsys, command, str(path))
+    assert time.process_time() - began < 3.0
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if command == "eigen":
+        assert lines[0] == f"lambda={lam:.12f}"
+        assert lines[1] == f"gap={gap}" if gap else lines[1].startswith("gap=")
+        assert lines[2:4] == ["degenerate=false", "vertex_id,is_interior,f_value"]
+        assert len(lines) == 4 + G.n
+    else:
+        rows = [line.split(",") for line in lines[1:]]
+        assert lines[0] == "vertex_id,s,i,p,f_value"
+        assert len(rows) == G.n and rows[0][1:4] == ["0", "1", "1"]
+        assert float(rows[0][4]) == max(float(row[4]) for row in rows)
+        if shape == "path":
+            # the middle vertex, where f = sqrt(2 / 5,000) = 0.02
+            assert rows[0][0] == "2500" and abs(float(rows[0][4]) - 0.02) <= 1e-10
 
 
 @pytest.mark.parametrize("pi, pi_prime, sigma, lam", [

@@ -27,6 +27,7 @@ from supertrees import (
 )
 from supertrees.cli import main
 from supertrees.enumeration import _grow_classes, _members
+from supertrees.slo import relabel
 from support import (
     apply_vertex_permutation,
     broom,
@@ -421,7 +422,9 @@ def test_exact_test_where_a_pivot_can_vanish():
     # (k = 2 and 3) gives 22,644 tests. At 4,041 of them the first pivot
     # that is not positive is exactly 0, at a vertex, a hub or the root.
     # eigvalsh rounds an eigenvalue at sigma either way, and no other lies
-    # within 1e-6 of one
+    # within 1e-6 of one. The float count, which steps past a vanishing
+    # pivot, lies between the eigenvalues below sigma and those at or below
+    # it, and is positive exactly where the float test says below
     trees = _benchmark_classes()
     checks = 0
     for G, values in zip(trees, _spectra(trees)):
@@ -430,6 +433,10 @@ def test_exact_test_where_a_pivot_can_vanish():
         for t in range(2 * scale * max(G.degrees) + 1):
             below = values[0] <= t / scale + 1e-9
             assert spectral._exact_below(plan, Fraction(t, scale)) == below
+            count = spectral._count_below(plan, t / scale)
+            assert sum(values < t / scale - 1e-9) <= count
+            assert count <= sum(values <= t / scale + 1e-9)
+            assert (count > 0) == (spectral._log_det_slopes(plan, t / scale) is None)
             checks += 1
     assert checks == 22644
 
@@ -450,6 +457,8 @@ def test_zero_pivot_counts_below_in_floats_and_fractions():
         assert lam < sigma + 1e-9
         assert spectral._exact_below(plan, Fraction(sigma))
         assert spectral._log_det_slopes(plan, float(sigma)) is None
+        # the count steps past the zero pivot instead of dividing by it
+        assert spectral._count_below(plan, float(sigma)) == 1
         under = Fraction(sigma) - Fraction(1, 10**9)
         assert spectral._exact_below(plan, under) == (lam < sigma - 1e-9)
     for pivot, below in ((0, True), (-1, True), (1, False)):
@@ -565,3 +574,24 @@ def test_laguerre_passes_on_clustered_spectra(monkeypatch):
         log.clear()
         assert spectral._bisected_eigenvalue(G)[0] == lam
         assert len(log) <= most
+
+
+def test_tree_eigenpair_agrees_with_lapack():
+    # the pure-Python pair that eigen and relabel print, against the dense
+    # one, on the 2,671 benchmark classes and reference trees. In units of
+    # eps * 2 * (max degree), which bounds eps * ||M||, lambda and gap lie
+    # within 3 and 3.9 units of LAPACK's (numpy 2.4.6), and f within 0.31
+    # sqrt(r) units / gap, the docstring's O(sqrt(r) eps ||M|| / gap) bound
+    # with constant 1. Of the 12-decimal prints, no lambda, 2 gaps and the
+    # f tables of 30 trees differ; relabel orders every tree the same
+    for G in _benchmark_classes() + _reference_trees():
+        want, got = first_dirichlet_eigenpair(G), spectral._tree_eigenpair(G)
+        unit = sys.float_info.epsilon * 2 * max(G.degrees)
+        r = sum(d >= 2 for d in G.degrees)
+        assert abs(got.lam - want.lam) <= 8 * unit
+        assert got.gap == want.gap == math.inf or abs(got.gap - want.gap) <= 8 * unit
+        assert got.degenerate == want.degenerate
+        error = max(abs(a - b) for a, b in zip(got.f, want.f.tolist()))
+        assert error <= math.sqrt(r) * unit / want.gap
+        assert got.residual <= 1e-12
+        assert relabel(G, got.f) == relabel(G, want.f)
