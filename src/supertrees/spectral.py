@@ -20,13 +20,13 @@ each pivot's derivatives in sigma, drives Laguerre's method on
 det(M - sigma) up to lambda alone, and a short bisection polish ends on
 the least float where the answer turns yes: about ten O(n0) passes.
 Single-family certificates and majorize use it; a sweep stacks its
-classes on LAPACK. The same elimination also counts the eigenvalues below
-sigma, which bisection turns into the second eigenvalue, and solves the
-inverse-iteration step, so the eigen and relabel commands take the whole
-pair from it (_tree_eigenpair) with no dense block. Only this module uses
-numpy, and only inside the LAPACK functions, so importing it (or the
-package), the exact test or the pure-Python lambda and pair leave numpy
-unloaded.
+classes on LAPACK. Stepping past the first pivot that is not positive, the
+same pass and search give the second eigenvalue, with lambda deflated out
+of the determinant, and the elimination solves the inverse-iteration
+step, so the eigen and relabel commands take the whole pair from it
+(_tree_eigenpair) with no dense block. Only this module uses numpy, and
+only inside the LAPACK functions, so importing it (or the package), the
+exact test or the pure-Python lambda and pair leave numpy unloaded.
 """
 
 import itertools
@@ -236,17 +236,20 @@ def _exact_below(plan, sigma):
     return False
 
 
-def _log_det_slopes(plan, sigma):
+def _log_det_slopes(plan, sigma, stop=1):
     """(s1, s2), the sums over the Dirichlet eigenvalues lambda_j of
-    1 / (lambda_j - sigma) and of its square, at a float sigma below every
-    lambda_j; None where the float elimination says lambda_1 <= sigma.
+    1 / (lambda_j - sigma) and of its square, at a float sigma below all
+    but stop - 1 of them; None where the float elimination says that stop
+    of them lie at or below sigma.
 
     It runs _exact_below's elimination in floats, carrying each pivot's
     first and second derivative in sigma. The pivots multiply to
     det(M - sigma) times a constant, so their logarithmic derivatives sum
-    to minus s1, and the derivatives of those to minus s2. It returns None
-    at the first pivot at or below the smallest normal float (pivmin, as in
-    LAPACK's dstebz), so a pivot that vanishes at sigma reads as below.
+    to minus s1, and the derivatives of those to minus s2. By Sylvester's
+    law the pivots at or below the smallest normal float (pivmin, as in
+    LAPACK's dstebz) count the eigenvalues at or below sigma, a vanishing
+    pivot included. It returns None at the stop-th; an earlier one is
+    stepped past as dstebz does, with -pivmin in its place.
     """
     base, coef, up = plan[:3]
     x = [b - c * sigma for b, c in zip(base, coef)]
@@ -257,7 +260,10 @@ def _log_det_slopes(plan, sigma):
     for i in range(len(x) - 1, -1, -1):
         pivot = x[i]
         if pivot <= pivmin:
-            return None
+            stop -= 1
+            if not stop:
+                return None
+            pivot = min(pivot, -pivmin)
         q, h = dx[i] / pivot, ddx[i] / pivot
         s1 -= q
         s2 += q * q - h
@@ -269,43 +275,59 @@ def _log_det_slopes(plan, sigma):
     return s1, s2
 
 
-# Laguerre passes before the polish: a median of 4 and at most 6 on the
-# benchmark classes (13 on the test suite's reference trees); clustered
-# spectra such as long brooms can need more, and then the polish bisects.
+# Laguerre passes before the polish: for lambda_1 a median of 4 and at most
+# 6 on the benchmark classes (13 on the test suite's reference trees), for
+# lambda_2 a median of 5; clustered spectra such as long brooms can need
+# more, and then the polish bisects.
 _LAGUERRE_PASSES = 16
 
 
-def _bisected_eigenvalue(G: Supertree):
+def _bisected_eigenvalue(G: Supertree, plan=None, pole=None):
     """(lambda, plan): G's smallest Dirichlet eigenvalue, the least float
-    where _log_det_slopes returns None, and the plan it ran on; the float
-    that bisection of that answer on [0, 2 * max degree] (Gershgorin) ends on.
+    where _log_det_slopes returns None, and the plan it ran on (built
+    unless given); the float that bisection of that answer on
+    [0, 2 * max degree] (Gershgorin) ends on. Given pole = lambda_1, the
+    same search with stop = 2 returns lambda_2.
 
     Laguerre's method on det(M - sigma), a polynomial of degree r (the
     interior size) with real roots, starts at sigma = 0 and, below lambda,
-    rises monotonically and never passes it in exact arithmetic; one
-    _log_det_slopes pass per step. Unlike Newton's step 1 / s1 it stays fast
-    when eigenvalues cluster above lambda (a star of 1,000 two-edge legs
-    took Newton 715 passes). It stops when a step is no longer shorter than
-    the last, is within the float floor eps * 2 * max degree (eps * ||M||),
-    or rounds onto lambda or past it, or after _LAGUERRE_PASSES steps. A
-    gallop away from the last iterate, doubling from the floor (or from the
-    upper bound s1 / s2 on lambda - sigma), brackets the float where the
-    answer turns yes, and bisection ends on it.
+    rises monotonically and never passes it in exact arithmetic (Parlett,
+    Math. Comp. 18 (1964)); one _log_det_slopes pass per step. Unlike
+    Newton's step 1 / s1 it stays fast when eigenvalues cluster above
+    lambda (a star of 1,000 two-edge legs took Newton 715 passes). With a
+    pole it runs on det(M - sigma) / (pole - sigma), of degree r - 1 and
+    least root lambda_2: s1 and s2 less the pole's terms. It stops when a
+    step is no longer shorter than the last, is within the float floor
+    eps * 2 * max degree (eps * ||M||), or rounds onto lambda or past it,
+    when the deflated sums are not both positive (an iterate on the pole,
+    or cancellation near it), or after _LAGUERRE_PASSES steps. A gallop
+    away from the last iterate, doubling from the floor (or from the upper
+    bound s1 / s2 on lambda - sigma), brackets the float where the answer
+    turns yes, and bisection ends on it. Each bracket end is a pass's
+    answer, so the pole steers the steps and never the result.
 
     Raises:
         NoInteriorVertices: G has no interior vertex.
     """
-    plan = _inertia_plan(G)
-    r = sum(1 for c in plan[1] if c)
+    plan = plan or _inertia_plan(G)
+    r, stop = sum(1 for c in plan[1] if c), 1
+    if pole is not None:
+        r, stop = r - 1, 2
     floor = sys.float_info.epsilon * 2 * max(G.degrees)
     lo, hi = 0.0, float(2 * max(G.degrees))
     sigma, last = lo, math.inf
     for _ in range(_LAGUERRE_PASSES):
-        slopes = _log_det_slopes(plan, sigma)
+        slopes = _log_det_slopes(plan, sigma, stop)
         if slopes is None:
             hi = sigma
             break
         lo, (s1, s2) = sigma, slopes
+        if pole is not None:
+            t = 1 / (pole - sigma) if sigma != pole else math.inf
+            s1, s2 = s1 - t, s2 - t * t
+            if not (s1 > 0 and s2 > 0):
+                s1, s2 = 0, 1  # the polish gallops from the floor
+                break
         step = r / (s1 + math.sqrt(max(0, (r - 1) * (r * s2 - s1 * s1))))
         if not floor < step < last:
             break
@@ -314,56 +336,33 @@ def _bisected_eigenvalue(G: Supertree):
         # a step rounded onto lambda or past it; lambda lies just below
         t = floor
         while hi - t > lo:
-            if _log_det_slopes(plan, hi - t) is not None:
+            if _log_det_slopes(plan, hi - t, stop) is not None:
                 lo = hi - t
                 break
             hi, t = hi - t, 2 * t
     else:
-        # lambda_1 - lo <= s1 / s2, since s2 <= s1 / (lambda_1 - lo)
+        # lambda - lo <= s1 / s2, since s2 <= s1 / (lambda - lo)
         t = max(floor, s1 / s2)
         while lo + t < hi:
-            if _log_det_slopes(plan, lo + t) is None:
+            if _log_det_slopes(plan, lo + t, stop) is None:
                 hi = lo + t
                 break
             lo, t = lo + t, 2 * t
     while lo < (mid := (lo + hi) / 2) < hi:
-        if _log_det_slopes(plan, mid) is None:
+        if _log_det_slopes(plan, mid, stop) is None:
             hi = mid
         else:
             lo = mid
     return hi, plan
 
 
-def _count_below(plan, sigma):
-    """How many Dirichlet eigenvalues lie at or below the float sigma: the
-    pivots of _log_det_slopes' elimination at or below pivmin, which by
-    Sylvester's law count the negative eigenvalues of (k - 1) * (M - sigma).
-    A pivot that vanishes (|pivot| <= pivmin) is counted and the elimination
-    steps past it as LAPACK's dstebz does, with -pivmin in its place, so
-    its parent grows by 1 / pivmin instead of dividing by zero. The count
-    is positive exactly where _log_det_slopes returns None."""
-    base, coef, up = plan[:3]
-    x = [b - c * sigma for b, c in zip(base, coef)]
-    pivmin = sys.float_info.min
-    count = 0
-    for i in range(len(x) - 1, -1, -1):
-        pivot = x[i]
-        if pivot <= pivmin:
-            count += 1
-            pivot = min(pivot, -pivmin)
-        if i:
-            x[up[i]] -= 1 / pivot
-    return count
-
-
 def _tree_eigenpair(G: Supertree) -> DirichletEigenpair:
     """first_dirichlet_eigenpair on the elimination plan, in pure Python:
     no numpy, no dense block, O(n) memory.
 
-    lambda and the plan come from _bisected_eigenvalue. The second
-    eigenvalue, for gap and degenerate, is the least float where
-    _count_below reaches two, by bisection on [lambda, 2 * max degree]. f
-    is the same inverse-iteration step at the same sigma as
+    lambda and the plan come from _bisected_eigenvalue, and the second
+    eigenvalue, for gap and degenerate, from the same search with lambda
+    as its pole. f is the same inverse-iteration step at the same sigma as
     first_dirichlet_eigenpair's, (M - sigma I) x = (1, ..., 1), solved by
     one LDL^T elimination over the plan and one back substitution: a link
     between two vertices is -1, one at a hub +1, and a hub's right-hand
@@ -378,13 +377,8 @@ def _tree_eigenpair(G: Supertree) -> DirichletEigenpair:
     top = max(G.degrees)
     gap, degenerate = math.inf, False
     if len(node) > 1:
-        lo, hi = lam, float(2 * top)
-        while lo < (mid := (lo + hi) / 2) < hi:
-            if _count_below(plan, mid) > 1:
-                hi = mid
-            else:
-                lo = mid
-        gap, degenerate = hi - lam, not strictly_less(lam, hi)
+        second = _bisected_eigenvalue(G, plan, lam)[0]
+        gap, degenerate = second - lam, not strictly_less(lam, second)
     sigma = lam - _SHIFT * top
     pivots = [b - c * sigma for b, c in zip(base, coef)]
     links = [-1 if c and coef[j] else 1 for c, j in zip(coef, up)]

@@ -170,33 +170,53 @@ def reference_inverse_iteration(G: Supertree):
     return _eigenpair_from(G, interior, M, values, x)
 
 
-def reference_bisected_eigenvalue(G: Supertree) -> float:
-    """The least float where the float test finds an eigenvalue at or below
-    it, by bisection of that test on [0, 2 * max degree] down to two
-    adjacent floats: about 55 passes, the solver that Laguerre's method
-    replaced. The test is its own: the LDL^T elimination of
+def _reference_bisection(G: Supertree, lo: float, least: int) -> float:
+    """The least float above lo where the float count reaches least, by
+    bisection of that count on [lo, 2 * max degree] down to two adjacent
+    floats. The count is its own: the LDL^T elimination of
     spectral._inertia_plan's matrix in floats, without the derivatives that
-    spectral._log_det_slopes carries, saying below at the first pivot at
-    or below the smallest normal float."""
+    spectral._log_det_slopes carries, counting the pivots at or below the
+    smallest normal float and stepping past each with minus that float in
+    its place, as LAPACK's dstebz does."""
     base, coef, up, _ = spectral._inertia_plan(G)
     pivmin = sys.float_info.min
 
-    def below(sigma: float) -> bool:
+    def reached(sigma: float) -> bool:
         x = [b - c * sigma for b, c in zip(base, coef)]
+        count = 0
         for i in range(len(x) - 1, -1, -1):
-            if x[i] <= pivmin:
-                return True
+            pivot = x[i]
+            if pivot <= pivmin:
+                count += 1
+                if count == least:
+                    return True
+                pivot = min(pivot, -pivmin)
             if i:
-                x[up[i]] -= 1 / x[i]
+                x[up[i]] -= 1 / pivot
         return False
 
-    lo, hi = 0.0, float(2 * max(G.degrees))
+    hi = float(2 * max(G.degrees))
     while lo < (mid := (lo + hi) / 2) < hi:
-        if below(mid):
+        if reached(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def reference_bisected_eigenvalue(G: Supertree) -> float:
+    """The least float where the float count finds an eigenvalue at or
+    below it, by bisection on [0, 2 * max degree]: about 55 passes, the
+    solver that Laguerre's method replaced."""
+    return _reference_bisection(G, 0.0, 1)
+
+
+def reference_second_eigenvalue(G: Supertree) -> float:
+    """The least float where the float count finds two eigenvalues at or
+    below it, by bisection on [lambda_1, 2 * max degree] from
+    reference_bisected_eigenvalue's lambda_1: 52 passes and more, the
+    solver that the deflated Laguerre search replaced."""
+    return _reference_bisection(G, reference_bisected_eigenvalue(G), 2)
 
 
 def tree_centroids(adj: list[list[int]]) -> list[int]:

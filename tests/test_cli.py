@@ -34,7 +34,12 @@ from supertrees import (
     verify_majorization_monotonicity,
 )
 from supertrees.cli import main
-from support import apply_vertex_permutation, broom, reference_bisected_eigenvalue
+from support import (
+    apply_vertex_permutation,
+    broom,
+    reference_bisected_eigenvalue,
+    reference_second_eigenvalue,
+)
 
 STAR_SHT = "k 3\nn 5\ne 0 1 2\ne 0 3 4\n"
 H7_SHT = "k 3\nn 7\ne 0 1 2\ne 0 3 4\ne 1 5 6\n"
@@ -704,7 +709,8 @@ def test_eigen_and_relabel_answer_on_thousands_of_edges(capsys, tmp_path, shape,
         assert (f"{lam:.12f}", gap) == ("0.000000394784", "0.000001184352")
     else:
         G = broom(3, 2000, 1000)
-        lam, gap = reference_bisected_eigenvalue(G), None
+        lam = reference_bisected_eigenvalue(G)
+        gap = f"{reference_second_eigenvalue(G) - lam:.12f}"
     path = tmp_path / "big.sht"
     path.write_text(serialize_sht(G))
     began = time.process_time()
@@ -714,7 +720,7 @@ def test_eigen_and_relabel_answer_on_thousands_of_edges(capsys, tmp_path, shape,
     lines = out.splitlines()
     if command == "eigen":
         assert lines[0] == f"lambda={lam:.12f}"
-        assert lines[1] == f"gap={gap}" if gap else lines[1].startswith("gap=")
+        assert lines[1] == f"gap={gap}"
         assert lines[2:4] == ["degenerate=false", "vertex_id,is_interior,f_value"]
         assert len(lines) == 4 + G.n
     else:

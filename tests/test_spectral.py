@@ -37,6 +37,7 @@ from support import (
     reference_eigenpair,
     reference_inverse_iteration,
     reference_laplacian,
+    reference_second_eigenvalue,
 )
 
 TWO_INTERIOR = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
@@ -49,6 +50,13 @@ def star(k: int, d: int):
         edges.append((0,) + tuple(range(n, n + k - 1)))
         n += k - 1
     return build_supertree(k, n, edges)
+
+
+def spider(legs: int):
+    """A k=2 star of legs two-edge legs: lambda_2 = ... = lambda_legs = 2."""
+    edges = [(0, 1 + i) for i in range(legs)]
+    edges += [(1 + i, 1 + legs + i) for i in range(legs)]
+    return build_supertree(2, 1 + 2 * legs, edges)
 
 
 def test_laplacian_matrix_two_interior():
@@ -422,9 +430,11 @@ def test_exact_test_where_a_pivot_can_vanish():
     # (k = 2 and 3) gives 22,644 tests. At 4,041 of them the first pivot
     # that is not positive is exactly 0, at a vertex, a hub or the root.
     # eigvalsh rounds an eigenvalue at sigma either way, and no other lies
-    # within 1e-6 of one. The float count, which steps past a vanishing
-    # pivot, lies between the eigenvalues below sigma and those at or below
-    # it, and is positive exactly where the float test says below
+    # within 1e-6 of one. The float pass counts the pivots that are not
+    # positive, stepping past a vanishing one, and returns None where the
+    # count reaches stop; that count lies between the eigenvalues below
+    # sigma and those at or below it, so None must hold where the first
+    # reach stop and must not where the second stay below it
     trees = _benchmark_classes()
     checks = 0
     for G, values in zip(trees, _spectra(trees)):
@@ -433,10 +443,11 @@ def test_exact_test_where_a_pivot_can_vanish():
         for t in range(2 * scale * max(G.degrees) + 1):
             below = values[0] <= t / scale + 1e-9
             assert spectral._exact_below(plan, Fraction(t, scale)) == below
-            count = spectral._count_below(plan, t / scale)
-            assert sum(values < t / scale - 1e-9) <= count
-            assert count <= sum(values <= t / scale + 1e-9)
-            assert (count > 0) == (spectral._log_det_slopes(plan, t / scale) is None)
+            fewest = sum(values < t / scale - 1e-9)
+            most = sum(values <= t / scale + 1e-9)
+            for stop in (1, 2):
+                none = spectral._log_det_slopes(plan, t / scale, stop) is None
+                assert (fewest >= stop) <= none <= (most >= stop)
             checks += 1
     assert checks == 22644
 
@@ -457,8 +468,9 @@ def test_zero_pivot_counts_below_in_floats_and_fractions():
         assert lam < sigma + 1e-9
         assert spectral._exact_below(plan, Fraction(sigma))
         assert spectral._log_det_slopes(plan, float(sigma)) is None
-        # the count steps past the zero pivot instead of dividing by it
-        assert spectral._count_below(plan, float(sigma)) == 1
+        # with stop = 2 the pass steps past the zero pivot instead of
+        # dividing by it, and counts one
+        assert spectral._log_det_slopes(plan, float(sigma), 2) is not None
         under = Fraction(sigma) - Fraction(1, 10**9)
         assert spectral._exact_below(plan, under) == (lam < sigma - 1e-9)
     for pivot, below in ((0, True), (-1, True), (1, False)):
@@ -487,16 +499,16 @@ def test_bisected_eigenvalue_matches_lapack():
 
 def _counted_passes(monkeypatch) -> list:
     """Patches _log_det_slopes, the one pass _bisected_eigenvalue makes, to
-    log each call as (sigma, lambda_1 <= sigma, the line it was called
-    from). A solve's first pass is always Laguerre's, at sigma = 0, so a
-    pass is Laguerre's when it comes from the same line as the first; the
-    polish's gallop and bisection call from other lines."""
+    log each call as (sigma, whether it returned None, the line it was
+    called from, stop). A solve's first pass is always Laguerre's, at
+    sigma = 0, so a pass is Laguerre's when it comes from the same line as
+    the first; the polish's gallop and bisection call from other lines."""
     log = []
     slopes = spectral._log_det_slopes
 
-    def counted(plan, sigma):
-        out = slopes(plan, sigma)
-        log.append((sigma, out is None, sys._getframe(1).f_lineno))
+    def counted(plan, sigma, stop=1):
+        out = slopes(plan, sigma, stop)
+        log.append((sigma, out is None, sys._getframe(1).f_lineno, stop))
         return out
 
     monkeypatch.setattr(spectral, "_log_det_slopes", counted)
@@ -522,7 +534,7 @@ def test_laguerre_equals_reference_bisection_bitwise(monkeypatch):
         laguerre = log[0][2]
         past += sum(d >= 2 for d in G.degrees) > 1 and any(
             line == laguerre and below and sigma > lam
-            for sigma, below, line in log)
+            for sigma, below, line, _ in log)
         assert slopes(plan, lam) is None
         assert slopes(plan, math.nextafter(lam, 0.0)) is not None
     assert (statistics.median(passes), max(passes), past) == (10, 19, 569)
@@ -538,7 +550,7 @@ def test_one_interior_vertex_lands_on_its_degree(monkeypatch):
             log.clear()
             assert spectral._bisected_eigenvalue(star(k, d))[0] == d
             assert len(log) <= 8
-            assert log[1][1:] == (True, log[0][2]) and log[1][0] >= d
+            assert log[1][1:3] == (True, log[0][2]) and log[1][0] >= d
     log.clear()
     spectral._bisected_eigenvalue(star(2, 49))
     assert log[1][0] == math.nextafter(49.0, math.inf)
@@ -565,15 +577,79 @@ def test_laguerre_passes_on_clustered_spectra(monkeypatch):
     # just above lambda_1 near 1: 18 passes, where Newton's step took 715.
     # A k=3 broom with a 2,000-edge handle runs out of _LAGUERRE_PASSES
     # steps, and the polish bisects: 68 passes
-    legs = [(0, 1 + i) for i in range(1000)] + [(1 + i, 1001 + i) for i in range(1000)]
-    spider = build_supertree(2, 2001, legs)
     cases = [(G, reference_bisected_eigenvalue(G), most)
-             for G, most in ((spider, 20), (broom(3, 2000, 1000), 70))]
+             for G, most in ((spider(1000), 20), (broom(3, 2000, 1000), 70))]
     log = _counted_passes(monkeypatch)
     for G, lam, most in cases:
         log.clear()
         assert spectral._bisected_eigenvalue(G)[0] == lam
         assert len(log) <= most
+
+
+def test_second_eigenvalue_equals_reference_bisection_bitwise(monkeypatch):
+    # lambda_2 from the search with lambda_1 as its pole, on the 2,642
+    # trees with r > 1 among the benchmark classes, the reference trees,
+    # the 1,000-leg spider and the k=3 broom with a 2,000-edge handle: the
+    # float the reference bisection ends on, in a median of 9 passes (at
+    # most 68, the broom; 55 on the spider, whose lambda_2 has multiplicity
+    # 999) against its 52 and more
+    trees = _benchmark_classes() + _reference_trees()
+    trees += [spider(1000), broom(3, 2000, 1000)]
+    trees = [G for G in trees if sum(d >= 2 for d in G.degrees) > 1]
+    assert len(trees) == 2642
+    want = [reference_second_eigenvalue(G) for G in trees]
+    log = _counted_passes(monkeypatch)
+    passes = []
+    for G, second in zip(trees, want):
+        lam, plan = spectral._bisected_eigenvalue(G)
+        log.clear()
+        assert spectral._bisected_eigenvalue(G, plan, lam)[0].hex() == second.hex()
+        assert {stop for *_, stop in log} == {2}
+        passes.append(len(log))
+    assert (statistics.median(passes), max(passes), sum(passes)) == (9, 68, 27303)
+
+
+def test_deflation_hands_over_to_the_polish(monkeypatch):
+    # where the deflated s1 or s2 is not positive, Laguerre stops and the
+    # polish gallops up from its last iterate by the float floor, and the
+    # search still ends on the reference lambda_2. Each case names which of
+    # the two fails. On two benchmark classes an iterate lands on sigma = 1,
+    # where a pivot vanishes that stop = 2 steps past, and s2 comes out
+    # nan. Poles other than lambda_1 trip the guard at the first iterate,
+    # sigma = 0: a pole at 0, where 1 / (pole - sigma) would divide by zero;
+    # 1 / s1, where the deflated s1 is 0 and Laguerre's step would divide
+    # by zero; 1 / sqrt(s2), where the deflated s2 is 0 and the step would
+    # run on; -1e-200, where the pole's term squared overflows. A pole at -2
+    # lets an iterate pass lambda_1, where s1 turns negative alone
+    first = build_supertree(2, 13, [(0, 1), (0, 2), (0, 4), (0, 6), (1, 3), (2, 8),
+                                    (3, 5), (3, 7), (5, 9), (5, 11), (8, 10), (10, 12)])
+    second = build_supertree(2, 13, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 6),
+                                     (3, 7), (6, 8), (6, 10), (6, 12), (7, 9), (9, 11)])
+    cases = [(first, None, (False, True)), (second, None, (False, True)),
+             (first, -2.0, (True, False))]
+    for G in (spider(30), build_supertree(3, 7, TWO_INTERIOR)):
+        s1, s2 = spectral._log_det_slopes(spectral._inertia_plan(G), 0.0, 2)
+        assert 1 / (1 / s1) == s1 and (1 / (1 / math.sqrt(s2))) ** 2 == s2
+        cases += [(G, 0.0, (True, True)), (G, 1 / s1, (True, True)),
+                  (G, 1 / math.sqrt(s2), (False, True)), (G, -1e-200, (False, True))]
+    slopes = spectral._log_det_slopes
+    log = _counted_passes(monkeypatch)
+    for G, pole, fails in cases:
+        lam, plan = spectral._bisected_eigenvalue(G)
+        pole = lam if pole is None else pole
+        log.clear()
+        got = spectral._bisected_eigenvalue(G, plan, pole)[0]
+        assert got == reference_second_eigenvalue(G)
+        laguerre = [sigma for sigma, _, line, _ in log if line == log[0][2]]
+        for sigma in laguerre:
+            s1, s2 = slopes(plan, sigma, 2)
+            t = 1 / (pole - sigma) if sigma != pole else math.inf
+            # positive at every iterate but the last
+            want = fails if sigma == laguerre[-1] else (False, False)
+            assert (not s1 - t > 0, not s2 - t * t > 0) == want
+        assert (sigma == pole) == (pole == 0.0)
+        floor = sys.float_info.epsilon * 2 * max(G.degrees)
+        assert log[len(laguerre)][0] == sigma + floor
 
 
 def test_tree_eigenpair_agrees_with_lapack():
